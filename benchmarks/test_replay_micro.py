@@ -6,15 +6,18 @@ hornet) on both execution engines:
 
 * **DES** — the coroutine discrete-event runtime (``mpi.Job``);
 * **replay** — the compiled static schedule on
-  :class:`~repro.sim.replay.ReplayEngine` (schedule extracted and
-  compiled once outside the timed region, as the process-wide dispatch
-  memo does in sweeps).
+  :class:`~repro.sim.replay.ReplayEngine` (schedule built once outside
+  the timed region, as the process-wide dispatch memo does in sweeps).
 
-Every cell first asserts *bitwise* result equality (makespan and
-message counters), then compares best-of-2 wall times. The CI bar is
-the dispatch-worthiness floor (>= 2x on the best cell); the measured
-trajectory — including one-shot extraction overhead and the P=1024
-feasibility run — is recorded in ``BENCH_replay.json``.
+The schedule is built both ways and both are timed: extracted through
+the zero-time executor and compiled (the reference), and emitted from
+the broadcast's certificate (what the dispatch layer runs). Every cell
+first asserts *bitwise* result equality (makespan and message
+counters) of both schedules' replays with the DES, then compares
+best-of-2 wall times. The CI bar is the dispatch-worthiness floor
+(>= 2x on the best cell); the measured trajectory — including one-shot
+extraction and emission costs and the P=1024 feasibility run — is
+recorded in ``BENCH_replay.json``.
 
 Honours ``REPRO_BENCH_FAST`` (drops the P=129 cell) like every other
 bench.
@@ -24,6 +27,7 @@ from time import perf_counter
 
 from repro.analysis.verify import REGISTRY
 from repro.bench import fast_mode
+from repro.collectives.emit import emit_schedule
 from repro.collectives.schedule import extract_schedule
 from repro.machine import Machine, hornet
 from repro.mpi import Job
@@ -60,7 +64,7 @@ def test_replay_vs_des_micro(benchmark):
     rows = [
         f"Replay engine micro (bcast_opt, nbytes={NBYTES}, hornet):",
         f"  {'P':>4} {'sends':>6} {'DES s':>8} {'extract s':>10} "
-        f"{'replay s':>9} {'speedup':>8} {'incl-ext':>9}",
+        f"{'emit s':>7} {'replay s':>9} {'speedup':>8} {'incl-ext':>9}",
     ]
     speedups = {}
     for nranks in RANKS:
@@ -70,6 +74,7 @@ def test_replay_vs_des_micro(benchmark):
         )
         compiled = compile_schedule(schedule)
         t_ext = perf_counter() - t_ext0
+        t_emit, emitted = _best_of(lambda: emit_schedule("bcast_opt", nranks, NBYTES))
 
         t_des, des = _best_of(lambda: _des_run(nranks))
         t_rep, rep = _best_of(
@@ -77,26 +82,27 @@ def test_replay_vs_des_micro(benchmark):
                 Machine(hornet(), nranks=nranks), compiled, working_set=NBYTES
             ).run()
         )
+        rep_emitted = ReplayEngine(
+            Machine(hornet(), nranks=nranks), emitted, working_set=NBYTES
+        ).run()
         # Equality first: a fast wrong answer is worthless.
-        assert rep.time == des.time  # bitwise
-        assert rep.counters.messages == des.counters.messages
-        assert rep.counters.bytes == des.counters.bytes
-        assert rep.flows_completed == des.flows_completed
+        for replayed in (rep, rep_emitted):
+            assert replayed.time == des.time  # bitwise
+            assert replayed.counters.messages == des.counters.messages
+            assert replayed.counters.bytes == des.counters.bytes
+            assert replayed.flows_completed == des.flows_completed
 
         speedups[nranks] = t_des / t_rep
         rows.append(
             f"  {nranks:>4} {compiled.n_sends:>6} {t_des:>8.3f} {t_ext:>10.3f} "
-            f"{t_rep:>9.3f} {t_des / t_rep:>7.2f}x "
+            f"{t_emit:>7.4f} {t_rep:>9.3f} {t_des / t_rep:>7.2f}x "
             f"{t_des / (t_rep + t_ext):>8.2f}x"
         )
     publish("replay_micro", "\n".join(rows))
     assert max(speedups.values()) >= SPEEDUP_BAR, speedups
 
     largest = max(RANKS)
-    schedule = extract_schedule(
-        largest, REGISTRY["bcast_opt"].build(largest, NBYTES, 0)
-    )
-    compiled = compile_schedule(schedule)
+    compiled = emit_schedule("bcast_opt", largest, NBYTES)
     benchmark.pedantic(
         lambda: ReplayEngine(
             Machine(hornet(), nranks=largest), compiled, working_set=NBYTES

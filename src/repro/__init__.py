@@ -15,7 +15,7 @@ Quickstart::
     print(cmp.describe())
 """
 
-from . import analysis, collectives, core, machine, mpi, sim, util
+from . import collectives, core, machine, mpi, sim, util
 from .errors import ReproError
 from .core import compare_bcast, simulate_bcast, validate_bcast
 
@@ -35,3 +35,13 @@ __all__ = [
     "validate_bcast",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Import :mod:`repro.analysis` on first access: the gates' stack
+    stays off the start-up path of every other command (PEP 562)."""
+    if name == "analysis":
+        import importlib
+
+        return importlib.import_module(f"{__name__}.analysis")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,6 +24,12 @@ engines on fresh machines so no fluid-solver state leaks between them.
 The grid spans eager and rendezvous sizes so both transport protocols
 are exercised.
 
+The gate is also the oracle of :mod:`repro.collectives.emit`. For every
+certificate the emitter covers, the emitted schedule must equal the
+compiled extraction once sends are renamed by (src, dst, tag, index on
+that channel), and its replay must match the DES bitwise; otherwise the
+cell fails and its detail names the first rank and op that differ.
+
 Schedules the replay compiler rejects (wildcard receives, never-matched
 blocking receives) report ``unsupported`` — an accepted fallback, not a
 failure, because the dispatch layer routes exactly those runs back to
@@ -35,14 +41,25 @@ Surfaced as ``python -m repro replay --grid`` (``--strict``/``--json``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..collectives.emit import EMITTED, emit_schedule
 from ..collectives.schedule import cached_schedule
 from ..errors import ReplayUnsupportedError, ReproError
 from ..machine import Machine, MachineSpec, hornet
 from ..mpi import Job
 from ..mpi.counters import TrafficCounters
-from ..sim.replay import ReplayEngine, compile_schedule
+from ..sim.replay import (
+    OP_COMPUTE,
+    OP_IRECV,
+    OP_ISEND,
+    OP_RECV,
+    OP_SEND,
+    OP_WAIT,
+    ReplayEngine,
+    ReplaySchedule,
+    compile_schedule,
+)
 from .verify import REGISTRY
 
 __all__ = [
@@ -50,6 +67,7 @@ __all__ = [
     "ReplayReport",
     "run_replay_point",
     "replay_gate",
+    "schedule_diff",
     "DEFAULT_RANKS",
     "DEFAULT_SIZES",
 ]
@@ -151,6 +169,96 @@ def _first_diff(des_map: Dict[str, object], rep_map: Dict[str, object]) -> str:
     return "counters diverge"
 
 
+_OP_NAMES = {
+    OP_SEND: "send",
+    OP_ISEND: "isend",
+    OP_RECV: "recv",
+    OP_IRECV: "irecv",
+    OP_WAIT: "waitall",
+    OP_COMPUTE: "compute",
+}
+
+
+def _canonical_ops(schedule: ReplaySchedule) -> List[List[Tuple[Any, ...]]]:
+    """Per-rank op streams with every send renamed by its channel
+    position ``(src, dst, tag, k)``: the k-th send its sender issues on
+    that (src, dst, tag) channel. Two schedules of one program agree on
+    these names whatever order their sends were numbered in."""
+    src = schedule.send_src.tolist()
+    dst = schedule.send_dst.tolist()
+    tag = schedule.send_tag.tolist()
+    nbytes = schedule.send_nbytes.tolist()
+    issued: Dict[Tuple[Any, ...], int] = {}
+    name: Dict[int, Tuple[Any, ...]] = {}
+    for kinds, args in zip(schedule.op_kinds, schedule.op_args):
+        for kind, arg in zip(kinds.tolist(), args.tolist()):
+            if kind in (OP_SEND, OP_ISEND):
+                channel = (src[arg], dst[arg], tag[arg])
+                k = issued.get(channel, 0)
+                issued[channel] = k + 1
+                name[arg] = channel + (k,)
+    streams: List[List[Tuple[Any, ...]]] = []
+    for r, (kinds, args) in enumerate(zip(schedule.op_kinds, schedule.op_args)):
+        ops: List[Tuple[Any, ...]] = []
+        for kind, arg in zip(kinds.tolist(), args.tolist()):
+            if kind == OP_WAIT:
+                ops.append((kind, schedule.wait_members[r][arg]))
+            elif kind == OP_COMPUTE:
+                ops.append((kind, schedule.compute_seconds[r][arg]))
+            elif arg < 0:
+                ops.append((kind, None))
+            else:
+                ops.append((kind, name.get(arg), nbytes[arg]))
+        streams.append(ops)
+    return streams
+
+
+def _describe_op(op: Optional[Tuple[Any, ...]]) -> str:
+    if op is None:
+        return "end of program"
+    if len(op) == 3 and op[1] is not None:
+        s, d, t, k = op[1]
+        return f"{_OP_NAMES[op[0]]}({s}->{d} tag={t} #{k}, {op[2]} B)"
+    return f"{_OP_NAMES[op[0]]}({op[1]})"
+
+
+def schedule_diff(extracted: ReplaySchedule, emitted: ReplaySchedule) -> str:
+    """Structural equality of two compiled schedules, up to send
+    numbering: empty when equal, else the first rank and op that
+    differ."""
+    if extracted.ranks != emitted.ranks:
+        return f"ranks: extracted {extracted.ranks} emitted {emitted.ranks}"
+    pairs = zip(
+        extracted.ranks, _canonical_ops(extracted), _canonical_ops(emitted)
+    )
+    for rank, want, got in pairs:
+        for j in range(max(len(want), len(got))):
+            a = want[j] if j < len(want) else None
+            b = got[j] if j < len(got) else None
+            if a != b:
+                return (
+                    f"rank {rank} op {j}: extracted {_describe_op(a)}, "
+                    f"emitted {_describe_op(b)}"
+                )
+    if extracted.n_sends != emitted.n_sends:
+        return f"sends: extracted {extracted.n_sends} emitted {emitted.n_sends}"
+    return ""
+
+
+def _result_diff(des: Any, rep: Any) -> str:
+    """Empty when a replay matches the DES bitwise, else the first
+    quantity that differs."""
+    if rep.time != des.time:
+        return f"makespan: des={des.time!r} replay={rep.time!r}"
+    if list(rep.rank_finish_times) != list(des.rank_finish_times):
+        return "per-rank finish times diverge"
+    if _counters_dict(rep.counters) != _counters_dict(des.counters):
+        return _first_diff(_counters_dict(des.counters), _counters_dict(rep.counters))
+    if rep.flows_completed != des.flows_completed:
+        return f"flows: des={des.flows_completed} replay={rep.flows_completed}"
+    return ""
+
+
 def run_replay_point(
     name: str,
     nranks: int,
@@ -158,7 +266,12 @@ def run_replay_point(
     spec: Optional[MachineSpec] = None,
     root: int = 0,
 ) -> ReplayCheck:
-    """Judge one (collective, P, nbytes) cell: DES vs replay, bitwise."""
+    """Judge one (collective, P, nbytes) cell: DES vs replay, bitwise.
+
+    For a collective in :data:`~repro.collectives.emit.EMITTED` the
+    cell also judges the emitter: its schedule must equal the compiled
+    extraction up to send numbering and replay bitwise like the DES.
+    """
     spec = spec if spec is not None else hornet()
     collective = REGISTRY[name]
     try:
@@ -184,25 +297,28 @@ def run_replay_point(
         working_set=nbytes,
     ).run()
     rep = ReplayEngine(Machine(spec, nranks), compiled, working_set=nbytes).run()
-
-    if rep.time != des.time:
-        detail = f"makespan: des={des.time!r} replay={rep.time!r}"
-    elif list(rep.rank_finish_times) != list(des.rank_finish_times):
-        detail = "per-rank finish times diverge"
-    elif _counters_dict(rep.counters) != _counters_dict(des.counters):
-        detail = _first_diff(
-            _counters_dict(des.counters), _counters_dict(rep.counters)
-        )
-    elif rep.flows_completed != des.flows_completed:
-        detail = (
-            f"flows: des={des.flows_completed} replay={rep.flows_completed}"
-        )
-    else:
-        return ReplayCheck(
-            name, nranks, nbytes, "ok", sends=compiled.n_sends
-        )
+    detail = _result_diff(des, rep)
+    if not detail and name in EMITTED:
+        try:
+            emitted = emit_schedule(name, nranks, nbytes, root)
+        except ReproError as exc:
+            detail = f"emitter raised {type(exc).__name__}: {exc}"
+        else:
+            detail = schedule_diff(compiled, emitted) or _result_diff(
+                des,
+                ReplayEngine(
+                    Machine(spec, nranks), emitted, working_set=nbytes
+                ).run(),
+            )
+        if detail:
+            detail = f"emitted schedule: {detail}"
     return ReplayCheck(
-        name, nranks, nbytes, "fail", detail=detail, sends=compiled.n_sends
+        name,
+        nranks,
+        nbytes,
+        "fail" if detail else "ok",
+        detail=detail,
+        sends=compiled.n_sends,
     )
 
 

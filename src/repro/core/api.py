@@ -15,6 +15,7 @@ This is the façade a downstream user starts from::
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Union
 
 from ..collectives import (
@@ -25,6 +26,7 @@ from ..collectives import (
     get_algorithm,
 )
 from ..collectives.barrier import barrier
+from ..collectives.emit import BCAST_CERTIFICATES, emit_schedule
 from ..collectives.schedule import extract_schedule
 from ..errors import ConfigurationError, ReplayUnsupportedError
 from ..machine import Machine, MachineSpec
@@ -92,12 +94,13 @@ def _resolve_algorithm(
     return name, get_algorithm(name)
 
 
-# Process-wide memo of compiled replay schedules. Extraction dominates
-# the replay path's cost, and sweep/figure/gate drivers revisit the same
-# (algorithm, P, size) points many times per process; the compiled form
-# is machine-independent, so one entry serves every spec. The key folds
-# in the placement's exact node map — the only machine input an
-# algorithm can close over (``smp``/``smp_opt``).
+# Process-wide memo of compiled replay schedules. Building one costs an
+# extraction (an emission for the certified broadcasts), and sweep,
+# figure and gate commands revisit the same (algorithm, P, size) points
+# many times per process; the compiled form is machine-independent, so
+# one entry serves every spec. The key folds in the placement's exact
+# node map — the only machine input an algorithm can close over
+# (``smp``/``smp_opt``).
 _REPLAY_MEMO: dict = {}
 _REPLAY_MEMO_CAP = 256
 
@@ -118,8 +121,9 @@ def _is_static(machine: Machine, faults, reliable, trace, validate: bool) -> boo
     )
 
 
-def _replay_compiled(kind: str, machine: Machine, factory, key_tail: tuple):
-    """Extract + compile *factory*'s schedule, memoised per process."""
+def _replay_compiled(kind: str, machine: Machine, factory, key_tail: tuple, emit=None):
+    """*factory*'s compiled schedule, memoised per process: built by
+    *emit* when given, else extracted and compiled."""
     placement = machine.placement
     key = (
         kind,
@@ -129,14 +133,17 @@ def _replay_compiled(kind: str, machine: Machine, factory, key_tail: tuple):
     )
     compiled = _REPLAY_MEMO.get(key)
     if compiled is None:
-        schedule = extract_schedule(machine.nranks, factory, placement=placement)
-        compiled = compile_schedule(schedule)
+        if emit is not None:
+            compiled = emit()
+        else:
+            schedule = extract_schedule(machine.nranks, factory, placement=placement)
+            compiled = compile_schedule(schedule)
         if len(_REPLAY_MEMO) < _REPLAY_MEMO_CAP:
             _REPLAY_MEMO[key] = compiled
     return compiled
 
 
-def _dispatch(machine, factory, kind, key_tail, working_set, *, static=True):
+def _dispatch(machine, factory, kind, key_tail, working_set, *, static=True, emit=None):
     """Run *factory* on the engine ``REPRO_ENGINE`` selects.
 
     Returns ``(result, engine_name)`` where *result* quacks like a
@@ -144,6 +151,7 @@ def _dispatch(machine, factory, kind, key_tail, working_set, *, static=True):
     ``solver_stats``). ``static=False`` marks configurations the replay
     engine cannot express; ``auto`` then runs the DES and a forced
     ``replay`` fails loudly instead of silently changing semantics.
+    *emit* builds the replay schedule without extraction.
     """
     mode = engine_mode()
     if solver_mode() != "incremental":
@@ -159,7 +167,7 @@ def _dispatch(machine, factory, kind, key_tail, working_set, *, static=True):
         return None, "des"
     if mode != "des" and static:
         try:
-            compiled = _replay_compiled(kind, machine, factory, key_tail)
+            compiled = _replay_compiled(kind, machine, factory, key_tail, emit)
             engine = ReplayEngine(machine, compiled, working_set=working_set)
             return engine.run(), "replay"
         except ReplayUnsupportedError as exc:
@@ -254,6 +262,10 @@ def simulate_bcast(
 
         return program()
 
+    emit = None
+    if iterations == 1 and label in BCAST_CERTIFICATES:
+        # The certified broadcasts' schedules have a closed form.
+        emit = partial(emit_schedule, BCAST_CERTIFICATES[label], nranks, size, root)
     result, engine = _dispatch(
         machine,
         factory,
@@ -261,6 +273,7 @@ def simulate_bcast(
         (label, size, root, iterations),
         size,
         static=_is_static(machine, faults, reliable, trace, validate),
+        emit=emit,
     )
     if result is None:
         result = Job(

@@ -16,13 +16,14 @@ broadcast study.
 
 from __future__ import annotations
 
-from typing import List
-
-import networkx as nx
+from typing import TYPE_CHECKING, List
 
 from ..errors import MachineError
 from ..sim import Resource
 from .topology import Route, Topology
+
+if TYPE_CHECKING:  # networkx loads on first use, off the start-up path
+    import networkx
 
 __all__ = ["DragonflyTopology"]
 
@@ -90,7 +91,9 @@ class DragonflyTopology(Topology):
             out.extend((self.local[g], self.global_out[g], self.global_in[g]))
         return out
 
-    def graph(self) -> "nx.DiGraph":
+    def graph(self) -> "networkx.DiGraph":
+        import networkx as nx
+
         g = nx.DiGraph()
         for gi in range(self.n_groups):
             g.add_node(("router", gi), kind="switch")

@@ -10,13 +10,14 @@ contention.
 
 from __future__ import annotations
 
-from typing import List
-
-import networkx as nx
+from typing import TYPE_CHECKING, List
 
 from ..errors import MachineError
 from ..sim import Resource
 from .topology import Route, Topology
+
+if TYPE_CHECKING:  # networkx loads on first use, off the start-up path
+    import networkx
 
 __all__ = ["FatTreeTopology"]
 
@@ -73,7 +74,9 @@ class FatTreeTopology(Topology):
             out.append(self.downlinks[l])
         return out
 
-    def graph(self) -> "nx.DiGraph":
+    def graph(self) -> "networkx.DiGraph":
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_node("spine", kind="switch")
         for l in range(self.n_leaves):

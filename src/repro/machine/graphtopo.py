@@ -10,13 +10,14 @@ each capacitated edge becomes one shared fluid resource.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from ..errors import MachineError
 from ..sim import Resource
 from .topology import Route, Topology
+
+if TYPE_CHECKING:  # networkx loads on first use, off the start-up path
+    import networkx
 
 __all__ = ["GraphTopology", "node_key"]
 
@@ -31,7 +32,7 @@ class GraphTopology(Topology):
 
     name = "graph"
 
-    def __init__(self, nodes: int, nic_bw: float, graph: "nx.DiGraph"):
+    def __init__(self, nodes: int, nic_bw: float, graph: "networkx.DiGraph"):
         super().__init__(nodes, nic_bw)
         for i in range(nodes):
             if node_key(i) not in graph:
@@ -51,6 +52,8 @@ class GraphTopology(Topology):
             data["resource"] = res
 
     def _compute_route(self, src_node: int, dst_node: int) -> Route:
+        import networkx as nx
+
         src, dst = node_key(src_node), node_key(dst_node)
         try:
             # Deterministic tie-break: Dijkstra over unit weights with a
@@ -70,5 +73,5 @@ class GraphTopology(Topology):
     def all_resources(self) -> List[Resource]:
         return [self._edge_resources[k] for k in sorted(self._edge_resources, key=str)]
 
-    def graph(self) -> "nx.DiGraph":
+    def graph(self) -> "networkx.DiGraph":
         return self._graph

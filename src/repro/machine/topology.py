@@ -15,12 +15,13 @@ tables against shortest paths on that graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from ..errors import MachineError
 from ..sim import Resource
+
+if TYPE_CHECKING:  # networkx loads on first use, off the start-up path
+    import networkx
 
 __all__ = ["Route", "Topology", "CrossbarTopology"]
 
@@ -68,7 +69,7 @@ class Topology:
         """Every fabric resource, deterministically ordered."""
         raise NotImplementedError
 
-    def graph(self) -> "nx.DiGraph":
+    def graph(self) -> "networkx.DiGraph":
         """The fabric as a digraph; edge attr ``resource`` may be None."""
         raise NotImplementedError
 
@@ -115,7 +116,9 @@ class CrossbarTopology(Topology):
     def all_resources(self) -> List[Resource]:
         return [self.core] if self.core is not None else []
 
-    def graph(self) -> "nx.DiGraph":
+    def graph(self) -> "networkx.DiGraph":
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_node("core", kind="switch")
         for n in range(self.nodes):

@@ -9,8 +9,9 @@ pure overhead: the matching outcome is already known, only the *timing*
 remains to be computed.
 
 :class:`ReplayEngine` computes exactly that timing. The extracted
-schedule is compiled once (:func:`compile_schedule`) into flat numpy
-arrays — per-message ``(src, dst, nbytes, tag, dep_prefix)`` plus one
+schedule is compiled once (:func:`compile_schedule`; the certified
+broadcasts are emitted directly by :mod:`repro.collectives.emit`) into
+flat numpy arrays — per-message ``(src, dst, nbytes, tag)`` plus one
 ``(kind, arg)`` op stream per rank — and then executed as a
 dependency-counted frontier over the *same* :class:`~repro.sim.engine.Engine`
 the DES uses. Each rank is a program counter, not a coroutine: ready
@@ -182,7 +183,6 @@ class ReplaySchedule:
         "send_dst",
         "send_nbytes",
         "send_tag",
-        "dep_prefix",
         "op_kinds",
         "op_args",
         "wait_members",
@@ -197,7 +197,6 @@ class ReplaySchedule:
         send_dst: np.ndarray,
         send_nbytes: np.ndarray,
         send_tag: np.ndarray,
-        dep_prefix: np.ndarray,
         op_kinds: List[np.ndarray],
         op_args: List[np.ndarray],
         wait_members: List[List[Tuple[int, ...]]],
@@ -209,7 +208,6 @@ class ReplaySchedule:
         self.send_dst = send_dst
         self.send_nbytes = send_nbytes
         self.send_tag = send_tag
-        self.dep_prefix = dep_prefix
         self.op_kinds = op_kinds
         self.op_args = op_args
         self.wait_members = wait_members
@@ -250,9 +248,6 @@ def compile_schedule(result) -> ReplaySchedule:
         (s.nbytes for s in result.sends), dtype=np.int64, count=n
     )
     send_tag = np.fromiter((s.tag for s in result.sends), dtype=np.int64, count=n)
-    dep_prefix = np.fromiter(
-        (result.dep_counts.get(i, 0) for i in range(n)), dtype=np.int64, count=n
-    )
 
     ranks: List[int] = []
     op_kinds: List[np.ndarray] = []
@@ -320,7 +315,6 @@ def compile_schedule(result) -> ReplaySchedule:
         send_dst=send_dst,
         send_nbytes=send_nbytes,
         send_tag=send_tag,
-        dep_prefix=dep_prefix,
         op_kinds=op_kinds,
         op_args=op_args,
         wait_members=wait_members,

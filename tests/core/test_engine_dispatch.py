@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import simulate_bcast
+from repro.core import api, simulate_bcast
 from repro.core.api import _REPLAY_MEMO, simulate_allgather
 from repro.core.diskcache import cache_key
 from repro.core.sweep import SweepPoint
@@ -103,6 +103,48 @@ class TestDispatch:
         run()
         assert size_after_first == 1
         assert len(_REPLAY_MEMO) == 1
+
+
+class TestScheduleSource:
+    """The certified broadcasts emit their schedule; the rest extract."""
+
+    @pytest.fixture
+    def extractions(self, monkeypatch):
+        calls = []
+        real = api.extract_schedule
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        _REPLAY_MEMO.clear()
+        monkeypatch.setattr(api, "extract_schedule", spy)
+        yield calls
+        _REPLAY_MEMO.clear()
+
+    @pytest.mark.parametrize(
+        "algorithm", ["scatter_ring_opt", "scatter_ring_native", "auto_tuned"]
+    )
+    def test_certified_bcast_never_extracts(self, extractions, algorithm):
+        rec = run(algorithm=algorithm, root=4)
+        assert rec.engine == "replay"
+        assert extractions == []
+
+    def test_iterated_run_extracts(self, extractions):
+        assert run(iterations=3).engine == "replay"
+        assert extractions == [9]
+
+    def test_smp_opt_extracts(self, extractions):
+        assert run(algorithm="smp_opt").engine == "replay"
+        assert extractions == [9]
+
+    def test_emitted_and_extracted_records_equal(self, extractions, monkeypatch):
+        emitted = run(root=2)
+        _REPLAY_MEMO.clear()
+        monkeypatch.setattr(api, "BCAST_CERTIFICATES", {})
+        extracted = run(root=2)
+        assert extractions == [9]
+        assert emitted == extracted
 
 
 class TestCacheKey:

@@ -9,7 +9,9 @@ the *same* generators. Agreement checked: per-rank received byte totals
 and source multisets, and total message counts. The DES-vs-replay fuzz
 draws (collective, P, nbytes) cells — non-power-of-two ranks and
 non-divisible sizes included — and demands exact equality of makespan,
-per-rank finish times and every wire counter.
+per-rank finish times and every wire counter; for the certified
+broadcasts it also demands that the schedule emitted from the
+certificate equals the extracted one and replays the same way.
 """
 
 from collections import Counter
@@ -96,16 +98,19 @@ def test_three_executors_agree(data):
 
 # Non-divisible and boundary sizes: remainder chunks in the scatter
 # phases, eager/rendezvous threshold crossings (hornet threshold: 8192),
-# zero-padding edge cases. All chosen to not divide typical P.
-FUZZ_SIZES = (1, 37, 511, 4097, 8192, 8193, 12288, 65537)
+# zero-padding edge cases. All but the empty message chosen to not
+# divide typical P.
+FUZZ_SIZES = (0, 1, 37, 511, 4097, 8192, 8193, 12288, 65537)
 
 
 @settings(deadline=None, max_examples=30)
 @given(data=st.data())
 def test_des_and_replay_engines_agree(data):
-    """Random (collective, P, nbytes): replay must match the DES bitwise."""
-    from repro.analysis.replaygate import _counters_dict
+    """Random (collective, P, nbytes, root): replay must match the DES
+    bitwise, and so must the emitted schedule of a certified collective."""
+    from repro.analysis.replaygate import _counters_dict, schedule_diff
     from repro.analysis.verify import REGISTRY
+    from repro.collectives.emit import EMITTED, emit_schedule
     from repro.collectives.schedule import extract_schedule
     from repro.errors import ReplayUnsupportedError
     from repro.sim.replay import ReplayEngine, compile_schedule
@@ -115,9 +120,10 @@ def test_des_and_replay_engines_agree(data):
     collective = REGISTRY[name]
     assume(collective.supports(nranks))
     nbytes = data.draw(st.sampled_from(FUZZ_SIZES))
+    root = data.draw(st.integers(min_value=0, max_value=nranks - 1))
     spec_factory = data.draw(st.sampled_from([ideal, hornet]))
 
-    schedule = extract_schedule(nranks, collective.build(nranks, nbytes, 0))
+    schedule = extract_schedule(nranks, collective.build(nranks, nbytes, root))
     try:
         compiled = compile_schedule(schedule)
     except ReplayUnsupportedError:
@@ -126,14 +132,19 @@ def test_des_and_replay_engines_agree(data):
 
     des = Job(
         Machine(spec_factory(), nranks=nranks),
-        collective.build(nranks, nbytes, 0),
+        collective.build(nranks, nbytes, root),
         working_set=nbytes,
     ).run()
-    rep = ReplayEngine(
-        Machine(spec_factory(), nranks=nranks), compiled, working_set=nbytes
-    ).run()
-
-    assert rep.time == des.time
-    assert list(rep.rank_finish_times) == list(des.rank_finish_times)
-    assert _counters_dict(rep.counters) == _counters_dict(des.counters)
-    assert rep.flows_completed == des.flows_completed
+    schedules = [compiled]
+    if name in EMITTED:
+        emitted = emit_schedule(name, nranks, nbytes, root)
+        assert schedule_diff(compiled, emitted) == ""
+        schedules.append(emitted)
+    for replayed in schedules:
+        rep = ReplayEngine(
+            Machine(spec_factory(), nranks=nranks), replayed, working_set=nbytes
+        ).run()
+        assert rep.time == des.time
+        assert list(rep.rank_finish_times) == list(des.rank_finish_times)
+        assert _counters_dict(rep.counters) == _counters_dict(des.counters)
+        assert rep.flows_completed == des.flows_completed
