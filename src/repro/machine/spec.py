@@ -11,7 +11,8 @@ All bandwidths are bytes/second, all latencies seconds, all sizes bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 
 from ..errors import MachineError
 from ..util import GIB, KIB, MIB
@@ -85,6 +86,12 @@ class MachineSpec:
     queueing_kappa: float = 0.0
 
     def __post_init__(self) -> None:
+        # NaN slips through every ordered comparison below, and NaN or
+        # inf rates stall the fluid solver, so reject them up front.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (int, float)) and not math.isfinite(value):
+                raise MachineError(f"{f.name} must be finite, got {value}")
         if self.nodes < 1:
             raise MachineError(f"need at least one node, got {self.nodes}")
         if self.cores_per_node < 1:

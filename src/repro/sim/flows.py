@@ -14,10 +14,10 @@ binding flows are fixed and the process repeats. This yields the unique
 max-min fair allocation.
 
 The solver is the simulator's hot loop (it runs twice per message), so
-it is both vectorised and *incremental*:
+it is *incremental*:
 
-* flow state (remaining bytes, current rate, rate cap) lives in
-  persistent slot-indexed numpy vectors updated in place on
+* flow state (remaining bytes, current rate) lives in persistent
+  slot-indexed numpy vectors updated in place on
   ``add_flow``/``cancel_flow`` — advancing progress and finding the next
   completion ETA are single array operations, never Python loops;
 * membership is tracked with O(1) index maps (fid -> slot), so removing
@@ -28,9 +28,11 @@ it is both vectorised and *incremental*:
   for the component(s) touched since the last solve.  Max-min fairness
   guarantees disjoint components keep their previous rates.
 
-The water-filling kernel recomputes each resource's absolute saturation
-level ``(capacity - fixed_rates) / pending`` fresh every round instead
-of accumulating headroom deltas.  That makes the kernel's floating-point
+The water-filling kernel, :func:`water_fill`, is plain scalar Python
+shared with the replay engine's data plane (:mod:`repro.sim.replay`).
+It recomputes each resource's absolute saturation level
+``(capacity - fixed_rates) / pending`` fresh every round instead of
+accumulating headroom deltas.  That makes the kernel's floating-point
 path *independent of component grouping*: solving a disjoint union of
 components in one call produces bitwise-identical rates to solving them
 separately.  Component tracking is therefore a pure optimisation — it
@@ -65,11 +67,14 @@ from ..errors import SimulationError
 from .engine import Engine, EventHandle
 from .resources import Resource
 
-__all__ = ["Flow", "FlowNetwork", "SolverStats", "solver_mode"]
+__all__ = ["Flow", "FlowNetwork", "SolverStats", "solver_mode", "water_fill"]
 
 # Residual byte counts below this are treated as complete; guards against
 # floating-point dust keeping a flow alive forever.
 _EPSILON_BYTES = 1e-6
+
+_INF = float("inf")
+_NO_RESOURCES: frozenset = frozenset()
 
 # Environment escape hatch selecting the solver implementation.
 SOLVER_ENV = "REPRO_SOLVER"
@@ -84,6 +89,81 @@ def solver_mode() -> str:
             f"unknown {SOLVER_ENV} mode {mode!r}; expected one of {SOLVER_MODES}"
         )
     return mode
+
+
+def water_fill(paths, capacities, rate_caps):
+    """Max-min fair rates of one contention component by progressive filling.
+
+    ``paths[i]`` lists the resource ids flow ``i`` crosses (a repeated
+    id charges the flow's rate against that resource once per listing),
+    ``capacities[r]`` is resource ``r``'s capacity and ``rate_caps[i]``
+    flow ``i``'s own cap as a float (``inf`` when uncapped). Returns the
+    rates in flow order and the number of filling rounds.
+
+    Each round recomputes every pending resource's *absolute* saturation
+    level ``(capacity - fixed_load) / pending`` instead of accumulating
+    headroom decrements, and charges a round's level to a resource by
+    repeated addition from ``0.0`` (one ``+ level`` per newly fixed
+    crossing) followed by a single add to its fixed load. Every step is
+    an exact minimum, an integer count or that fixed summation, so the
+    result depends neither on flow or resource order nor on which other
+    components share the call — the property the incremental solver and
+    the replay solve memo rest on. Components are a few dozen
+    (flow, resource) pairs, too few to amortise numpy's per-call cost,
+    so the kernel works on plain lists and dicts.
+    """
+    pending: dict = {}
+    for path in paths:
+        for r in path:
+            pending[r] = pending.get(r, 0) + 1
+    load = dict.fromkeys(pending, 0.0)  # sum of already-fixed rates
+    rates = [0.0] * len(paths)
+    unfixed = list(range(len(paths)))
+    rounds = 0
+
+    while unfixed:
+        rounds += 1
+        levels = {r: (capacities[r] - load[r]) / n for r, n in pending.items()}
+        level_min = min(levels.values()) if levels else _INF
+        if level_min < 0.0:
+            level_min = 0.0  # float dust: resource already over-filled
+        cap_min = min([rate_caps[i] for i in unfixed])
+        level = level_min if level_min < cap_min else cap_min
+        if not level < _INF:
+            raise SimulationError("flow without binding constraint")
+
+        saturated = _NO_RESOURCES
+        if level_min <= level:
+            saturated = {r for r, lv in levels.items() if lv <= level}
+        newly = []
+        rest = []
+        for i in unfixed:
+            if rate_caps[i] <= level or not saturated.isdisjoint(paths[i]):
+                newly.append(i)
+            else:
+                rest.append(i)
+        if not newly:
+            # Numerical corner: nothing bound this round. Fix all
+            # remaining flows at the current level to terminate.
+            newly, rest = rest, []
+        unfixed = rest
+
+        dead: dict = {}
+        for i in newly:
+            rates[i] = level
+            for r in paths[i]:
+                dead[r] = dead.get(r, 0) + 1
+        sums = [0.0]  # sums[k]: k levels added one at a time from 0.0
+        for r, n in dead.items():
+            while len(sums) <= n:
+                sums.append(sums[-1] + level)
+            if pending[r] == n:
+                del pending[r]
+            else:
+                pending[r] -= n
+                load[r] += sums[n]
+
+    return rates, rounds
 
 
 @dataclass(frozen=True)
@@ -126,9 +206,9 @@ class Flow:
     """One in-flight transfer across a path of resources.
 
     While active, ``remaining``/``rate`` are views into the owning
-    network's slot vectors (so the solver can update thousands of flows
-    with single array writes); once detached the last values are kept
-    locally so completed/cancelled flows stay inspectable.
+    network's slot vectors (so progress accrual and the next-completion
+    search are single array operations); once detached the last values
+    are kept locally so completed/cancelled flows stay inspectable.
     """
 
     __slots__ = (
@@ -160,7 +240,7 @@ class Flow:
         self.fid = fid
         self.nbytes = float(nbytes)
         self.resources = resources
-        self.res_ids = res_ids  # np.ndarray of network-local resource ids
+        self.res_ids = res_ids  # tuple of network-local resource ids
         self.rate_cap = rate_cap
         self.on_complete = on_complete
         self.meta = meta
@@ -242,12 +322,10 @@ class FlowNetwork:
         self._resolve_event: Optional[EventHandle] = None
         self.completed_count = 0
         self.total_bytes_transferred = 0.0
-        # Resource registry: network-local integer ids + capacity vector.
+        # Resource registry: network-local integer ids + capacity list.
         self._res_index: dict = {}
         self._capacities: list = []
-        self._caps_array = np.empty(0)
-        self._caps_dirty = False
-        # Path cache: resource tuple -> id array (machines cache plans, so
+        # Path cache: resource tuple -> id tuple (machines cache plans, so
         # identical paths arrive as identical tuples).
         self._path_ids: dict = {}
         # Slot pool: persistent per-flow vectors updated in place. A slot
@@ -255,7 +333,6 @@ class FlowNetwork:
         # fid -> slot map gives O(1) membership tests and removal.
         self._rem = np.empty(0)  # remaining bytes per slot
         self._rate_vec = np.empty(0)  # current rate per slot
-        self._cap_vec = np.empty(0)  # rate cap per slot (inf = uncapped)
         self._slot_flow: list = []  # slot -> Flow (None when free)
         self._free_slots: list = []
         self._fid_slot: dict = {}  # fid -> slot, insertion ordered
@@ -299,8 +376,12 @@ class FlowNetwork:
         """
         if nbytes < 0:
             raise SimulationError(f"flow cannot carry {nbytes} bytes")
-        if rate_cap is not None and rate_cap <= 0:
-            raise SimulationError(f"flow rate cap must be positive, got {rate_cap}")
+        if rate_cap is not None:
+            if not rate_cap > 0:  # NaN included
+                raise SimulationError(
+                    f"flow rate cap must be positive, got {rate_cap}"
+                )
+            rate_cap = float(rate_cap)  # the kernel compares float caps
         path = tuple(resources)
         flow = Flow(
             self._next_fid,
@@ -391,10 +472,8 @@ class FlowNetwork:
                     idx = len(self._capacities)
                     self._res_index[res] = idx
                     self._capacities.append(res.capacity)
-                    self._caps_dirty = True
                 out.append(idx)
-            ids = np.asarray(out, dtype=np.int64)
-            self._path_ids[path] = ids
+            ids = self._path_ids[path] = tuple(out)
         return ids
 
     # -- slot pool ---------------------------------------------------------
@@ -406,7 +485,7 @@ class FlowNetwork:
             self._slot_flow.append(None)
             if slot >= len(self._rem):
                 grow = max(16, 2 * len(self._rem))
-                for name in ("_rem", "_rate_vec", "_cap_vec"):
+                for name in ("_rem", "_rate_vec"):
                     old = getattr(self, name)
                     fresh = np.zeros(grow)
                     fresh[: len(old)] = old
@@ -415,7 +494,6 @@ class FlowNetwork:
         self._fid_slot[flow.fid] = slot
         self._rem[slot] = flow._remaining
         self._rate_vec[slot] = 0.0
-        self._cap_vec[slot] = flow.rate_cap if flow.rate_cap is not None else np.inf
         flow._net = self
         flow._slot = slot
         self._slots_stale = True
@@ -443,7 +521,7 @@ class FlowNetwork:
     def _comp_add(self, flow: Flow) -> None:
         comp_flows = self._comp_flows
         found: list = []
-        for rid in flow.res_ids.tolist():
+        for rid in flow.res_ids:
             c = self._res_comp.get(rid)
             if c is not None and c not in found:
                 found.append(c)
@@ -475,7 +553,7 @@ class FlowNetwork:
                 self._comp_removals[target] = self._comp_removals.pop(
                     target, 0
                 ) + self._comp_removals.pop(c, 0)
-        for rid in flow.res_ids.tolist():
+        for rid in flow.res_ids:
             self._res_comp[rid] = target
             self._comp_res[target].add(rid)
         comp_flows[target][flow.fid] = flow
@@ -527,7 +605,7 @@ class FlowNetwork:
         keys: list = []
         for flow in flows:
             base = None
-            for rid in flow.res_ids.tolist():
+            for rid in flow.res_ids:
                 if rid not in parent:
                     parent[rid] = rid
                 root = find(rid)
@@ -563,7 +641,7 @@ class FlowNetwork:
             self._comp_flows[nc] = {f.fid: f for f in group}
             res: set = set()
             for f in group:
-                res.update(f.res_ids.tolist())
+                res.update(f.res_ids)
             self._comp_res[nc] = res
             for rid in res:
                 self._res_comp[rid] = nc
@@ -624,82 +702,17 @@ class FlowNetwork:
         self._stat_solve_time += perf_counter() - start  # det: allow
 
     def _solve_component(self, flows: List[Flow]) -> None:
-        """Vectorised progressive filling for one contention component.
-
-        Each round recomputes every pending resource's *absolute*
-        saturation level ``(capacity - fixed_rates) / pending`` instead
-        of accumulating headroom decrements. All reductions are exact
-        (min / integer counts / per-resource sums in fid order), so the
-        result is independent of which other components share the call —
-        the property the incremental solver's correctness rests on.
-        """
+        """Progressive filling (:func:`water_fill`) for one contention
+        component, writing each flow's rate into its slot."""
         n = len(flows)
-        if self._caps_dirty:
-            self._caps_array = np.asarray(self._capacities, dtype=float)
-            self._caps_dirty = False
-
-        id_arrays = [f.res_ids for f in flows]
-        lengths = np.fromiter((len(a) for a in id_arrays), dtype=np.int64, count=n)
-        flat = id_arrays[0] if n == 1 else np.concatenate(id_arrays)
-        pair_flow = np.repeat(np.arange(n), lengths)
-        # Compact the component's resources to local ids 0..m-1.
-        uniq, pair_res = np.unique(flat, return_inverse=True)
-        m = int(uniq.shape[0])
-        caps_local = self._caps_array[uniq]
-        fixed_load = np.zeros(m)  # sum of already-fixed rates per resource
-        pending = np.bincount(pair_res, minlength=m)
-        slots = np.fromiter((f._slot for f in flows), dtype=np.int64, count=n)
-        rate_caps = self._cap_vec[slots]
-        fixed = np.zeros(n, dtype=bool)
-        rates = np.zeros(n, dtype=float)
-        pair_live = np.ones(pair_flow.shape[0], dtype=bool)
-        rounds = 0
-
-        while not fixed.all():
-            rounds += 1
-            pending_mask = pending > 0
-            if pending_mask.any():
-                levels = np.where(
-                    pending_mask,
-                    (caps_local - fixed_load) / np.maximum(pending, 1),
-                    np.inf,
-                )
-                level_min = float(levels.min())
-                if level_min < 0.0:
-                    level_min = 0.0  # float dust: resource already over-filled
-            else:
-                levels = None
-                level_min = np.inf
-            cap_min = float(rate_caps[~fixed].min())
-            level = level_min if level_min < cap_min else cap_min
-            if not np.isfinite(level):
-                raise SimulationError("flow without binding constraint")
-
-            newly = np.zeros(n, dtype=bool)
-            if levels is not None and level_min <= level:
-                saturated = pending_mask & (levels <= level)
-                if saturated.any():
-                    hit = saturated[pair_res] & pair_live
-                    if hit.any():
-                        newly[pair_flow[hit]] = True
-            newly |= rate_caps <= level
-            newly &= ~fixed
-            if not newly.any():
-                # Numerical corner: nothing bound this round. Fix all
-                # remaining flows at the current level to terminate.
-                newly = ~fixed
-            rates[newly] = level
-            fixed |= newly
-            dead = newly[pair_flow] & pair_live
-            if dead.any():
-                dead_res = pair_res[dead]
-                pending -= np.bincount(dead_res, minlength=m)
-                fixed_load += np.bincount(
-                    dead_res, weights=np.full(dead_res.shape[0], level), minlength=m
-                )
-                pair_live &= ~dead
-
-        self._rate_vec[slots] = rates
+        rates, rounds = water_fill(
+            [f.res_ids for f in flows],
+            self._capacities,
+            [_INF if f.rate_cap is None else f.rate_cap for f in flows],
+        )
+        rate_vec = self._rate_vec
+        for f, rate in zip(flows, rates):
+            rate_vec[f._slot] = rate
         self._stat_rounds += rounds
         self._stat_components += 1
         self._stat_flows_solved += n

@@ -22,14 +22,14 @@ the water-filling kernel sees whole frontiers at once.
 Because the schedule is static, every flow's (src, dst) pair is known
 before the clock starts, which buys the replay-private flow network an
 exact shortcut over the DES's solver: component solves are *memoized*
-by the multiset of pair ids they contain. The water-filling kernel is a
+by the multiset of pair ids they contain. The water-filling kernel
+(:func:`~repro.sim.flows.water_fill`, the one the DES solver calls) is a
 pure function of that multiset — remaining bytes never enter it, all
 its reductions are exact (min, integer counts, equal-value sums) — so
-a hit replays the exact floats the stock kernel computed for an
-identical component earlier, and a miss runs the stock kernel
-unchanged. Rates are therefore bitwise-identical by construction — the
-same grouping independence the incremental/reference solver gate rests
-on.
+a hit replays the exact floats the kernel computed for an identical
+component earlier, and a miss simply runs the kernel. Rates are
+therefore bitwise-identical by construction — the same grouping
+independence the incremental/reference solver gate rests on.
 
 The transport protocol split is reproduced float-for-float from
 :mod:`repro.mpi.transport`: eager messages (``nbytes <=
@@ -60,7 +60,7 @@ import numpy as np
 
 from ..errors import DeadlockError, ReplayUnsupportedError, SimulationError
 from .engine import Engine
-from .flows import _EPSILON_BYTES, SolverStats
+from .flows import _EPSILON_BYTES, SolverStats, water_fill
 
 _INF = float("inf")
 
@@ -359,10 +359,11 @@ class _LeanFlowNet:
     typically a handful of flows, so per-flow state lives in plain
     Python dicts of floats (byte accrual and completion etas are scalar
     arithmetic, not small-array numpy calls) and there are no slot
-    pools, Flow objects or resource attach/detach sets. Every float
-    expression — ``rem - rate * elapsed``, ``rem / rate``, the kernel's
-    level math — is copied operand-for-operand from ``flows.py``, so
-    the produced timestamps are bitwise identical.
+    pools, Flow objects or resource attach/detach sets. The byte
+    accrual and eta expressions — ``rem - rate * elapsed``,
+    ``rem / rate`` — are copied operand-for-operand from ``flows.py``
+    and the rates come from the same :func:`~repro.sim.flows.water_fill`,
+    so the produced timestamps are bitwise identical.
 
     On top of that sits the replay-only *solve memo*. Each flow maps to
     a static path class — the (resource-id tuple, rate cap) equivalence
@@ -373,7 +374,7 @@ class _LeanFlowNet:
     exact (min, integer counts, equal-value sums). Collective schedules
     cycle through recurring contention patterns, so most solves hit the
     memo and replay the exact floats the kernel produced earlier; misses
-    run the verbatim kernel and record its outputs.
+    run the kernel and record its outputs.
     """
 
     def __init__(
@@ -381,9 +382,8 @@ class _LeanFlowNet:
         engine: Engine,
         order_pid: List[int],
         nbytes: List[int],
-        res_ids: List[np.ndarray],
         res_lists: List[List[int]],
-        caps_array: np.ndarray,
+        capacities: List[float],
         rate_caps: List[float],
         class_of_pid: List[int],
         on_done,
@@ -392,9 +392,8 @@ class _LeanFlowNet:
         self.engine = engine
         self._order_pid = order_pid
         self._nbytes = nbytes
-        self._res_ids = res_ids
         self._res_lists = res_lists
-        self._caps_array = caps_array
+        self._capacities = capacities
         self._rate_caps = rate_caps  # float; inf when the plan has none
         self._class_of_pid = class_of_pid
         self._on_done = on_done
@@ -688,100 +687,28 @@ class _LeanFlowNet:
         classes = [class_of[p] for p in pids]
         key = tuple(sorted(classes))
         hit = self._memo.get(key)
-        n = len(fids)
+        if hit is None:
+            # Same-class flows are interchangeable rows, so they get
+            # bitwise-equal rates and one entry per class suffices.
+            rate_caps = self._rate_caps
+            rates, rounds = water_fill(
+                [self._res_lists[p] for p in pids],
+                self._capacities,
+                [rate_caps[p] for p in pids],
+            )
+            hit = (dict(zip(classes, rates)), rounds)
+            if len(self._memo) < (1 << 16):
+                self._memo[key] = hit
+        stored, rounds = hit
         rate = self._rate
-        if hit is not None:
-            stored, rounds = hit
-            for f, cls in zip(fids, classes):
-                rate[f] = stored[cls]
-            self._stat_rounds += rounds
-            self._stat_components += 1
-            self._stat_flows_solved += n
-            if n > self._stat_max_component:
-                self._stat_max_component = n
-            return
-        rates, rounds = self._solve_kernel(pids)
-        out: Dict[int, float] = {}
-        for i, f in enumerate(fids):
-            r = float(rates[i])
-            rate[f] = r
-            out[classes[i]] = r
-        if len(self._memo) < (1 << 16):
-            self._memo[key] = (out, rounds)
+        for f, cls in zip(fids, classes):
+            rate[f] = stored[cls]
+        n = len(fids)
         self._stat_rounds += rounds
         self._stat_components += 1
         self._stat_flows_solved += n
         if n > self._stat_max_component:
             self._stat_max_component = n
-
-    def _solve_kernel(self, pids: List[int]):
-        """Progressive filling, expression-for-expression the stock
-        :meth:`FlowNetwork._solve_component` (only slot plumbing is
-        gone: inputs are pair ids, the output is the rates array)."""
-        n = len(pids)
-        id_arrays = [self._res_ids[p] for p in pids]
-        lengths = np.fromiter((len(a) for a in id_arrays), dtype=np.int64, count=n)
-        flat = id_arrays[0] if n == 1 else np.concatenate(id_arrays)
-        pair_flow = np.repeat(np.arange(n), lengths)
-        # Compact the component's resources to local ids 0..m-1.
-        uniq, pair_res = np.unique(flat, return_inverse=True)
-        m = int(uniq.shape[0])
-        caps_local = self._caps_array[uniq]
-        fixed_load = np.zeros(m)  # sum of already-fixed rates per resource
-        pending = np.bincount(pair_res, minlength=m)
-        rate_caps = np.fromiter(
-            (self._rate_caps[p] for p in pids), dtype=float, count=n
-        )
-        fixed = np.zeros(n, dtype=bool)
-        rates = np.zeros(n, dtype=float)
-        pair_live = np.ones(pair_flow.shape[0], dtype=bool)
-        rounds = 0
-
-        while not fixed.all():
-            rounds += 1
-            pending_mask = pending > 0
-            if pending_mask.any():
-                levels = np.where(
-                    pending_mask,
-                    (caps_local - fixed_load) / np.maximum(pending, 1),
-                    np.inf,
-                )
-                level_min = float(levels.min())
-                if level_min < 0.0:
-                    level_min = 0.0  # float dust: resource already over-filled
-            else:
-                levels = None
-                level_min = np.inf
-            cap_min = float(rate_caps[~fixed].min())
-            level = level_min if level_min < cap_min else cap_min
-            if not np.isfinite(level):
-                raise SimulationError("flow without binding constraint")
-
-            newly = np.zeros(n, dtype=bool)
-            if levels is not None and level_min <= level:
-                saturated = pending_mask & (levels <= level)
-                if saturated.any():
-                    hit = saturated[pair_res] & pair_live
-                    if hit.any():
-                        newly[pair_flow[hit]] = True
-            newly |= rate_caps <= level
-            newly &= ~fixed
-            if not newly.any():
-                # Numerical corner: nothing bound this round. Fix all
-                # remaining flows at the current level to terminate.
-                newly = ~fixed
-            rates[newly] = level
-            fixed |= newly
-            dead = newly[pair_flow] & pair_live
-            if dead.any():
-                dead_res = pair_res[dead]
-                pending -= np.bincount(dead_res, minlength=m)
-                fixed_load += np.bincount(
-                    dead_res, weights=np.full(dead_res.shape[0], level), minlength=m
-                )
-                pair_live &= ~dead
-
-        return rates, rounds
 
 
 class ReplayEngine:
@@ -847,11 +774,9 @@ class ReplayEngine:
         self._nbytes: List[int] = [int(b) for b in schedule.send_nbytes]
 
         # Dense resource ids in plan-discovery order (the analogue of
-        # FlowNetwork._ids_for; global id values only name resources,
-        # the kernel compacts per component).
+        # FlowNetwork._ids_for; id values only name resources).
         res_index: Dict = {}
         capacities: List[float] = []
-        res_ids: List[np.ndarray] = []
         res_lists: List[List[int]] = []
         for p in plans:
             ids = []
@@ -862,7 +787,6 @@ class ReplayEngine:
                     res_index[r] = rid
                     capacities.append(r.capacity)
                 ids.append(rid)
-            res_ids.append(np.asarray(ids, dtype=np.int64))
             res_lists.append(ids)
         rate_caps = [
             p.rate_cap if p.rate_cap is not None else _INF for p in plans
@@ -889,9 +813,8 @@ class ReplayEngine:
             self.engine,
             self._plan_idx_l,
             self._nbytes,
-            res_ids,
             res_lists,
-            np.asarray(capacities, dtype=float),
+            capacities,
             rate_caps,
             class_of_pid,
             self._flow_complete,

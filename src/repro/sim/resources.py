@@ -20,9 +20,10 @@ class Resource:
     __slots__ = ("name", "capacity", "kind", "_flows", "_load")
 
     def __init__(self, name: str, capacity: float, kind: str = "generic"):
-        if capacity <= 0:
+        if not 0 < capacity < float("inf"):  # NaN fails too
             raise SimulationError(
-                f"resource {name!r} needs positive capacity, got {capacity}"
+                f"resource {name!r} needs a finite positive capacity, "
+                f"got {capacity}"
             )
         self.name = name
         self.capacity = float(capacity)

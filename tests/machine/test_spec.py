@@ -1,5 +1,7 @@
 """Tests for MachineSpec validation and the presets."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import MachineError
@@ -34,6 +36,21 @@ class TestValidation:
     )
     def test_rejects_bad_field(self, field, value):
         with pytest.raises(MachineError):
+            MachineSpec(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            f.name
+            for f in dataclasses.fields(MachineSpec)
+            if isinstance(getattr(MachineSpec(), f.name), (int, float))
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_field(self, field, value):
+        """NaN passes every ordered comparison and inf stalls the fluid
+        solver: every numeric field must be finite."""
+        with pytest.raises(MachineError, match="finite"):
             MachineSpec(**{field: value})
 
     def test_with_replaces_field(self):

@@ -2,13 +2,15 @@
 
 import dataclasses
 import io
+import json
 import math
+import re
 
 import pytest
 
 from repro.core.report import RunRecord
 from repro.core.sweep import SweepPoint
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MachineError
 from repro.machine import hornet
 from repro.mpi.reliable import ReliableConfig
 from repro.service import protocol
@@ -69,6 +71,16 @@ class TestCodecs:
     def test_spec_round_trip(self):
         spec = hornet(nodes=4)
         assert protocol.decode_spec(protocol.encode_spec(spec)) == spec
+
+    def test_spec_with_non_finite_field_rejected(self):
+        """``json.loads`` accepts the ``NaN``/``Infinity`` literals, so a
+        wire or artifact spec can carry them; decoding must refuse."""
+        text = json.dumps(protocol.encode_spec(hornet(nodes=4)))
+        for literal in ("NaN", "Infinity"):
+            patched = re.sub(r'"nic_bw": [^,]+', f'"nic_bw": {literal}', text)
+            assert f'"nic_bw": {literal}' in patched
+            with pytest.raises(MachineError, match="nic_bw"):
+                protocol.decode_spec(json.loads(patched))
 
     def test_record_round_trip_bitwise(self):
         rec = sample_record()

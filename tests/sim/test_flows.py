@@ -61,6 +61,16 @@ class TestSingleFlow:
         with pytest.raises(SimulationError):
             Resource("r", 0.0)
 
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf")])
+    def test_resource_requires_finite_capacity(self, capacity):
+        with pytest.raises(SimulationError):
+            Resource("r", capacity)
+
+    def test_nan_rate_cap_rejected(self):
+        eng, net = make_net()
+        with pytest.raises(SimulationError):
+            net.add_flow(1.0, [Resource("r", 1.0)], rate_cap=float("nan"))
+
 
 class TestFairSharing:
     def test_two_equal_flows_halve_the_link(self):

@@ -7,18 +7,195 @@ timestamps. The hypothesis test drives randomized add/cancel/complete
 churn through both implementations and compares everything observable;
 the unit tests pin down the component tracking and the O(1)
 slot/removal bookkeeping directly.
+
+The DES and replay data planes share one scalar water-filling kernel,
+:func:`repro.sim.flows.water_fill`, so ``repro replay --grid`` no longer
+cross-checks its arithmetic. :func:`numpy_water_fill` — the vectorised
+kernel both engines used to run — is the oracle instead: the scalar
+kernel must reproduce its rates bit for bit, its round counts and its
+errors, standalone and under whole-simulation churn.
 """
 
 import math
 import os
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import Engine, FlowNetwork, Resource, SolverStats, solver_mode
+from repro.sim import flows, replay
+from repro.sim.flows import water_fill
 
 CAPACITIES = [100.0, 250.0, 400.0, 150.0, 900.0, 60.0]
+INF = float("inf")
+
+
+def numpy_water_fill(paths, capacities, rate_caps):
+    """Vectorised progressive filling: the reference for :func:`water_fill`.
+
+    Same signature and results as the scalar kernel; the body is the
+    numpy kernel the solver ran before it, unchanged apart from turning
+    the plain-list inputs into arrays.
+    """
+    n = len(paths)
+    caps_array = np.asarray(capacities, dtype=float)
+    id_arrays = [np.asarray(p, dtype=np.int64) for p in paths]
+    lengths = np.fromiter((len(a) for a in id_arrays), dtype=np.int64, count=n)
+    flat = id_arrays[0] if n == 1 else np.concatenate(id_arrays)
+    pair_flow = np.repeat(np.arange(n), lengths)
+    # Compact the component's resources to local ids 0..m-1.
+    uniq, pair_res = np.unique(flat, return_inverse=True)
+    m = int(uniq.shape[0])
+    caps_local = caps_array[uniq]
+    fixed_load = np.zeros(m)  # sum of already-fixed rates per resource
+    pending = np.bincount(pair_res, minlength=m)
+    rate_caps = np.asarray(rate_caps, dtype=float)
+    fixed = np.zeros(n, dtype=bool)
+    rates = np.zeros(n, dtype=float)
+    pair_live = np.ones(pair_flow.shape[0], dtype=bool)
+    rounds = 0
+
+    while not fixed.all():
+        rounds += 1
+        pending_mask = pending > 0
+        if pending_mask.any():
+            levels = np.where(
+                pending_mask,
+                (caps_local - fixed_load) / np.maximum(pending, 1),
+                np.inf,
+            )
+            level_min = float(levels.min())
+            if level_min < 0.0:
+                level_min = 0.0  # float dust: resource already over-filled
+        else:
+            levels = None
+            level_min = np.inf
+        cap_min = float(rate_caps[~fixed].min())
+        level = level_min if level_min < cap_min else cap_min
+        if not np.isfinite(level):
+            raise SimulationError("flow without binding constraint")
+
+        newly = np.zeros(n, dtype=bool)
+        if levels is not None and level_min <= level:
+            saturated = pending_mask & (levels <= level)
+            if saturated.any():
+                hit = saturated[pair_res] & pair_live
+                if hit.any():
+                    newly[pair_flow[hit]] = True
+        newly |= rate_caps <= level
+        newly &= ~fixed
+        if not newly.any():
+            # Numerical corner: nothing bound this round. Fix all
+            # remaining flows at the current level to terminate.
+            newly = ~fixed
+        rates[newly] = level
+        fixed |= newly
+        dead = newly[pair_flow] & pair_live
+        if dead.any():
+            dead_res = pair_res[dead]
+            pending -= np.bincount(dead_res, minlength=m)
+            fixed_load += np.bincount(
+                dead_res, weights=np.full(dead_res.shape[0], level), minlength=m
+            )
+            pair_live &= ~dead
+
+    return rates.tolist(), rounds
+
+
+def _bits(obj):
+    """*obj* with every float as its hex string: equality becomes bitwise."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, (list, tuple)):
+        return [_bits(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: _bits(v) for k, v in obj.items()}
+    return obj
+
+
+def _outcome(kernel, paths, capacities, rate_caps):
+    try:
+        rates, rounds = kernel(paths, capacities, rate_caps)
+    except SimulationError as exc:
+        return ("error", str(exc))
+    return (_bits(rates), rounds)
+
+
+# Resource capacities in three families: the hornet preset's engine and
+# fabric bandwidths, arbitrary reals, and small integers (which make
+# exact ties between resource levels and rate caps common).
+_GIB = float(1 << 30)
+_CAPACITY_FAMILIES = [
+    st.sampled_from([5.0 * _GIB, 40.0 * _GIB, 10.0 * _GIB, 3.5 * _GIB]),
+    st.floats(min_value=1.0, max_value=1e11),
+    st.integers(min_value=1, max_value=100).map(float),
+]
+
+
+@st.composite
+def _components(draw):
+    """One contention component shaped like the simulator's: 1-40 flows
+    whose paths cross 0-9 resources (repeats allowed), rate caps absent,
+    derived from one copy bandwidth the way ``Machine.copy_rate_cap``
+    derives them, or arbitrary."""
+    n_res = draw(st.integers(min_value=1, max_value=30))
+    family = draw(st.sampled_from(_CAPACITY_FAMILIES))
+    capacities = draw(st.lists(family, min_size=n_res, max_size=n_res))
+    n = draw(st.integers(min_value=1, max_value=40))
+    paths = draw(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=n_res - 1), max_size=9),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    copy_bw = draw(st.floats(min_value=1.0, max_value=1e10))
+    caps = draw(
+        st.sampled_from(
+            [
+                st.just(INF),
+                st.sampled_from([INF, copy_bw, copy_bw * 0.55, copy_bw * 0.55 * 0.7]),
+                st.one_of(st.just(INF), st.floats(min_value=1.0, max_value=1e10)),
+            ]
+        )
+    )
+    rate_caps = draw(st.lists(caps, min_size=n, max_size=n))
+    return paths, capacities, rate_caps
+
+
+class TestScalarKernel:
+    """The scalar kernel reproduces the numpy kernel bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_components())
+    def test_matches_numpy_kernel_bitwise(self, component):
+        assert _outcome(water_fill, *component) == _outcome(
+            numpy_water_fill, *component
+        )
+
+    def test_fixed_load_is_repeated_addition_not_a_product(self):
+        """Six flows fixed at one level charge their resource
+        ``0.0 + level + ... + level``, as the weighted bincount did;
+        ``6 * level`` rounds differently and moves the remaining rates."""
+        cap = 489656307.9259635
+        paths = [[0]] * 8
+        rate_caps = [cap] * 6 + [INF] * 2
+        rates, rounds = water_fill(paths, [1e10], rate_caps)
+        assert rates == [cap] * 6 + [3531031076.22211] * 2
+        assert rounds == 2
+        assert (1e10 - 6 * cap) / 2 == 3531031076.2221093
+        assert _outcome(numpy_water_fill, paths, [1e10], rate_caps) == (
+            _bits(rates),
+            rounds,
+        )
+
+    def test_unbound_flow_raises_like_numpy(self):
+        for kernel in (water_fill, numpy_water_fill):
+            with pytest.raises(SimulationError, match="without binding constraint"):
+                kernel([[0], []], [100.0], [INF, INF])
 
 
 def _run_script(script, solver):
@@ -124,6 +301,34 @@ class TestDifferential:
         assert inc["final_time"] == ref["final_time"]
         assert inc["completed"] == ref["completed"]
         assert inc["bytes"] == ref["bytes"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.one_of(_add_op, _cancel_op, _probe_op), max_size=24))
+    def test_numpy_kernel_churn_is_bitwise_identical(self, script):
+        scalar = _run_script(script, "incremental")
+        with mock.patch.object(flows, "water_fill", numpy_water_fill):
+            vectorised = _run_script(script, "incremental")
+        assert _bits(scalar) == _bits(vectorised)
+
+    def test_replay_with_numpy_kernel_is_bitwise_identical(self, monkeypatch):
+        """Replay's data plane (solve memo off) under either kernel."""
+        from repro.core import simulate_bcast
+        from repro.machine import hornet
+
+        monkeypatch.setenv("REPRO_ENGINE", "replay")
+        monkeypatch.setenv("REPRO_REPLAY_MEMO", "private")
+        spec = hornet(nodes=4)
+        scalar = simulate_bcast(spec, 12, 1 << 20, algorithm="scatter_ring_opt")
+        with mock.patch.object(
+            replay, "water_fill", side_effect=numpy_water_fill
+        ) as kernel:
+            vectorised = simulate_bcast(
+                spec, 12, 1 << 20, algorithm="scatter_ring_opt"
+            )
+        assert kernel.call_count > 0
+        assert scalar.engine == "replay"
+        assert scalar.time.hex() == vectorised.time.hex()
+        assert scalar == vectorised
 
     def test_bcast_simulation_is_bitwise_identical(self):
         from repro.core import simulate_bcast
