@@ -7,8 +7,16 @@ simulation point.
 """
 
 import pathlib
+import sys
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+# test_solver_micro.py holds the solver to the test suite's from-scratch
+# reference (tests/sim/reference_solver.py); make the repository root
+# importable however pytest was started.
+_ROOT = str(pathlib.Path(__file__).parent.parent)
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
 
 
 def pytest_collection_modifyitems(items):

@@ -7,7 +7,7 @@ holding everything needed to re-execute it bit-for-bit later:
 * ``config`` — the full re-execution recipe (machine spec, points,
   seeds, budgets …), content-addressed by ``config_digest``;
 * ``env`` — the fingerprint the result is only valid under: the cache
-  code-version salt, solver and engine modes, python/platform. An audit
+  code-version salt, engine mode, python/platform. An audit
   under a different fingerprint reports *why* a mismatch is expected;
 * ``records`` — the complete result payload (RunRecord rows or a gate
   report), digested by ``records_digest`` after scrubbing the few
@@ -90,12 +90,10 @@ def artifact_digest(obj: Any) -> str:
 
 def env_fingerprint() -> Dict[str, str]:
     """The environment a result is only comparable under."""
-    from ..sim import solver_mode
     from ..sim.replay import engine_mode
 
     return {
         "cache_version": CACHE_VERSION,
-        "solver": solver_mode(),
         "engine": engine_mode(),
         "python": platform.python_version(),
         "platform": sys.platform,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Type, Union
 
 from ..errors import ConfigurationError
 from ..machine import Machine, MachineSpec
@@ -166,7 +166,7 @@ def solver_churn(
     ranks_per_node: int = 8,
     block_nbytes: Union[int, str] = "64KiB",
     cancel_every: int = 7,
-    solver: Optional[str] = None,
+    network: Type[FlowNetwork] = FlowNetwork,
 ) -> SolverChurnResult:
     """Ring-allgather-shaped flow churn driven straight at a FlowNetwork.
 
@@ -179,12 +179,14 @@ def solver_churn(
     add/complete/cancel transitions (~``nranks`` flows in flight,
     ``nranks x steps`` transfers total). Because per-rank engines are
     private and only the NIC is shared, the network decomposes into one
-    contention component per node — exactly the structure the
-    incremental solver exploits and the reference solver re-derives from
-    scratch at every event.
+    contention component per node — exactly the structure component
+    tracking exploits and a from-scratch solver re-derives at every
+    event.
 
     The workload is fully deterministic (sizes staggered by a fixed
-    rank/step hash); ``solver`` picks the implementation under test.
+    rank/step hash); ``network`` is the :class:`FlowNetwork` class under
+    test (a subclass, such as the from-scratch reference in the tests,
+    runs the identical churn).
     """
     if nranks < 2:
         raise ConfigurationError(f"solver churn needs >= 2 ranks, got {nranks}")
@@ -192,7 +194,7 @@ def solver_churn(
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
     block = parse_size(block_nbytes)
     engine = Engine()
-    net = FlowNetwork(engine, solver=solver)
+    net = network(engine)
 
     nodes = (nranks + ranks_per_node - 1) // ranks_per_node
     out_eng = [Resource(f"churn.out{r}", 4e9, kind="cpu") for r in range(nranks)]

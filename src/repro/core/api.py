@@ -33,7 +33,6 @@ from ..machine import Machine, MachineSpec
 from ..mpi import Job, RealBuffer
 from ..sim import Trace
 from ..sim.faults import FaultPlan
-from ..sim.flows import solver_mode
 from ..sim.replay import ReplayEngine, compile_schedule, engine_mode
 from ..util import parse_size
 from .report import ComparisonRecord, RunRecord
@@ -154,17 +153,6 @@ def _dispatch(machine, factory, kind, key_tail, working_set, *, static=True, emi
     *emit* builds the replay schedule without extraction.
     """
     mode = engine_mode()
-    if solver_mode() != "incremental":
-        # REPRO_SOLVER=reference is the solver differential-testing
-        # escape hatch; replay has its own data plane and cannot honour
-        # it, so the request routes to the DES.
-        if mode == "replay":
-            raise ConfigurationError(
-                "REPRO_ENGINE=replay cannot honour REPRO_SOLVER="
-                f"{solver_mode()!r}: the replay engine has its own "
-                "data plane; unset one of the two"
-            )
-        return None, "des"
     if mode != "des" and static:
         try:
             compiled = _replay_compiled(kind, machine, factory, key_tail, emit)

@@ -54,7 +54,6 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from ..machine import MachineSpec
-from ..sim import solver_mode
 from ..sim.replay import engine_mode
 from .report import RunRecord
 
@@ -121,12 +120,9 @@ def cache_key(
         "point": (point.algorithm, point.nranks, point.nbytes),
         "root": root,
         "placement": str(placement),
-        # Both solvers produce bitwise-identical times, but the cached
-        # record carries mode-specific telemetry, so key on the mode.
-        # The execution engine (REPRO_ENGINE) is keyed for the same
-        # reason: DES and replay agree bitwise on times and counters,
-        # but the record's engine/solver telemetry differs.
-        "solver": solver_mode(),
+        # DES and replay agree bitwise on times and counters, but the
+        # record names its engine (``engine``, ``solver_mode``), so key
+        # on the execution engine (REPRO_ENGINE).
         "engine": engine_mode(),
         "faults": faults.digest() if faults is not None else "",
         "reliable": repr(reliable) if reliable else "",

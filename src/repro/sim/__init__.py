@@ -3,7 +3,7 @@
 from .engine import Engine, EventHandle
 from .process import Proc, StepOutcome, step_coroutine, ensure_generator
 from .resources import Resource
-from .flows import Flow, FlowNetwork, SolverStats, solver_mode
+from .flows import Flow, FlowNetwork, SolverStats
 from .trace import Trace, NullTrace, TraceRecord
 from .random import RngStreams
 from .faults import (
@@ -27,7 +27,6 @@ __all__ = [
     "Flow",
     "FlowNetwork",
     "SolverStats",
-    "solver_mode",
     "Trace",
     "NullTrace",
     "TraceRecord",

@@ -1,6 +1,6 @@
-"""Max-min fair fluid-flow network driving all transfer timing.
+"""Max-min fair fluid-flow network: the data plane behind all transfer timing.
 
-Each in-flight message is a :class:`Flow` with a byte count and a path of
+Each in-flight message is a flow with a byte count and a path of
 :class:`~repro.sim.resources.Resource` objects. Whenever the active-flow
 set changes the network
 
@@ -13,39 +13,44 @@ either a resource saturates or a flow hits its individual rate cap; the
 binding flows are fixed and the process repeats. This yields the unique
 max-min fair allocation.
 
-The solver is the simulator's hot loop (it runs twice per message), so
-it is *incremental*:
+Both execution engines run on :class:`FlowNetwork`. The coroutine DES
+(:mod:`repro.mpi`) starts :class:`Flow` objects with
+:meth:`~FlowNetwork.add_flow`, which also attaches them to their
+resources. The replay engine (:mod:`repro.sim.replay`) registers each
+transfer plan once with :meth:`~FlowNetwork.path_class` and starts
+flows of that class with :meth:`~FlowNetwork.start`. Beneath both sits
+one solver, the simulator's hot loop (it runs twice per message):
 
-* flow state (remaining bytes, current rate) lives in persistent
-  slot-indexed numpy vectors updated in place on
-  ``add_flow``/``cancel_flow`` — advancing progress and finding the next
-  completion ETA are single array operations, never Python loops;
-* membership is tracked with O(1) index maps (fid -> slot), so removing
-  a flow never scans the active set;
-* flows are grouped into *contention components* — connected groups of
-  the flow/resource sharing graph, maintained with a union-find over
-  each path's resources — and a re-solve only runs progressive filling
-  for the component(s) touched since the last solve.  Max-min fairness
-  guarantees disjoint components keep their previous rates.
+* per-flow state (remaining bytes, current rate) lives in plain dicts
+  keyed by flow id. Frontiers hold a handful to a few hundred flows, so
+  progress accrual and the next-completion search are scalar loops,
+  cheaper than small-array numpy calls;
+* every flow belongs to a *path class*: its (resource path, rate cap);
+* flows are grouped into *contention components*, the connected groups
+  of the flow/resource sharing graph. Components merge on every start
+  and are repartitioned by union-find once enough flows have left. A
+  re-solve runs progressive filling only for the components touched
+  since the last solve; max-min fairness guarantees that disjoint
+  components keep their previous rates;
+* an optional *solve memo* maps a component's multiset of path classes
+  to the kernel's output (the replay engine passes one; the DES runs
+  without).
 
-The water-filling kernel, :func:`water_fill`, is plain scalar Python
-shared with the replay engine's data plane (:mod:`repro.sim.replay`).
+The water-filling kernel, :func:`water_fill`, is plain scalar Python.
 It recomputes each resource's absolute saturation level
 ``(capacity - fixed_rates) / pending`` fresh every round instead of
-accumulating headroom deltas.  That makes the kernel's floating-point
+accumulating headroom deltas. That makes the kernel's floating-point
 path *independent of component grouping*: solving a disjoint union of
 components in one call produces bitwise-identical rates to solving them
-separately.  Component tracking is therefore a pure optimisation — it
+separately. Component tracking is therefore a pure optimisation — it
 can merge lazily and split opportunistically without ever changing a
-simulated timestamp, and the incremental solver is bit-for-bit
-equivalent to the from-scratch one (enforced by the differential tests
-in ``tests/sim/test_solver_differential.py``).
-
-Set ``REPRO_SOLVER=reference`` to force the from-scratch solver — every
-re-solve repartitions all active flows and re-runs the kernel on every
-component — as a differential-testing escape hatch. ``stats()`` exposes
-solver telemetry (solve count, water-filling rounds, component sizes,
-flows advanced, solver wall time); see ``docs/performance.md``.
+simulated timestamp. The same property makes the memo exact: remaining
+bytes never enter the kernel, so its output is a function of the class
+multiset alone. ``tests/sim/test_solver_differential.py`` holds both
+claims against a from-scratch solver that repartitions every active
+flow on each change. ``stats()`` exposes solver telemetry (solve count,
+water-filling rounds, component sizes, flows advanced, solver wall
+time); see ``docs/performance.md``.
 
 This sharing behaviour is the load-bearing part of the reproduction: the
 paper's tuned ring allgather removes transfers *without shortening the
@@ -56,18 +61,15 @@ is what this model expresses.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Iterable, List, Optional
-
-import numpy as np
+from typing import Callable, Dict, Iterable, List, Optional
 
 from ..errors import SimulationError
 from .engine import Engine, EventHandle
 from .resources import Resource
 
-__all__ = ["Flow", "FlowNetwork", "SolverStats", "solver_mode", "water_fill"]
+__all__ = ["Flow", "FlowNetwork", "SolverStats", "water_fill"]
 
 # Residual byte counts below this are treated as complete; guards against
 # floating-point dust keeping a flow alive forever.
@@ -76,19 +78,8 @@ _EPSILON_BYTES = 1e-6
 _INF = float("inf")
 _NO_RESOURCES: frozenset = frozenset()
 
-# Environment escape hatch selecting the solver implementation.
-SOLVER_ENV = "REPRO_SOLVER"
-SOLVER_MODES = ("incremental", "reference")
-
-
-def solver_mode() -> str:
-    """The solver selected by ``REPRO_SOLVER`` (default ``incremental``)."""
-    mode = os.environ.get(SOLVER_ENV, "").strip() or "incremental"
-    if mode not in SOLVER_MODES:
-        raise SimulationError(
-            f"unknown {SOLVER_ENV} mode {mode!r}; expected one of {SOLVER_MODES}"
-        )
-    return mode
+# Component solves one memo dict holds at most.
+_MEMO_CAP = 1 << 16
 
 
 def water_fill(paths, capacities, rate_caps):
@@ -107,8 +98,8 @@ def water_fill(paths, capacities, rate_caps):
     crossing) followed by a single add to its fixed load. Every step is
     an exact minimum, an integer count or that fixed summation, so the
     result depends neither on flow or resource order nor on which other
-    components share the call — the property the incremental solver and
-    the replay solve memo rest on. Components are a few dozen
+    components share the call — the property component tracking and the
+    solve memo rest on. Components are a few dozen
     (flow, resource) pairs, too few to amortise numpy's per-call cost,
     so the kernel works on plain lists and dicts.
     """
@@ -170,7 +161,7 @@ def water_fill(paths, capacities, rate_caps):
 class SolverStats:
     """Telemetry snapshot of one :class:`FlowNetwork`'s solver."""
 
-    mode: str  # "incremental" or "reference"
+    mode: str  # "incremental" (the DES) or "replay" (solve memo on)
     solves: int  # rate re-solves actually performed
     rounds: int  # water-filling rounds across all solves
     components_solved: int  # component kernel invocations
@@ -203,27 +194,26 @@ class SolverStats:
 
 
 class Flow:
-    """One in-flight transfer across a path of resources.
+    """One in-flight DES transfer across a path of resources.
 
-    While active, ``remaining``/``rate`` are views into the owning
-    network's slot vectors (so progress accrual and the next-completion
-    search are single array operations); once detached the last values
-    are kept locally so completed/cancelled flows stay inspectable.
+    While active, ``remaining``/``rate`` read the owning network's
+    per-flow state; once detached the last values are kept locally so
+    completed/cancelled flows stay inspectable.
     """
 
     __slots__ = (
         "fid",
         "nbytes",
         "resources",
-        "res_ids",
+        "path_class",
         "rate_cap",
         "on_complete",
         "meta",
         "start_time",
         "_net",
-        "_slot",
         "_remaining",
         "_rate",
+        "_event",
     )
 
     def __init__(
@@ -231,7 +221,7 @@ class Flow:
         fid: int,
         nbytes: float,
         resources: tuple,
-        res_ids,
+        path_class: int,
         rate_cap: Optional[float],
         on_complete: Optional[Callable],
         meta,
@@ -240,28 +230,29 @@ class Flow:
         self.fid = fid
         self.nbytes = float(nbytes)
         self.resources = resources
-        self.res_ids = res_ids  # tuple of network-local resource ids
+        self.path_class = path_class  # the network's class id of the path
         self.rate_cap = rate_cap
         self.on_complete = on_complete
         self.meta = meta
         self.start_time = start_time
         self._net: Optional["FlowNetwork"] = None
-        self._slot = -1
         self._remaining = float(nbytes)
         self._rate = 0.0
+        # Pending completion event of a zero-byte flow.
+        self._event: Optional[EventHandle] = None
 
     @property
     def remaining(self) -> float:
         net = self._net
         if net is not None:
-            return float(net._rem[self._slot])
+            return net._rem[self.fid]
         return self._remaining
 
     @remaining.setter
     def remaining(self, value: float) -> None:
         net = self._net
         if net is not None:
-            net._rem[self._slot] = value
+            net._rem[self.fid] = float(value)
         else:
             self._remaining = float(value)
 
@@ -269,16 +260,8 @@ class Flow:
     def rate(self) -> float:
         net = self._net
         if net is not None:
-            return float(net._rate_vec[self._slot])
+            return net._rate[self.fid]
         return self._rate
-
-    @rate.setter
-    def rate(self, value: float) -> None:
-        net = self._net
-        if net is not None:
-            net._rate_vec[self._slot] = value
-        else:
-            self._rate = float(value)
 
     def eta(self) -> float:
         """Seconds until completion at the current rate (inf when stalled)."""
@@ -300,55 +283,55 @@ class Flow:
 class FlowNetwork:
     """Progressive-filling fluid network bound to a simulation engine.
 
-    ``solver`` selects the re-solve strategy (defaults to the
-    ``REPRO_SOLVER`` environment variable, then ``"incremental"``):
+    ``memo`` is the path-class solve memo: a dict mapping a component's
+    sorted class-id tuple to ``(class id -> rate, kernel rounds)``. A
+    hit replays the stored floats and round count, so rates and
+    telemetry do not depend on memo history. With ``None`` (the DES)
+    every solve runs the kernel. The attribute may be set until the
+    first flow starts.
 
-    * ``"incremental"`` — persistent state, component tracking, re-solve
-      only what changed (the production path);
-    * ``"reference"`` — stateless from-scratch partition + solve of every
-      active flow on each change (the differential-testing baseline).
+    ``on_done(token)`` is called when a flow started with :meth:`start`
+    drains; it defaults to completing the DES :class:`Flow` passed as
+    the token by :meth:`add_flow`.
     """
 
-    def __init__(self, engine: Engine, solver: Optional[str] = None):
+    def __init__(
+        self,
+        engine: Engine,
+        memo: Optional[Dict] = None,
+        on_done: Optional[Callable] = None,
+    ):
         self.engine = engine
-        self.solver = solver if solver is not None else solver_mode()
-        if self.solver not in SOLVER_MODES:
-            raise SimulationError(
-                f"unknown solver {self.solver!r}; expected one of {SOLVER_MODES}"
-            )
+        self.memo = memo
+        self._on_done = self._finish_flow if on_done is None else on_done
         self._next_fid = 0
         self._last_update = engine.now
         self._completion_event: Optional[EventHandle] = None
         self._resolve_event: Optional[EventHandle] = None
         self.completed_count = 0
-        self.total_bytes_transferred = 0.0
-        # Resource registry: network-local integer ids + capacity list.
+        self.total_bytes_transferred = 0.0  # DES flows only
+        # Registry: dense resource ids with their capacities, and path
+        # classes with their resource-id path and float rate cap.
         self._res_index: dict = {}
         self._capacities: list = []
-        # Path cache: resource tuple -> id tuple (machines cache plans, so
-        # identical paths arrive as identical tuples).
-        self._path_ids: dict = {}
-        # Slot pool: persistent per-flow vectors updated in place. A slot
-        # is claimed on add_flow and recycled on completion/cancel; the
-        # fid -> slot map gives O(1) membership tests and removal.
-        self._rem = np.empty(0)  # remaining bytes per slot
-        self._rate_vec = np.empty(0)  # current rate per slot
-        self._slot_flow: list = []  # slot -> Flow (None when free)
-        self._free_slots: list = []
-        self._fid_slot: dict = {}  # fid -> slot, insertion ordered
-        self._slots_np = np.empty(0, dtype=np.int64)
-        self._slots_stale = True
-        # Contention components (incremental mode): disjoint groups of
-        # flows connected through shared resources. Components merge
-        # eagerly on add_flow and are repartitioned opportunistically
-        # after enough removals — the kernel's grouping independence
-        # makes both operations timing-neutral.
+        self._class_index: dict = {}  # (resource tuple, cap) -> class id
+        self._class_paths: list = []
+        self._class_caps: list = []
+        # Active flows, keyed by fid (assignment order).
+        self._rem: Dict[int, float] = {}  # remaining bytes
+        self._rate: Dict[int, float] = {}  # current rate
+        self._token: dict = {}  # what on_done receives
+        # Contention components: disjoint groups of flows connected
+        # through shared resources. Components merge eagerly on start
+        # and are repartitioned opportunistically after enough removals
+        # — the kernel's grouping independence makes both operations
+        # timing-neutral.
         self._next_comp = 0
-        self._flow_comp: dict = {}  # fid -> comp id
-        self._comp_flows: dict = {}  # comp id -> {fid: Flow} (insertion order)
-        self._comp_res: dict = {}  # comp id -> set of resource ids
-        self._res_comp: dict = {}  # resource id -> comp id
-        self._comp_removals: dict = {}  # comp id -> removals since repartition
+        self._flow_comp: Dict[int, int] = {}  # fid -> comp id
+        self._comp_flows: Dict[int, Dict[int, int]] = {}  # comp -> {fid: class}
+        self._comp_res: Dict[int, set] = {}  # comp id -> set of resource ids
+        self._res_comp: Dict[int, int] = {}  # resource id -> comp id
+        self._comp_removals: Dict[int, int] = {}  # removals since repartition
         self._dirty_comps: set = set()  # components needing a re-solve
         self._split_comps: set = set()  # components due a repartition
         # Telemetry.
@@ -360,7 +343,67 @@ class FlowNetwork:
         self._stat_flows_advanced = 0
         self._stat_solve_time = 0.0
 
-    # -- public API ------------------------------------------------------
+    # -- path classes ------------------------------------------------------
+    def path_class(self, resources: tuple, rate_cap: Optional[float] = None) -> int:
+        """Class id of flows crossing *resources* under *rate_cap*.
+
+        Registers the class (and any new resource) on first sight. Flows
+        of one class are interchangeable rows in the kernel; the replay
+        engine registers every transfer plan once up front, so its
+        class ids follow plan-discovery order.
+        """
+        cap = _INF if rate_cap is None else rate_cap
+        key = (resources, cap)
+        cid = self._class_index.get(key)
+        if cid is None:
+            ids = []
+            for res in resources:
+                rid = self._res_index.get(res)
+                if rid is None:
+                    rid = len(self._capacities)
+                    self._res_index[res] = rid
+                    self._capacities.append(res.capacity)
+                ids.append(rid)
+            cid = self._class_index[key] = len(self._class_paths)
+            self._class_paths.append(tuple(ids))
+            self._class_caps.append(float(cap))
+        return cid
+
+    def signature(self) -> tuple:
+        """``(capacities, class definitions)`` of the registry, in id order.
+
+        Networks with equal signatures compute identical kernel outputs
+        for identical class multisets, so they can share one solve memo
+        (:func:`repro.sim.replay.shared_solve_memo`).
+        """
+        return (
+            tuple(self._capacities),
+            tuple(zip(self._class_paths, self._class_caps)),
+        )
+
+    # -- flow lifecycle ----------------------------------------------------
+    def start(self, nbytes, path_class: int, token) -> Optional[EventHandle]:
+        """Start a flow of *path_class*; ``on_done(token)`` fires when it
+        drains.
+
+        A zero-byte flow completes via a zero-delay event instead, so
+        callers always observe completion asynchronously (no
+        re-entrancy); its handle is returned. Active flows return None.
+        """
+        fid = self._next_fid
+        self._next_fid += 1
+        if nbytes <= _EPSILON_BYTES:
+            return self.engine.schedule(0.0, self._finish, token)
+        if not self._class_paths[path_class] and self._class_caps[path_class] == _INF:
+            raise SimulationError("flow has no resources and no rate cap")
+        self._advance()
+        self._rem[fid] = float(nbytes)
+        self._rate[fid] = 0.0
+        self._token[fid] = token
+        self._comp_add(fid, path_class)
+        self._schedule_resolve()
+        return None
+
     def add_flow(
         self,
         nbytes: float,
@@ -369,11 +412,9 @@ class FlowNetwork:
         rate_cap: Optional[float] = None,
         meta=None,
     ) -> Flow:
-        """Start a transfer; ``on_complete(flow)`` fires at delivery time.
-
-        Zero-byte transfers complete via a zero-delay event so callers
-        always observe completion asynchronously (no re-entrancy).
-        """
+        """Start a DES transfer; ``on_complete(flow)`` fires at delivery
+        time. Zero-byte transfers complete at the next event (see
+        :meth:`start`)."""
         if nbytes < 0:
             raise SimulationError(f"flow cannot carry {nbytes} bytes")
         if rate_cap is not None:
@@ -383,38 +424,34 @@ class FlowNetwork:
                 )
             rate_cap = float(rate_cap)  # the kernel compares float caps
         path = tuple(resources)
+        cid = self.path_class(path, rate_cap)
         flow = Flow(
             self._next_fid,
             nbytes,
             path,
-            self._ids_for(path),
+            cid,
             rate_cap,
             on_complete,
             meta,
             self.engine.now,
         )
-        self._next_fid += 1
-        if nbytes <= _EPSILON_BYTES:
-            self.engine.schedule(0.0, self._finish_flow, flow)
-            return flow
-        if not path and rate_cap is None:
-            raise SimulationError("flow has no resources and no rate cap")
-        self._advance()
-        self._claim_slot(flow)
-        for res in path:
-            res.attach(flow)
-        if self.solver == "incremental":
-            self._comp_add(flow)
-        self._schedule_resolve()
+        flow._event = self.start(nbytes, cid, flow)
+        if flow._event is None:
+            flow._net = self
+            for res in path:
+                res.attach(flow)
         return flow
 
     def cancel_flow(self, flow: Flow) -> None:
-        """Abort an in-flight transfer without firing its callback."""
-        slot = self._fid_slot.get(flow.fid)
-        if slot is None or self._slot_flow[slot] is not flow:
+        """Abort a transfer without firing its callback (a no-op once it
+        completed or was cancelled)."""
+        if flow._event is not None:
+            flow._event.cancel()  # a zero-byte flow's pending completion
+            return
+        if self._token.get(flow.fid) is not flow:
             return
         self._advance()
-        self._remove(flow)
+        self._remove(flow.fid)
         self._schedule_resolve()
 
     def flush(self) -> None:
@@ -432,7 +469,7 @@ class FlowNetwork:
     def stats(self) -> SolverStats:
         """Solver telemetry accumulated since construction."""
         return SolverStats(
-            mode=self.solver,
+            mode="incremental" if self.memo is None else "replay",
             solves=self._stat_solves,
             rounds=self._stat_rounds,
             components_solved=self._stat_components,
@@ -442,6 +479,17 @@ class FlowNetwork:
             solve_time_s=self._stat_solve_time,
         )
 
+    @property
+    def active_count(self) -> int:
+        return len(self._rem)
+
+    @property
+    def active(self) -> List[Flow]:
+        """Active flows' tokens (the DES's :class:`Flow` objects) ordered
+        by fid (a snapshot; do not mutate)."""
+        return [self._token[fid] for fid in sorted(self._rem)]
+
+    # -- internals ---------------------------------------------------------
     def _schedule_resolve(self) -> None:
         if self._resolve_event is None:
             self._resolve_event = self.engine.schedule(0.0, self._deferred_resolve)
@@ -450,79 +498,95 @@ class FlowNetwork:
         self._resolve_event = None
         self._resolve()
 
-    @property
-    def active_count(self) -> int:
-        return len(self._fid_slot)
+    def _remove(self, fid: int):
+        """Take an active flow out of the data plane; returns its token."""
+        self._comp_remove(fid)
+        token = self._token.pop(fid)
+        remaining = self._rem.pop(fid)
+        rate = self._rate.pop(fid)
+        if type(token) is Flow:
+            # A DES flow keeps its last state and leaves its resources.
+            token._net = None
+            token._remaining = remaining
+            token._rate = rate
+            for res in token.resources:
+                res.detach(token)
+        return token
 
-    @property
-    def active(self) -> List[Flow]:
-        """Active flows ordered by fid (a snapshot; do not mutate)."""
-        slot_flow = self._slot_flow
-        fid_slot = self._fid_slot
-        return [slot_flow[fid_slot[fid]] for fid in sorted(fid_slot)]
+    def _advance(self) -> None:
+        """Accrue progress for every active flow up to the current time."""
+        now = self.engine.now
+        elapsed = now - self._last_update
+        rem = self._rem
+        if elapsed > 0.0 and rem:
+            rate = self._rate
+            for fid, r in rem.items():
+                p = r - rate[fid] * elapsed
+                rem[fid] = p if p > 0.0 else 0.0
+            self._stat_flows_advanced += len(rem)
+        self._last_update = now
 
-    # -- resource / path indexing -------------------------------------------
-    def _ids_for(self, path: tuple):
-        ids = self._path_ids.get(path)
-        if ids is None:
-            out = []
-            for res in path:
-                idx = self._res_index.get(res)
-                if idx is None:
-                    idx = len(self._capacities)
-                    self._res_index[res] = idx
-                    self._capacities.append(res.capacity)
-                out.append(idx)
-            ids = self._path_ids[path] = tuple(out)
-        return ids
-
-    # -- slot pool ---------------------------------------------------------
-    def _claim_slot(self, flow: Flow) -> None:
-        if self._free_slots:
-            slot = self._free_slots.pop()
-        else:
-            slot = len(self._slot_flow)
-            self._slot_flow.append(None)
-            if slot >= len(self._rem):
-                grow = max(16, 2 * len(self._rem))
-                for name in ("_rem", "_rate_vec"):
-                    old = getattr(self, name)
-                    fresh = np.zeros(grow)
-                    fresh[: len(old)] = old
-                    setattr(self, name, fresh)
-        self._slot_flow[slot] = flow
-        self._fid_slot[flow.fid] = slot
-        self._rem[slot] = flow._remaining
-        self._rate_vec[slot] = 0.0
-        flow._net = self
-        flow._slot = slot
-        self._slots_stale = True
-
-    def _release_slot(self, flow: Flow) -> None:
-        slot = self._fid_slot.pop(flow.fid)
-        flow._remaining = float(self._rem[slot])
-        flow._rate = float(self._rate_vec[slot])
-        flow._net = None
-        flow._slot = -1
-        self._slot_flow[slot] = None
-        self._free_slots.append(slot)
-        self._slots_stale = True
-
-    def _active_slots(self) -> np.ndarray:
-        if self._slots_stale:
-            n = len(self._fid_slot)
-            self._slots_np = np.fromiter(
-                self._fid_slot.values(), dtype=np.int64, count=n
+    def _resolve(self) -> None:
+        """Re-solve rates and reschedule the next completion event."""
+        self._solve_rates()
+        if self._completion_event is not None:
+            self._completion_event.cancel()
+            self._completion_event = None
+        rem = self._rem
+        if not rem:
+            return
+        rate = self._rate
+        next_eta = _INF
+        for fid, r in rem.items():
+            rt = rate[fid]
+            eta = r / rt if rt > 0.0 else _INF
+            if r <= _EPSILON_BYTES:
+                eta = 0.0
+            if eta < next_eta:
+                next_eta = eta
+        if next_eta == _INF:
+            raise SimulationError(
+                f"{len(rem)} active flow(s) are stalled at zero rate"
             )
-            self._slots_stale = False
-        return self._slots_np
+        self._completion_event = self.engine.schedule(
+            next_eta, self._on_completion_event
+        )
+
+    def _on_completion_event(self) -> None:
+        self._completion_event = None
+        if self._resolve_event is not None:
+            # The direct resolve below covers any deferred one.
+            self._resolve_event.cancel()
+            self._resolve_event = None
+        self._advance()
+        finished = sorted(fid for fid, r in self._rem.items() if r <= _EPSILON_BYTES)
+        if not finished:
+            # Rates changed since the event was scheduled; just re-arm.
+            self._resolve()
+            return
+        tokens = [self._remove(fid) for fid in finished]
+        self._resolve()
+        for token in tokens:  # fid order
+            self._finish(token)
+
+    def _finish(self, token) -> None:
+        self.completed_count += 1
+        self._on_done(token)
+
+    def _finish_flow(self, flow: Flow) -> None:
+        flow._remaining = 0.0
+        self.total_bytes_transferred += flow.nbytes
+        if flow.on_complete is not None:
+            flow.on_complete(flow)
 
     # -- component tracking ------------------------------------------------
-    def _comp_add(self, flow: Flow) -> None:
+    def _comp_add(self, fid: int, cid: int) -> None:
         comp_flows = self._comp_flows
+        res_comp = self._res_comp
+        path = self._class_paths[cid]
         found: list = []
-        for rid in flow.res_ids:
-            c = self._res_comp.get(rid)
+        for rid in path:
+            c = res_comp.get(rid)
             if c is not None and c not in found:
                 found.append(c)
         if not found:
@@ -540,12 +604,12 @@ class FlowNetwork:
                     continue
                 moved = comp_flows.pop(c)
                 comp_flows[target].update(moved)
-                for fid in moved:
-                    self._flow_comp[fid] = target
+                for f in moved:
+                    self._flow_comp[f] = target
                 res = self._comp_res.pop(c)
                 self._comp_res[target] |= res
                 for rid in res:
-                    self._res_comp[rid] = target
+                    res_comp[rid] = target
                 self._dirty_comps.discard(c)
                 if c in self._split_comps:
                     self._split_comps.discard(c)
@@ -553,15 +617,14 @@ class FlowNetwork:
                 self._comp_removals[target] = self._comp_removals.pop(
                     target, 0
                 ) + self._comp_removals.pop(c, 0)
-        for rid in flow.res_ids:
-            self._res_comp[rid] = target
+        for rid in path:
+            res_comp[rid] = target
             self._comp_res[target].add(rid)
-        comp_flows[target][flow.fid] = flow
-        self._flow_comp[flow.fid] = target
+        comp_flows[target][fid] = cid
+        self._flow_comp[fid] = target
         self._dirty_comps.add(target)
 
-    def _comp_remove(self, flow: Flow) -> None:
-        fid = flow.fid
+    def _comp_remove(self, fid: int) -> None:
         c = self._flow_comp.pop(fid)
         flows = self._comp_flows[c]
         del flows[fid]
@@ -585,12 +648,12 @@ class FlowNetwork:
         else:
             self._comp_removals[c] = removed
 
-    @staticmethod
-    def _partition(flows: List[Flow]) -> List[List[Flow]]:
-        """Group fid-ordered *flows* into contention components.
+    def _partition(self, flows: Dict[int, int]) -> List[List[int]]:
+        """Group *flows* (fid -> class id) into contention components.
 
-        Union-find over resource ids; groups come back ordered by their
-        first flow's fid with members in fid order — fully deterministic.
+        Union-find over resource ids, flows visited in fid order; groups
+        come back ordered by their first fid with members in fid order —
+        fully deterministic.
         """
         parent: dict = {}
 
@@ -602,10 +665,12 @@ class FlowNetwork:
                 parent[x], x = root, parent[x]
             return root
 
+        paths = self._class_paths
+        ordered = sorted(flows)
         keys: list = []
-        for flow in flows:
+        for fid in ordered:
             base = None
-            for rid in flow.res_ids:
+            for rid in paths[flows[fid]]:
                 if rid not in parent:
                     parent[rid] = rid
                 root = find(rid)
@@ -616,15 +681,15 @@ class FlowNetwork:
             keys.append(base)
 
         groups: dict = {}
-        ordered: list = []
-        for flow, key in zip(flows, keys):
-            gkey = ("f", flow.fid) if key is None else ("r", find(key))
+        grouped: list = []
+        for fid, key in zip(ordered, keys):
+            gkey = ("f", fid) if key is None else ("r", find(key))
             group = groups.get(gkey)
             if group is None:
                 groups[gkey] = group = []
-                ordered.append(group)
-            group.append(flow)
-        return ordered
+                grouped.append(group)
+            group.append(fid)
+        return grouped
 
     def _repartition_comp(self, c: int) -> None:
         """Rebuild one component's grouping from its surviving flows."""
@@ -634,58 +699,24 @@ class FlowNetwork:
                 del self._res_comp[rid]
         self._dirty_comps.discard(c)
         self._comp_removals.pop(c, None)
-        ordered = [flows[fid] for fid in sorted(flows)]
-        for group in self._partition(ordered):
+        paths = self._class_paths
+        for group in self._partition(flows):
             nc = self._next_comp
             self._next_comp += 1
-            self._comp_flows[nc] = {f.fid: f for f in group}
+            self._comp_flows[nc] = {f: flows[f] for f in group}
             res: set = set()
             for f in group:
-                res.update(f.res_ids)
+                res.update(paths[flows[f]])
             self._comp_res[nc] = res
             for rid in res:
                 self._res_comp[rid] = nc
             for f in group:
-                self._flow_comp[f.fid] = nc
+                self._flow_comp[f] = nc
             self._dirty_comps.add(nc)
 
-    # -- internals ---------------------------------------------------------
-    def _remove(self, flow: Flow) -> None:
-        if self.solver == "incremental":
-            self._comp_remove(flow)
-        self._release_slot(flow)
-        for res in flow.resources:
-            res.detach(flow)
-
-    def _advance(self) -> None:
-        """Accrue progress for every active flow up to the current time."""
-        now = self.engine.now
-        elapsed = now - self._last_update
-        if elapsed > 0.0 and self._fid_slot:
-            slots = self._active_slots()
-            progressed = self._rem[slots] - self._rate_vec[slots] * elapsed
-            np.maximum(progressed, 0.0, out=progressed)
-            self._rem[slots] = progressed
-            self._stat_flows_advanced += len(slots)
-        self._last_update = now
-
+    # -- rate solving ------------------------------------------------------
     def _solve_rates(self) -> None:
-        """Re-run progressive filling for whatever changed.
-
-        Incremental mode solves only the dirty components; reference
-        mode repartitions and solves every active flow from scratch.
-        Both call the same grouping-independent kernel, so they assign
-        bitwise-identical rates.
-        """
-        if self.solver == "reference":
-            if not self._fid_slot:
-                return
-            start = perf_counter()  # det: allow — telemetry, not sim state
-            for group in self._partition(self.active):
-                self._solve_component(group)
-            self._stat_solves += 1
-            self._stat_solve_time += perf_counter() - start  # det: allow
-            return
+        """Re-run progressive filling for the components that changed."""
         if not self._dirty_comps and not self._split_comps:
             return
         start = perf_counter()  # det: allow — telemetry, not sim state
@@ -695,80 +726,41 @@ class FlowNetwork:
                     self._repartition_comp(c)
             self._split_comps.clear()
         for c in sorted(self._dirty_comps):
-            flows = self._comp_flows[c]
-            self._solve_component([flows[fid] for fid in sorted(flows)])
+            self._solve_component(self._comp_flows[c])
         self._dirty_comps.clear()
         self._stat_solves += 1
         self._stat_solve_time += perf_counter() - start  # det: allow
 
-    def _solve_component(self, flows: List[Flow]) -> None:
+    def _solve_component(self, flows: Dict[int, int]) -> None:
         """Progressive filling (:func:`water_fill`) for one contention
-        component, writing each flow's rate into its slot."""
-        n = len(flows)
-        rates, rounds = water_fill(
-            [f.res_ids for f in flows],
-            self._capacities,
-            [_INF if f.rate_cap is None else f.rate_cap for f in flows],
-        )
-        rate_vec = self._rate_vec
-        for f, rate in zip(flows, rates):
-            rate_vec[f._slot] = rate
+        component (fid -> class id), through the memo when there is one."""
+        fids = sorted(flows)
+        classes = [flows[f] for f in fids]
+        memo = self.memo
+        hit = None
+        if memo is not None:
+            key = tuple(sorted(classes))
+            hit = memo.get(key)
+        if hit is None:
+            paths = self._class_paths
+            caps = self._class_caps
+            rates, rounds = water_fill(
+                [paths[c] for c in classes],
+                self._capacities,
+                [caps[c] for c in classes],
+            )
+            # Same-class flows are interchangeable rows, so they get
+            # bitwise-equal rates and one entry per class suffices.
+            hit = (dict(zip(classes, rates)), rounds)
+            if memo is not None and len(memo) < _MEMO_CAP:
+                memo[key] = hit
+        stored, rounds = hit
+        rate = self._rate
+        for f, c in zip(fids, classes):
+            rate[f] = stored[c]
+        n = len(fids)
         self._stat_rounds += rounds
         self._stat_components += 1
         self._stat_flows_solved += n
         if n > self._stat_max_component:
             self._stat_max_component = n
-
-    def _resolve(self) -> None:
-        """Re-solve rates and reschedule the next completion event."""
-        self._solve_rates()
-        if self._completion_event is not None:
-            self._completion_event.cancel()
-            self._completion_event = None
-        if not self._fid_slot:
-            return
-        slots = self._active_slots()
-        remaining = self._rem[slots]
-        rates = self._rate_vec[slots]
-        etas = np.full(slots.shape[0], np.inf)
-        flowing = rates > 0.0
-        if flowing.any():
-            etas[flowing] = remaining[flowing] / rates[flowing]
-        etas[remaining <= _EPSILON_BYTES] = 0.0
-        next_eta = float(etas.min())
-        if next_eta == float("inf"):
-            raise SimulationError(
-                f"{slots.shape[0]} active flow(s) are stalled at zero rate"
-            )
-        self._completion_event = self.engine.schedule(
-            next_eta, self._on_completion_event
-        )
-
-    def _on_completion_event(self) -> None:
-        self._completion_event = None
-        if self._resolve_event is not None:
-            # The direct resolve below covers any deferred one.
-            self._resolve_event.cancel()
-            self._resolve_event = None
-        self._advance()
-        slots = self._active_slots()
-        done = self._rem[slots] <= _EPSILON_BYTES
-        if not done.any():
-            # Rates changed since the event was scheduled; just re-arm.
-            self._resolve()
-            return
-        finished = sorted(
-            (self._slot_flow[s] for s in slots[done]), key=lambda f: f.fid
-        )
-        for flow in finished:
-            self._remove(flow)
-        self._resolve()
-        for flow in finished:
-            self._finish_flow(flow)
-
-    def _finish_flow(self, flow: Flow) -> None:
-        flow.remaining = 0.0
-        self.completed_count += 1
-        self.total_bytes_transferred += flow.nbytes
-        if flow.on_complete is not None:
-            flow.on_complete(flow)

@@ -20,16 +20,17 @@ released in one batch lands in a deferred same-timestamp resolve, so
 the water-filling kernel sees whole frontiers at once.
 
 Because the schedule is static, every flow's (src, dst) pair is known
-before the clock starts, which buys the replay-private flow network an
-exact shortcut over the DES's solver: component solves are *memoized*
-by the multiset of pair ids they contain. The water-filling kernel
-(:func:`~repro.sim.flows.water_fill`, the one the DES solver calls) is a
-pure function of that multiset — remaining bytes never enter it, all
-its reductions are exact (min, integer counts, equal-value sums) — so
-a hit replays the exact floats the kernel computed for an identical
-component earlier, and a miss simply runs the kernel. Rates are
-therefore bitwise-identical by construction — the same grouping
-independence the incremental/reference solver gate rests on.
+before the clock starts. Replay therefore registers each pair's transfer
+plan as a path class of the DES's own :class:`~repro.sim.flows.FlowNetwork`
+up front and runs it with a *solve memo*: component solves are memoized
+by the multiset of path classes they contain. The water-filling kernel
+(:func:`~repro.sim.flows.water_fill`) is a pure function of that
+multiset — remaining bytes never enter it, all its reductions are exact
+(min, integer counts, equal-value sums) — so a hit replays the exact
+floats the kernel computed for an identical component earlier, and a
+miss simply runs the kernel. Rates are therefore bitwise-identical by
+construction — the same grouping independence component tracking rests
+on.
 
 The transport protocol split is reproduced float-for-float from
 :mod:`repro.mpi.transport`: eager messages (``nbytes <=
@@ -53,23 +54,18 @@ injection, the ARQ reliability layer, stochastic latencies
 from __future__ import annotations
 
 import os
-from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import DeadlockError, ReplayUnsupportedError, SimulationError
 from .engine import Engine
-from .flows import _EPSILON_BYTES, SolverStats, water_fill
-
-_INF = float("inf")
+from .flows import FlowNetwork
 
 __all__ = [
     "ENGINE_ENV",
     "ENGINE_MODES",
     "engine_mode",
-    "SOLVE_MEMO_ENV",
-    "solve_memo_mode",
     "shared_solve_memo",
     "clear_solve_memo",
     "solve_memo_entries",
@@ -121,33 +117,18 @@ def engine_mode() -> str:
 # each contention pattern once, not once per job. Hits replay the exact
 # floats (and round counts) the kernel produced, keeping results and
 # telemetry bitwise-identical to a cold process — asserted by
-# ``tests/sim/test_replay.py`` and the replay differential gate.
+# ``tests/sim/test_replay_memo.py`` and the replay differential gate.
 
-SOLVE_MEMO_ENV = "REPRO_REPLAY_MEMO"
-_SOLVE_MEMO_MODES = ("shared", "private")
 _SOLVE_MEMO_STORE: Dict[tuple, Dict] = {}
 _SOLVE_MEMO_STORE_CAP = 64  # distinct structures; each memo caps itself
-
-
-def solve_memo_mode() -> str:
-    """``REPRO_REPLAY_MEMO``: ``shared`` (default) or ``private``."""
-    mode = os.environ.get(SOLVE_MEMO_ENV, "").strip() or "shared"
-    if mode not in _SOLVE_MEMO_MODES:
-        raise SimulationError(
-            f"unknown {SOLVE_MEMO_ENV} mode {mode!r}; "
-            f"expected one of {_SOLVE_MEMO_MODES}"
-        )
-    return mode
 
 
 def shared_solve_memo(signature: tuple) -> Dict:
     """The process-wide memo dict for one structural *signature*.
 
     Falls back to a private dict when the store is full (new structures
-    then simply lose cross-run reuse) or when ``REPRO_REPLAY_MEMO=private``.
+    then simply lose cross-run reuse).
     """
-    if solve_memo_mode() != "shared":
-        return {}
     memo = _SOLVE_MEMO_STORE.get(signature)
     if memo is None:
         if len(_SOLVE_MEMO_STORE) >= _SOLVE_MEMO_STORE_CAP:
@@ -348,369 +329,6 @@ class ReplayResult:
         )
 
 
-class _LeanFlowNet:
-    """A replay-private fluid data plane, float-exact with the stock one.
-
-    Semantically this is :class:`~repro.sim.flows.FlowNetwork` with the
-    incremental solver: the same deferred same-timestamp re-solve, the
-    same lazily-merged/lazily-split component tracking, the same
-    water-filling kernel on misses, the same fid-ordered completion
-    cascade. What changes is the *cost per event*: replay frontiers are
-    typically a handful of flows, so per-flow state lives in plain
-    Python dicts of floats (byte accrual and completion etas are scalar
-    arithmetic, not small-array numpy calls) and there are no slot
-    pools, Flow objects or resource attach/detach sets. The byte
-    accrual and eta expressions — ``rem - rate * elapsed``,
-    ``rem / rate`` — are copied operand-for-operand from ``flows.py``
-    and the rates come from the same :func:`~repro.sim.flows.water_fill`,
-    so the produced timestamps are bitwise identical.
-
-    On top of that sits the replay-only *solve memo*. Each flow maps to
-    a static path class — the (resource-id tuple, rate cap) equivalence
-    class of its transfer plan — and the kernel's output is a pure
-    function of the multiset of path classes in the component: remaining
-    bytes never enter it, same-class flows are interchangeable rows, and
-    resource-column/flow-row order cancel out because every reduction is
-    exact (min, integer counts, equal-value sums). Collective schedules
-    cycle through recurring contention patterns, so most solves hit the
-    memo and replay the exact floats the kernel produced earlier; misses
-    run the kernel and record its outputs.
-    """
-
-    def __init__(
-        self,
-        engine: Engine,
-        order_pid: List[int],
-        nbytes: List[int],
-        res_lists: List[List[int]],
-        capacities: List[float],
-        rate_caps: List[float],
-        class_of_pid: List[int],
-        on_done,
-        memo: Optional[Dict] = None,
-    ):
-        self.engine = engine
-        self._order_pid = order_pid
-        self._nbytes = nbytes
-        self._res_lists = res_lists
-        self._capacities = capacities
-        self._rate_caps = rate_caps  # float; inf when the plan has none
-        self._class_of_pid = class_of_pid
-        self._on_done = on_done
-
-        self.completed_count = 0
-        self._next_fid = 0
-        self._last_update = 0.0
-        self._resolve_event = None
-        self._completion_event = None
-
-        # Active flows, keyed by fid (assignment order == DES fid order).
-        self._rem: Dict[int, float] = {}
-        self._rate: Dict[int, float] = {}
-        self._forder: Dict[int, int] = {}
-
-        # Component tracking, ported from FlowNetwork's incremental mode:
-        # lazily merged on add, lazily split once removals rival size.
-        self._comp_flows: Dict[int, Dict[int, int]] = {}  # c -> {fid: pid}
-        self._flow_comp: Dict[int, int] = {}
-        self._res_comp: Dict[int, int] = {}
-        self._comp_res: Dict[int, set] = {}
-        self._dirty_comps: set = set()
-        self._split_comps: set = set()
-        self._comp_removals: Dict[int, int] = {}
-        self._next_comp = 0
-
-        # (class multiset) -> (class -> rate, kernel rounds). Possibly a
-        # process-wide dict shared with structurally-identical engines
-        # (see shared_solve_memo); hits replay the stored rounds so the
-        # telemetry, like the rates, is independent of memo history.
-        self._memo: Dict[Tuple[int, ...], Tuple[Dict[int, float], int]] = (
-            {} if memo is None else memo
-        )
-        self._stat_solves = 0
-        self._stat_rounds = 0
-        self._stat_components = 0
-        self._stat_flows_solved = 0
-        self._stat_max_component = 0
-        self._stat_flows_advanced = 0
-        self._stat_solve_time = 0.0
-
-    def stats(self) -> SolverStats:
-        return SolverStats(
-            mode="replay",
-            solves=self._stat_solves,
-            rounds=self._stat_rounds,
-            components_solved=self._stat_components,
-            flows_solved=self._stat_flows_solved,
-            max_component=self._stat_max_component,
-            flows_advanced=self._stat_flows_advanced,
-            solve_time_s=self._stat_solve_time,
-        )
-
-    # -- flow lifecycle ------------------------------------------------
-    def add_flow(self, order: int) -> None:
-        fid = self._next_fid
-        self._next_fid += 1
-        nbytes = self._nbytes[order]
-        if nbytes <= _EPSILON_BYTES:
-            self.engine.schedule(0.0, self._finish_zero, order)
-            return
-        pid = self._order_pid[order]
-        if not self._res_lists[pid] and self._rate_caps[pid] == _INF:
-            raise SimulationError("flow has no resources and no rate cap")
-        self._advance()
-        self._rem[fid] = float(nbytes)
-        self._rate[fid] = 0.0
-        self._forder[fid] = order
-        self._comp_add(fid, pid)
-        if self._resolve_event is None:
-            self._resolve_event = self.engine.schedule(0.0, self._deferred_resolve)
-
-    def _finish_zero(self, order: int) -> None:
-        self.completed_count += 1
-        self._on_done(order)
-
-    def _advance(self) -> None:
-        now = self.engine.now
-        elapsed = now - self._last_update
-        rem = self._rem
-        if elapsed > 0.0 and rem:
-            rate = self._rate
-            for fid, r in rem.items():
-                p = r - rate[fid] * elapsed
-                rem[fid] = p if p > 0.0 else 0.0
-            self._stat_flows_advanced += len(rem)
-        self._last_update = now
-
-    def _deferred_resolve(self) -> None:
-        self._resolve_event = None
-        self._resolve()
-
-    def _resolve(self) -> None:
-        self._solve_rates()
-        if self._completion_event is not None:
-            self._completion_event.cancel()
-            self._completion_event = None
-        rem = self._rem
-        if not rem:
-            return
-        rate = self._rate
-        next_eta = _INF
-        for fid, r in rem.items():
-            rt = rate[fid]
-            eta = r / rt if rt > 0.0 else _INF
-            if r <= _EPSILON_BYTES:
-                eta = 0.0
-            if eta < next_eta:
-                next_eta = eta
-        if next_eta == _INF:
-            raise SimulationError(
-                f"{len(rem)} active flow(s) are stalled at zero rate"
-            )
-        self._completion_event = self.engine.schedule(
-            next_eta, self._on_completion_event
-        )
-
-    def _on_completion_event(self) -> None:
-        self._completion_event = None
-        if self._resolve_event is not None:
-            # The direct resolve below covers any deferred one.
-            self._resolve_event.cancel()
-            self._resolve_event = None
-        self._advance()
-        rem = self._rem
-        finished = sorted(fid for fid, r in rem.items() if r <= _EPSILON_BYTES)
-        if not finished:
-            # Rates changed since the event was scheduled; just re-arm.
-            self._resolve()
-            return
-        forder = self._forder
-        rate = self._rate
-        orders = []
-        for fid in finished:
-            orders.append(forder.pop(fid))
-            del rem[fid]
-            del rate[fid]
-            self._comp_remove(fid)
-        self._resolve()
-        on_done = self._on_done
-        for order in orders:  # fid order, exactly like _finish_flow
-            self.completed_count += 1
-            on_done(order)
-
-    # -- component tracking (ported from FlowNetwork) ------------------
-    def _comp_add(self, fid: int, pid: int) -> None:
-        comp_flows = self._comp_flows
-        res_comp = self._res_comp
-        found: list = []
-        for rid in self._res_lists[pid]:
-            c = res_comp.get(rid)
-            if c is not None and c not in found:
-                found.append(c)
-        if not found:
-            target = self._next_comp
-            self._next_comp += 1
-            comp_flows[target] = {}
-            self._comp_res[target] = set()
-        else:
-            target = found[0]
-            for c in found[1:]:
-                if len(comp_flows[c]) > len(comp_flows[target]):
-                    target = c
-            for c in found:
-                if c == target:
-                    continue
-                moved = comp_flows.pop(c)
-                comp_flows[target].update(moved)
-                for f in moved:
-                    self._flow_comp[f] = target
-                res = self._comp_res.pop(c)
-                self._comp_res[target] |= res
-                for rid in res:
-                    res_comp[rid] = target
-                self._dirty_comps.discard(c)
-                if c in self._split_comps:
-                    self._split_comps.discard(c)
-                    self._split_comps.add(target)
-                self._comp_removals[target] = self._comp_removals.pop(
-                    target, 0
-                ) + self._comp_removals.pop(c, 0)
-        for rid in self._res_lists[pid]:
-            res_comp[rid] = target
-            self._comp_res[target].add(rid)
-        comp_flows[target][fid] = pid
-        self._flow_comp[fid] = target
-        self._dirty_comps.add(target)
-
-    def _comp_remove(self, fid: int) -> None:
-        c = self._flow_comp.pop(fid)
-        flows = self._comp_flows[c]
-        del flows[fid]
-        if not flows:
-            del self._comp_flows[c]
-            for rid in self._comp_res.pop(c):
-                if self._res_comp.get(rid) == c:
-                    del self._res_comp[rid]
-            self._dirty_comps.discard(c)
-            self._split_comps.discard(c)
-            self._comp_removals.pop(c, None)
-            return
-        self._dirty_comps.add(c)
-        removed = self._comp_removals.get(c, 0) + 1
-        # Repartition once removals rival the component's size (same
-        # amortisation rule as the stock tracker).
-        if removed >= max(4, len(flows)):
-            self._split_comps.add(c)
-            self._comp_removals.pop(c, None)
-        else:
-            self._comp_removals[c] = removed
-
-    def _repartition_comp(self, c: int) -> None:
-        flows = self._comp_flows.pop(c)
-        for rid in self._comp_res.pop(c):
-            if self._res_comp.get(rid) == c:
-                del self._res_comp[rid]
-        self._dirty_comps.discard(c)
-        self._comp_removals.pop(c, None)
-
-        # Union-find over resource ids, flows visited in fid order —
-        # byte-for-byte the grouping FlowNetwork._partition computes.
-        parent: dict = {}
-
-        def find(x):
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        res_lists = self._res_lists
-        ordered = sorted(flows)
-        keys: list = []
-        for fid in ordered:
-            base = None
-            for rid in res_lists[flows[fid]]:
-                if rid not in parent:
-                    parent[rid] = rid
-                root = find(rid)
-                if base is None:
-                    base = root
-                elif root != base:
-                    parent[root] = base
-            keys.append(base)
-
-        groups: dict = {}
-        grouped: list = []
-        for fid, key in zip(ordered, keys):
-            gkey = ("f", fid) if key is None else ("r", find(key))
-            group = groups.get(gkey)
-            if group is None:
-                groups[gkey] = group = []
-                grouped.append(group)
-            group.append(fid)
-
-        for group in grouped:
-            nc = self._next_comp
-            self._next_comp += 1
-            self._comp_flows[nc] = {f: flows[f] for f in group}
-            res: set = set()
-            for f in group:
-                res.update(res_lists[flows[f]])
-            self._comp_res[nc] = res
-            for rid in res:
-                self._res_comp[rid] = nc
-            for f in group:
-                self._flow_comp[f] = nc
-            self._dirty_comps.add(nc)
-
-    # -- rate solving --------------------------------------------------
-    def _solve_rates(self) -> None:
-        if not self._dirty_comps and not self._split_comps:
-            return
-        start = perf_counter()  # det: allow — telemetry, not sim state
-        if self._split_comps:
-            for c in sorted(self._split_comps):
-                if c in self._comp_flows:
-                    self._repartition_comp(c)
-            self._split_comps.clear()
-        for c in sorted(self._dirty_comps):
-            self._solve_component(self._comp_flows[c])
-        self._dirty_comps.clear()
-        self._stat_solves += 1
-        self._stat_solve_time += perf_counter() - start  # det: allow
-
-    def _solve_component(self, flows: Dict[int, int]) -> None:
-        class_of = self._class_of_pid
-        fids = sorted(flows)
-        pids = [flows[f] for f in fids]
-        classes = [class_of[p] for p in pids]
-        key = tuple(sorted(classes))
-        hit = self._memo.get(key)
-        if hit is None:
-            # Same-class flows are interchangeable rows, so they get
-            # bitwise-equal rates and one entry per class suffices.
-            rate_caps = self._rate_caps
-            rates, rounds = water_fill(
-                [self._res_lists[p] for p in pids],
-                self._capacities,
-                [rate_caps[p] for p in pids],
-            )
-            hit = (dict(zip(classes, rates)), rounds)
-            if len(self._memo) < (1 << 16):
-                self._memo[key] = hit
-        stored, rounds = hit
-        rate = self._rate
-        for f, cls in zip(fids, classes):
-            rate[f] = stored[cls]
-        n = len(fids)
-        self._stat_rounds += rounds
-        self._stat_components += 1
-        self._stat_flows_solved += n
-        if n > self._stat_max_component:
-            self._stat_max_component = n
-
-
 class ReplayEngine:
     """Execute a compiled schedule against the fluid solver, sans DES.
 
@@ -718,8 +336,9 @@ class ReplayEngine:
     completion callbacks resume blocked ranks inline in exactly the
     cascade order the coroutine runtime produces, so timestamps (and the
     fid-ordered flow bookkeeping beneath them) are bitwise identical.
-    Payload transfers run through :class:`_LeanFlowNet`, whose scalar
-    data plane and solve memo are bitwise-neutral by construction.
+    Payload transfers run on the DES's
+    :class:`~repro.sim.flows.FlowNetwork` with the shared solve memo,
+    which is bitwise-neutral by construction.
     """
 
     def __init__(self, machine, schedule: ReplaySchedule, working_set: int = 0):
@@ -769,57 +388,22 @@ class ReplayEngine:
         self._eager: List[bool] = (
             schedule.send_nbytes <= spec.eager_threshold
         ).tolist()
-        # Python ints for add_flow: keeps the float conversion identical
+        # Python ints for the flow starts: keeps the float conversion identical
         # to the DES transport's ``req.nbytes`` path.
         self._nbytes: List[int] = [int(b) for b in schedule.send_nbytes]
 
-        # Dense resource ids in plan-discovery order (the analogue of
-        # FlowNetwork._ids_for; id values only name resources).
-        res_index: Dict = {}
-        capacities: List[float] = []
-        res_lists: List[List[int]] = []
-        for p in plans:
-            ids = []
-            for r in p.resources:
-                rid = res_index.get(r)
-                if rid is None:
-                    rid = len(capacities)
-                    res_index[r] = rid
-                    capacities.append(r.capacity)
-                ids.append(rid)
-            res_lists.append(ids)
-        rate_caps = [
-            p.rate_cap if p.rate_cap is not None else _INF for p in plans
-        ]
-        # Path classes: pairs whose transfer plans traverse the same
-        # resource objects under the same rate cap are interchangeable
-        # rows in the water-filling kernel, so they share a memo id.
-        class_index: Dict[Tuple, int] = {}
-        class_of_pid: List[int] = []
-        for pid in range(len(plans)):
-            ckey = (tuple(res_lists[pid]), rate_caps[pid])
-            cid = class_index.get(ckey)
-            if cid is None:
-                cid = len(class_index)
-                class_index[ckey] = cid
-            class_of_pid.append(cid)
-        # Structural signature: engines agreeing on every dense resource
-        # capacity and on each class id's (path, rate cap) definition
-        # produce identical kernel outputs for identical multisets, so
-        # they can share one cross-run solve memo (warm workers keep it
-        # hot across jobs; see shared_solve_memo).
-        memo_signature = (tuple(capacities), tuple(class_index))
-        self.flownet = _LeanFlowNet(
-            self.engine,
-            self._plan_idx_l,
-            self._nbytes,
-            res_lists,
-            capacities,
-            rate_caps,
-            class_of_pid,
-            self._flow_complete,
-            memo=shared_solve_memo(memo_signature),
-        )
+        # One path class per plan, registered in plan-discovery order, so
+        # resource and class ids are dense and deterministic. Pairs whose
+        # plans traverse the same resources under the same rate cap share
+        # a class: they are interchangeable rows in the kernel.
+        self.flownet = net = FlowNetwork(self.engine, on_done=self._flow_complete)
+        plan_class = [net.path_class(p.resources, p.rate_cap) for p in plans]
+        self._send_class: List[int] = [plan_class[p] for p in self._plan_idx_l]
+        # Engines whose networks agree on every resource capacity and on
+        # each class's (path, rate cap) produce identical kernel outputs
+        # for identical class multisets, so they share one cross-run
+        # solve memo (warm workers keep it hot across jobs).
+        net.memo = shared_solve_memo(net.signature())
 
         # Per-message protocol state (plain lists: scalar indexing on the
         # cascade hot path is markedly faster than numpy item access).
@@ -954,7 +538,7 @@ class ReplayEngine:
         latency = arrival - now
         if self._eager[order]:
             # Payload flow starts at launch, envelope follows the wire.
-            self.flownet.add_flow(order)
+            self.flownet.start(self._nbytes[order], self._send_class[order], order)
         # Rendezvous sends only the envelope for now.
         self.engine.schedule(latency, self._envelope_arrive, order)
 
@@ -973,7 +557,13 @@ class ReplayEngine:
         if not self._eager[order]:
             # Clear-to-send travels back, then the payload flow starts.
             cts = self._rtt * self._latency[self._plan_idx_l[order]]
-            self.engine.schedule(cts, self.flownet.add_flow, order)
+            self.engine.schedule(
+                cts,
+                self.flownet.start,
+                self._nbytes[order],
+                self._send_class[order],
+                order,
+            )
         elif self._flow_done[order]:
             self._deliver(order)
         # else: eager flow still draining; _flow_complete will deliver.

@@ -85,17 +85,6 @@ class TestDispatch:
         des = simulate_allgather(hornet(), 8, 4096, algorithm="ring")
         assert des.engine == "des" and rep.time == des.time
 
-    def test_reference_solver_routes_to_des(self, monkeypatch):
-        # REPRO_SOLVER=reference is the solver differential escape
-        # hatch; replay has its own data plane, so auto honours the
-        # solver request and a forced replay refuses it loudly.
-        monkeypatch.setenv("REPRO_SOLVER", "reference")
-        rec = run()
-        assert rec.engine == "des" and rec.solver_mode == "reference"
-        monkeypatch.setenv(ENGINE_ENV, "replay")
-        with pytest.raises(ConfigurationError, match="REPRO_SOLVER"):
-            run()
-
     def test_compiled_schedule_memoised(self):
         _REPLAY_MEMO.clear()
         run()

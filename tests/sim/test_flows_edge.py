@@ -60,7 +60,9 @@ class TestRegistryAndPaths:
         path = (link,)
         f1 = net.add_flow(10.0, path)
         f2 = net.add_flow(10.0, path)
-        assert f1.res_ids is f2.res_ids  # cache hit
+        # One registered path class, shared by both flows.
+        assert f1.path_class == f2.path_class
+        assert net._class_paths == [(0,)]
         eng.run()
 
     def test_resources_shared_across_networks(self):

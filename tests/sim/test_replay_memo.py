@@ -5,23 +5,23 @@ signature ``(capacities, class_index)``; the shared store lets every
 engine with the same signature — across runs in one process, e.g. a
 sweep batch or a service worker — reuse each other's solves. The
 non-negotiable property: memo state never changes a record. Warm and
-cold runs, shared and private modes, must agree bitwise — including the
-``solver_rounds`` telemetry, which replays the stored kernel round count
-on a hit.
+cold runs, shared and private (full-store) memos, must agree bitwise —
+including the ``solver_rounds`` telemetry, which replays the stored
+kernel round count on a hit.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.collectives.emit import emit_schedule
 from repro.core.api import simulate_bcast
-from repro.machine import hornet
+from repro.machine import Machine, hornet
 from repro.sim.replay import (
-    SOLVE_MEMO_ENV,
+    ReplayEngine,
     clear_solve_memo,
     shared_solve_memo,
     solve_memo_entries,
-    solve_memo_mode,
 )
 
 
@@ -44,29 +44,35 @@ def det_fields(rec):
     return d
 
 
+def fill_store():
+    """Occupy every store slot, so the next new structure gets a
+    private memo dict."""
+    for i in range(64):
+        shared_solve_memo(((float(i),), ()))
+
+
 class TestMode:
-    def test_defaults_to_shared(self, monkeypatch):
-        monkeypatch.delenv(SOLVE_MEMO_ENV, raising=False)
-        assert solve_memo_mode() == "shared"
+    def test_defaults_to_shared(self):
+        engine = ReplayEngine(
+            Machine(hornet(nodes=4), nranks=8),
+            emit_schedule("bcast_opt", 8, 65536),
+        )
+        net = engine.flownet
+        assert net.memo is shared_solve_memo(net.signature())
 
-    def test_reads_env(self, monkeypatch):
-        monkeypatch.setenv(SOLVE_MEMO_ENV, "private")
-        assert solve_memo_mode() == "private"
-
-    def test_private_mode_bypasses_store(self, monkeypatch):
-        monkeypatch.setenv(SOLVE_MEMO_ENV, "private")
+    def test_private_mode_bypasses_store(self):
+        fill_store()
+        entries = solve_memo_entries()
         run_point()
-        assert solve_memo_entries() == 0
+        assert solve_memo_entries() == entries
 
-    def test_shared_mode_populates_store(self, monkeypatch):
-        monkeypatch.delenv(SOLVE_MEMO_ENV, raising=False)
+    def test_shared_mode_populates_store(self):
         run_point()
         assert solve_memo_entries() > 0
 
 
 class TestDeterminism:
-    def test_warm_equals_cold_bitwise(self, monkeypatch):
-        monkeypatch.delenv(SOLVE_MEMO_ENV, raising=False)
+    def test_warm_equals_cold_bitwise(self):
         cold = run_point()
         assert solve_memo_entries() > 0  # store is now warm
         warm = run_point()
@@ -76,18 +82,16 @@ class TestDeterminism:
         # stored kernel round count, not skip it.
         assert warm.solver_rounds == cold.solver_rounds
 
-    def test_shared_equals_private(self, monkeypatch):
-        monkeypatch.delenv(SOLVE_MEMO_ENV, raising=False)
+    def test_shared_equals_private(self):
         shared = run_point()
         clear_solve_memo()
-        monkeypatch.setenv(SOLVE_MEMO_ENV, "private")
+        fill_store()
         private = run_point()
         assert det_fields(shared) == det_fields(private)
 
-    def test_warm_across_sizes_and_algorithms(self, monkeypatch):
+    def test_warm_across_sizes_and_algorithms(self):
         """A batch along the size axis stays bitwise-correct while the
         shared store accumulates entries between points."""
-        monkeypatch.delenv(SOLVE_MEMO_ENV, raising=False)
         grid = [
             (a, n)
             for a in ("scatter_ring_native", "scatter_ring_opt")

@@ -1,23 +1,22 @@
 """Differential and bookkeeping tests for the incremental fluid solver.
 
-The incremental, component-aware solver must be *bitwise* equivalent to
-the from-scratch reference solver (``REPRO_SOLVER=reference``): same
-rates after every change, same completion order, same simulated
-timestamps. The hypothesis test drives randomized add/cancel/complete
-churn through both implementations and compares everything observable;
-the unit tests pin down the component tracking and the O(1)
-slot/removal bookkeeping directly.
+The component-tracking :class:`~repro.sim.flows.FlowNetwork` must be
+*bitwise* equivalent to the from-scratch
+:class:`~tests.sim.reference_solver.ReferenceFlowNetwork`: same rates
+after every change, same completion order, same simulated timestamps.
+The hypothesis test drives randomized add/cancel/complete churn through
+both and compares everything observable; the unit tests pin down the
+component tracking and the per-flow removal bookkeeping directly.
 
-The DES and replay data planes share one scalar water-filling kernel,
-:func:`repro.sim.flows.water_fill`, so ``repro replay --grid`` no longer
-cross-checks its arithmetic. :func:`numpy_water_fill` — the vectorised
+The DES and replay run one data plane with one scalar water-filling
+kernel, :func:`repro.sim.flows.water_fill`, so ``repro replay --grid``
+does not cross-check its arithmetic. :func:`numpy_water_fill` — the vectorised
 kernel both engines used to run — is the oracle instead: the scalar
 kernel must reproduce its rates bit for bit, its round counts and its
 errors, standalone and under whole-simulation churn.
 """
 
 import math
-import os
 from unittest import mock
 
 import numpy as np
@@ -25,9 +24,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Engine, FlowNetwork, Resource, SolverStats, solver_mode
-from repro.sim import flows, replay
+from repro.sim import Engine, FlowNetwork, Resource, SolverStats
+from repro.sim import flows
 from repro.sim.flows import water_fill
+from repro.sim.replay import clear_solve_memo
+
+from .reference_solver import ReferenceFlowNetwork
 
 CAPACITIES = [100.0, 250.0, 400.0, 150.0, 900.0, 60.0]
 INF = float("inf")
@@ -198,8 +200,8 @@ class TestScalarKernel:
                 kernel([[0], []], [100.0], [INF, INF])
 
 
-def _run_script(script, solver):
-    """Execute one churn script on a fresh network; return observables.
+def _run_script(script, network=FlowNetwork):
+    """Execute one churn script on a fresh *network*; return observables.
 
     ``script`` is a list of operations, each a tuple:
 
@@ -209,10 +211,10 @@ def _run_script(script, solver):
     * ``("probe", delay)`` — snapshot every active flow's rate.
 
     Delays are relative to the previous operation, so the script replays
-    identically on both solvers.
+    identically on both networks.
     """
     eng = Engine()
-    net = FlowNetwork(eng, solver=solver)
+    net = network(eng)
     resources = [Resource(f"r{i}", c) for i, c in enumerate(CAPACITIES)]
     added = []
     completions = []
@@ -287,13 +289,13 @@ _probe_op = st.tuples(
 
 
 class TestDifferential:
-    """Incremental and reference solvers are observably identical."""
+    """The incremental and reference networks are observably identical."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.one_of(_add_op, _cancel_op, _probe_op), max_size=24))
     def test_randomized_churn_is_bitwise_identical(self, script):
-        inc = _run_script(script, "incremental")
-        ref = _run_script(script, "reference")
+        inc = _run_script(script)
+        ref = _run_script(script, ReferenceFlowNetwork)
         # Same completion order at the same (bitwise) timestamps.
         assert inc["completions"] == ref["completions"]
         # Same rate assignment at every probe point.
@@ -305,71 +307,50 @@ class TestDifferential:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.one_of(_add_op, _cancel_op, _probe_op), max_size=24))
     def test_numpy_kernel_churn_is_bitwise_identical(self, script):
-        scalar = _run_script(script, "incremental")
+        scalar = _run_script(script)
         with mock.patch.object(flows, "water_fill", numpy_water_fill):
-            vectorised = _run_script(script, "incremental")
+            vectorised = _run_script(script)
         assert _bits(scalar) == _bits(vectorised)
 
     def test_replay_with_numpy_kernel_is_bitwise_identical(self, monkeypatch):
-        """Replay's data plane (solve memo off) under either kernel."""
+        """Replay's data plane (solve memo cold) under either kernel."""
         from repro.core import simulate_bcast
         from repro.machine import hornet
 
         monkeypatch.setenv("REPRO_ENGINE", "replay")
-        monkeypatch.setenv("REPRO_REPLAY_MEMO", "private")
         spec = hornet(nodes=4)
+        clear_solve_memo()
         scalar = simulate_bcast(spec, 12, 1 << 20, algorithm="scatter_ring_opt")
-        with mock.patch.object(
-            replay, "water_fill", side_effect=numpy_water_fill
-        ) as kernel:
-            vectorised = simulate_bcast(
-                spec, 12, 1 << 20, algorithm="scatter_ring_opt"
-            )
+        clear_solve_memo()
+        try:
+            with mock.patch.object(
+                flows, "water_fill", side_effect=numpy_water_fill
+            ) as kernel:
+                vectorised = simulate_bcast(
+                    spec, 12, 1 << 20, algorithm="scatter_ring_opt"
+                )
+        finally:
+            clear_solve_memo()
         assert kernel.call_count > 0
         assert scalar.engine == "replay"
         assert scalar.time.hex() == vectorised.time.hex()
         assert scalar == vectorised
 
-    def test_bcast_simulation_is_bitwise_identical(self):
+    def test_bcast_simulation_is_bitwise_identical(self, monkeypatch):
         from repro.core import simulate_bcast
         from repro.machine import hornet
+        from repro.mpi import runtime
 
+        # Force the DES: this differential is about its solver, not the
+        # replay engine's memo.
+        monkeypatch.setenv("REPRO_ENGINE", "des")
         spec = hornet(nodes=4)
-        times = {}
-        for mode in ("incremental", "reference"):
-            # Force the DES: this differential is about its two solver
-            # implementations, not the replay engine's data plane.
-            os.environ["REPRO_SOLVER"] = mode
-            os.environ["REPRO_ENGINE"] = "des"
-            try:
-                rec = simulate_bcast(
-                    spec, 8, 65536, algorithm="scatter_ring_opt"
-                )
-            finally:
-                del os.environ["REPRO_SOLVER"]
-                del os.environ["REPRO_ENGINE"]
-            times[mode] = rec.time
-            assert rec.solver_mode == mode
-        assert times["incremental"] == times["reference"]
-
-
-class TestSolverSelection:
-    def test_env_selects_reference(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER", "reference")
-        assert solver_mode() == "reference"
-        assert FlowNetwork(Engine()).solver == "reference"
-
-    def test_default_is_incremental(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVER", raising=False)
-        assert solver_mode() == "incremental"
-        assert FlowNetwork(Engine()).solver == "incremental"
-
-    def test_unknown_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER", "magic")
-        with pytest.raises(SimulationError, match="unknown"):
-            solver_mode()
-        with pytest.raises(SimulationError, match="unknown"):
-            FlowNetwork(Engine(), solver="magic")
+        inc = simulate_bcast(spec, 8, 65536, algorithm="scatter_ring_opt")
+        monkeypatch.setattr(runtime, "FlowNetwork", ReferenceFlowNetwork)
+        ref = simulate_bcast(spec, 8, 65536, algorithm="scatter_ring_opt")
+        assert (inc.solver_mode, ref.solver_mode) == ("incremental", "reference")
+        assert inc.time.hex() == ref.time.hex()
+        assert (inc.messages, inc.bytes_on_wire) == (ref.messages, ref.bytes_on_wire)
 
 
 class TestEmptyPathValidation:
@@ -403,7 +384,7 @@ class TestEmptyPathValidation:
 class TestComponentTracking:
     def test_disjoint_groups_solved_as_separate_components(self):
         eng = Engine()
-        net = FlowNetwork(eng, solver="incremental")
+        net = FlowNetwork(eng)
         a = Resource("a", 100.0)
         b = Resource("b", 100.0)
         for res in (a, a, b, b):
@@ -416,7 +397,7 @@ class TestComponentTracking:
 
     def test_untouched_component_is_not_resolved(self):
         eng = Engine()
-        net = FlowNetwork(eng, solver="incremental")
+        net = FlowNetwork(eng)
         a = Resource("a", 100.0)
         b = Resource("b", 100.0)
         f1 = net.add_flow(1000.0, [a])
@@ -435,7 +416,7 @@ class TestComponentTracking:
 
     def test_shared_resource_merges_components(self):
         eng = Engine()
-        net = FlowNetwork(eng, solver="incremental")
+        net = FlowNetwork(eng)
         a = Resource("a", 100.0)
         b = Resource("b", 100.0)
         net.add_flow(1000.0, [a])
@@ -449,7 +430,7 @@ class TestComponentTracking:
 
     def test_cancel_resolves_only_the_touched_component(self):
         eng = Engine()
-        net = FlowNetwork(eng, solver="incremental")
+        net = FlowNetwork(eng)
         a = Resource("a", 100.0)
         b = Resource("b", 100.0)
         fa = net.add_flow(1000.0, [a])
@@ -473,7 +454,7 @@ class TestComponentTracking:
         eng.run()
         stats = net.stats()
         assert isinstance(stats, SolverStats)
-        assert stats.mode == net.solver
+        assert stats.mode == "incremental"
         assert stats.solves >= 1
         assert stats.rounds >= stats.solves
         assert stats.flows_advanced >= 0
@@ -491,11 +472,13 @@ class TestRemovalBookkeeping:
         link = Resource("link", 100.0)
         flow = net.add_flow(500.0, [link])
         fid = flow.fid
-        assert fid in net._fid_slot
+        assert fid in net._rem and fid in net._rate
         eng.run()
-        assert fid not in net._fid_slot
+        # Every per-flow map lets go of the flow, not just the count.
+        for state in (net._rem, net._rate, net._token, net._flow_comp):
+            assert fid not in state
+        assert not net._comp_flows and not net._res_comp
         assert net.active_count == 0
-        assert net._free_slots  # slot recycled, not leaked
         assert link.load == 0
         # Detached flow still reports its terminal state.
         assert flow.remaining == 0.0
@@ -507,9 +490,11 @@ class TestRemovalBookkeeping:
         for _ in range(50):
             net.add_flow(10.0, [link])
             eng.run()
-        # Sequential churn keeps reusing the same slot: the pool never
-        # grows beyond the peak concurrency.
-        assert len(net._slot_flow) == 1
+        # Sequential churn reuses one path class and leaves no per-flow
+        # or component state behind: nothing grows with the flow count.
+        assert net._class_paths == [(0,)]
+        assert not net._rem and not net._rate and not net._token
+        assert not net._comp_flows and not net._comp_res and not net._res_comp
 
     def test_cancel_is_o1_and_idempotent(self):
         eng = Engine()
@@ -521,8 +506,28 @@ class TestRemovalBookkeeping:
         assert net.active_count == 4
         net.cancel_flow(flows[2])  # second cancel is a silent no-op
         assert net.active_count == 4
-        assert flows[2].fid not in net._fid_slot
+        assert flows[2].fid not in net._rem
         assert link.load == 4
+
+    def test_cancel_zero_byte_flow_skips_callback(self):
+        """A zero-byte flow completes at the next event; cancelling it
+        first drops that completion, as for any other flow."""
+        eng = Engine()
+        net = FlowNetwork(eng)
+        link = Resource("link", 100.0)
+        fired = []
+        flow = net.add_flow(0.0, [link], on_complete=fired.append)
+        net.cancel_flow(flow)
+        net.cancel_flow(flow)  # idempotent
+        eng.run()
+        assert fired == []
+        assert net.completed_count == 0
+        assert link.load == 0
+        # Cancelling after completion is a no-op too.
+        done = net.add_flow(0.0, [link], on_complete=fired.append)
+        eng.run()
+        net.cancel_flow(done)
+        assert fired == [done] and net.completed_count == 1
 
     def test_duplicate_resource_multiplicity_tracked(self):
         eng = Engine()

@@ -4,6 +4,7 @@ Docs rot silently; these tests keep README/DESIGN/EXPERIMENTS honest
 against the tree they describe.
 """
 
+import ast
 import pathlib
 import re
 
@@ -28,6 +29,35 @@ _PATH_RE = re.compile(
 )
 
 
+_ENV_RE = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9]\b")
+
+
+def _env_names_in_package_code():
+    """``REPRO_*`` names in string literals under ``src/repro`` — the
+    variable names code passes to ``os.environ`` — docstrings excluded."""
+    names = set()
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(
+                node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            )
+            and node.body
+            and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in docstrings
+            ):
+                names.update(_ENV_RE.findall(node.value))
+    return names
+
+
 def test_all_doc_files_exist():
     for doc in DOCS:
         assert doc.exists(), doc
@@ -39,6 +69,14 @@ def test_referenced_paths_exist(doc):
     for match in _PATH_RE.finditer(text):
         path = ROOT / match.group(1)
         assert path.exists(), f"{doc.name} references missing {match.group(1)}"
+
+
+def test_documented_env_vars_are_read():
+    """A retired ``REPRO_*`` knob leaves the docs together with its code."""
+    read = _env_names_in_package_code()
+    for doc in DOCS:
+        for name in sorted(set(_ENV_RE.findall(doc.read_text()))):
+            assert name in read, f"{doc.name} documents {name}; src/repro never reads it"
 
 
 def test_readme_example_table_matches_directory():
