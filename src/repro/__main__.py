@@ -50,10 +50,16 @@ Every analysis subcommand (``verify``/``cost``/``chaos``/``replay``/
 ``mc``/``prove``/``lint``) follows one exit-code convention: **0** all
 checks passed, **1** at least one violation/failed obligation (for the
 differential gates, only under ``--strict``), **2** configuration or
-usage error (unknown collective, malformed ``--nranks``/``--nbytes``,
-missing file). Set ``REPRO_GATE_TIMES=path.json`` to append each
-subcommand's wall time to a ``BENCH_``-style JSON that ``bench-report``
-renders alongside the performance trajectories.
+usage error (unknown collective, a P it does not support, a root
+outside [0, P), malformed ``--nranks``/``--nbytes``, missing file).
+Set ``REPRO_GATE_TIMES=path.json`` to append each subcommand's wall
+time to a ``BENCH_``-style JSON that ``bench-report`` renders alongside
+the performance trajectories.
+
+Each gate builds its recipe (the dict an artifact stores as
+``config``) once and runs it in-process through
+:func:`repro.artifacts.audit.run_gate`, the function ``repro audit``
+re-runs recorded artifacts through; ``--artifact`` freezes that recipe.
 
 ``sweep`` and ``figure`` accept ``--jobs N`` to fan points out over N
 worker processes (``0`` = one per CPU) and use the on-disk result cache
@@ -62,8 +68,6 @@ With a ``repro serve`` instance running, ``--serve`` (or
 ``REPRO_SERVE=auto``) submits the points to its warm pool instead;
 ``--serve HOST:PORT`` names a server explicitly and fails if it is
 unreachable, while auto-discovery falls back to the in-process path.
-The verify/cost/chaos/replay grid gates take the same flag and run
-server-side when it is given.
 
 Examples::
 
@@ -269,10 +273,6 @@ def _add_exec_args(p: argparse.ArgumentParser) -> None:
         default=None,
         help="cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
     )
-    _add_serve_arg(p)
-
-
-def _add_serve_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--serve",
         nargs="?",
@@ -307,7 +307,7 @@ def _add_artifact_arg(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _persist_artifact(args, kind: str, config: dict, records) -> None:
+def _persist_artifact(args, kind: str, config: dict, report) -> None:
     """Freeze one completed run into the artifact store when asked.
 
     Enabled by ``--artifact [DIR]`` or a non-empty ``REPRO_ARTIFACTS``
@@ -320,10 +320,44 @@ def _persist_artifact(args, kind: str, config: dict, records) -> None:
     if dest is None and not os.environ.get("REPRO_ARTIFACTS", "").strip():
         return
     from .artifacts import ArtifactStore, RunArtifact
+    from .artifacts.audit import payload
 
     store = ArtifactStore(None if dest in (None, "auto") else dest)
-    path = store.save(RunArtifact.create(kind, config, records))
+    path = store.save(RunArtifact.create(kind, config, payload(report)))
     print(f"artifact: {path}")
+
+
+def _run_recipe(args, kind: str, recipe: dict, progress=None):
+    """Run a gate's recipe through the table ``repro audit`` re-runs,
+    freeze it when asked, and return the gate's report."""
+    from .artifacts.audit import run_gate
+
+    report = run_gate(kind, recipe, progress)
+    _persist_artifact(args, kind, recipe, report)
+    return report
+
+
+def _check_point(
+    collective: str, nranks: int, root: int = 0, allow_all: bool = False
+) -> None:
+    """Raise ConfigurationError (exit 2) unless *collective* is known,
+    supports P=*nranks* and 0 <= *root* < P; with *allow_all*, ``all``
+    names every collective that supports P."""
+    from .analysis.verify import REGISTRY
+    from .errors import ConfigurationError
+
+    if allow_all and collective == "all":
+        supported = nranks >= 1
+    elif collective in REGISTRY:
+        supported = REGISTRY[collective].supports(nranks)
+    else:
+        raise ConfigurationError(
+            f"unknown collective {collective!r}; known: {sorted(REGISTRY)}"
+        )
+    if not supported:
+        raise ConfigurationError(f"{collective!r} does not support P={nranks}")
+    if not 0 <= root < nranks:
+        raise ConfigurationError(f"root {root} is outside [0, {nranks})")
 
 
 def cmd_sweep(args) -> int:
@@ -352,8 +386,6 @@ def cmd_sweep(args) -> int:
         print(_chaos_stats_table(records))
     if cache is not None:
         print(cache.stats().describe())
-    import dataclasses
-
     from .service import protocol as _sproto
 
     _persist_artifact(
@@ -367,7 +399,7 @@ def cmd_sweep(args) -> int:
             "faults": _sproto.encode_faults(sweep.faults),
             "reliable": _sproto.encode_reliable(sweep.reliable),
         },
-        [dataclasses.asdict(rec) for rec in records],
+        records,
     )
     return 0
 
@@ -508,37 +540,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _gate_via_service(args, gate: str, params: dict, spec=None, strict=None):
-    """Run a grid gate on the simulation service when ``--serve`` asks.
-
-    Returns the exit code when the gate ran server-side, ``None`` when
-    the request should proceed locally (no ``--serve``, or
-    auto-discovery found no server).
-    """
-    if getattr(args, "serve", None) is None:
-        return None
-    import json as _json
-
-    from .service import protocol as _sproto
-    from .service.client import connect_or_none
-
-    client = connect_or_none(args.serve)
-    if client is None:
-        return None
-    if spec is not None:
-        params = {**params, "spec": _sproto.encode_spec(spec)}
-    with client:
-        reply = client.gate(gate, params)
-    if getattr(args, "json", False):
-        print(_json.dumps(reply.get("report"), indent=2))
-    else:
-        print(reply.get("text", ""))
-    ok = bool(reply.get("ok"))
-    if strict is None:
-        strict = True
-    return (1 if not ok else 0) if strict else 0
-
-
 def cmd_traffic(args) -> int:
     procs = _parse_ranks(args.procs)
     table = Table(
@@ -596,52 +597,22 @@ def cmd_validate(args) -> int:
 def cmd_verify(args) -> int:
     import json as _json
 
-    from .analysis.verify import verifiable_collectives, verify_collective
-    from .errors import ConfigurationError
     from .util import parse_size
 
     nbytes = parse_size(args.nbytes)
     ranks = _parse_ranks(args.nranks)
-    if args.collective == "all" and not args.mc:
-        # Route the whole-registry grid to a simulation server when asked.
-        # The cost-model consistency pass always runs locally afterwards
-        # via the normal path, so a routed verify covers schedules only.
-        # (--mc always runs locally: the service protocol predates it.)
-        code = _gate_via_service(
-            args,
-            "verify",
-            {
-                "ranks": ranks,
-                "nbytes": nbytes,
-                "root": args.root,
-                "strict": args.strict,
-                "rendezvous": not args.no_rendezvous,
-            },
-        )
-        if code is not None:
-            return code
-    reports = []
     for nranks in ranks:
-        if args.collective == "all":
-            names = verifiable_collectives(nranks)
-        else:
-            names = [args.collective]
-        for name in names:
-            try:
-                reports.append(
-                    verify_collective(
-                        name,
-                        nranks,
-                        nbytes=nbytes,
-                        root=args.root,
-                        rendezvous=not args.no_rendezvous,
-                        modelcheck=args.mc,
-                        mc_max_states=args.mc_max_states,
-                    )
-                )
-            except ConfigurationError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+        _check_point(args.collective, nranks, args.root, allow_all=True)
+    recipe = {
+        "collective": args.collective,
+        "ranks": ranks,
+        "nbytes": nbytes,
+        "root": args.root,
+        "rendezvous": not args.no_rendezvous,
+    }
+    if args.mc:
+        recipe.update(modelcheck=True, mc_max_states=args.mc_max_states)
+    reports = _run_recipe(args, "verify", recipe)
     failed = sum(
         0 if (r.ok_strict() if args.strict else r.ok) else 1 for r in reports
     )
@@ -673,21 +644,6 @@ def cmd_verify(args) -> int:
                     f"{r.collective} P={r.nranks}: {cost.transfers} "
                     f"transfer(s) but a zero time bound"
                 )
-    if not args.mc:
-        # Freeze the run for `repro audit` (--mc reports carry extra
-        # model-checker state the audit runner does not reproduce).
-        _persist_artifact(
-            args,
-            "verify",
-            {
-                "collective": args.collective,
-                "ranks": ranks,
-                "nbytes": nbytes,
-                "root": args.root,
-                "rendezvous": not args.no_rendezvous,
-            },
-            [r.to_dict() for r in reports],
-        )
     if args.json:
         print(_json.dumps([r.to_dict() for r in reports], indent=2))
         for line in cost_failures:
@@ -731,25 +687,16 @@ def cmd_verify(args) -> int:
 def cmd_mc(args) -> int:
     import json as _json
 
-    from .analysis.modelcheck import check_collective, mc_grid
-    from .errors import ConfigurationError
+    from .analysis.modelcheck import check_collective
     from .sim.faults import FaultPlan
     from .util import parse_size
 
     nbytes = parse_size(args.nbytes)
     if args.grid:
-        report = mc_grid(
-            nbytes=nbytes, max_states=args.max_states, seed=args.seed
-        )
-        _persist_artifact(
+        report = _run_recipe(
             args,
             "mc",
-            {
-                "nbytes": nbytes,
-                "max_states": args.max_states,
-                "seed": args.seed,
-            },
-            report.to_dict(),
+            {"nbytes": nbytes, "max_states": args.max_states, "seed": args.seed},
         )
         if args.json:
             print(_json.dumps(report.to_dict(), indent=2))
@@ -789,22 +736,19 @@ def cmd_mc(args) -> int:
         )
     reports = []
     for nranks in _parse_ranks(args.nranks):
-        try:
-            reports.append(
-                check_collective(
-                    args.collective,
-                    nranks,
-                    nbytes=nbytes,
-                    root=args.root,
-                    mode="naive" if args.naive else "dpor",
-                    max_states=args.max_states,
-                    faults=faults,
-                    max_attempts=args.max_attempts,
-                )
+        _check_point(args.collective, nranks, args.root)
+        reports.append(
+            check_collective(
+                args.collective,
+                nranks,
+                nbytes=nbytes,
+                root=args.root,
+                mode="naive" if args.naive else "dpor",
+                max_states=args.max_states,
+                faults=faults,
+                max_attempts=args.max_attempts,
             )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        )
     if args.json:
         print(_json.dumps([r.to_dict() for r in reports], indent=2))
     else:
@@ -818,9 +762,8 @@ def cmd_mc(args) -> int:
 def cmd_cost(args) -> int:
     import json as _json
 
-    from .analysis.costmodel import analyze_collective, differential_gate
+    from .analysis.costmodel import analyze_collective
     from .analysis.verify import verifiable_collectives
-    from .errors import ConfigurationError
     from .util import parse_size
 
     # The gate's band guarantees are calibrated against the contention-free
@@ -830,24 +773,9 @@ def cmd_cost(args) -> int:
         args.machine = "ideal" if args.grid else "hornet"
     spec = _spec(args)
     if args.grid:
-        code = _gate_via_service(
-            args,
-            "cost",
-            {"placement": args.placement, "band": args.band},
-            spec=spec,
-            strict=args.strict,
-        )
-        if code is not None:
-            return code
-        report = differential_gate(
-            spec=spec,
-            placement=args.placement,
-            band=args.band,
-            progress=None if args.json else print,
-        )
         from .service import protocol as _sproto
 
-        _persist_artifact(
+        report = _run_recipe(
             args,
             "cost",
             {
@@ -855,7 +783,7 @@ def cmd_cost(args) -> int:
                 "placement": args.placement,
                 "band": args.band,
             },
-            report.to_dict(),
+            progress=None if args.json else print,
         )
         if args.json:
             print(_json.dumps(report.to_dict(), indent=2))
@@ -864,26 +792,22 @@ def cmd_cost(args) -> int:
         return (1 if not report.ok else 0) if args.strict else 0
 
     nbytes = parse_size(args.nbytes)
+    _check_point(args.collective, args.nranks, args.root, allow_all=True)
     if args.collective == "all":
         names = verifiable_collectives(args.nranks)
     else:
         names = [args.collective]
-    reports = []
-    for name in names:
-        try:
-            reports.append(
-                analyze_collective(
-                    name,
-                    args.nranks,
-                    nbytes,
-                    root=args.root,
-                    spec=spec,
-                    placement=args.placement,
-                )
-            )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    reports = [
+        analyze_collective(
+            name,
+            args.nranks,
+            nbytes,
+            root=args.root,
+            spec=spec,
+            placement=args.placement,
+        )
+        for name in names
+    ]
     if args.json:
         print(_json.dumps([r.to_dict() for r in reports], indent=2))
         return 0
@@ -915,8 +839,8 @@ def cmd_cost(args) -> int:
 def cmd_chaos(args) -> int:
     import json as _json
 
-    from .analysis.chaos import DEFAULT_RANKS, chaos_gate
-    from .analysis.verify import REGISTRY
+    from .analysis.chaos import DEFAULT_RANKS
+    from .service import protocol as _sproto
     from .util import parse_size
 
     # Like ``cost --grid``, the gate's reference-equality guarantees are
@@ -924,50 +848,17 @@ def cmd_chaos(args) -> int:
     if args.machine is None:
         args.machine = "ideal"
     spec = _spec(args)
-    if args.grid:
-        code = _gate_via_service(
-            args,
-            "chaos",
-            {"seed": args.seed, "nbytes": parse_size(args.nbytes)},
-            spec=spec,
-            strict=args.strict,
-        )
-        if code is not None:
-            return code
-        collectives = None
-        ranks = DEFAULT_RANKS
-    else:
-        if args.collective not in REGISTRY:
-            print(
-                f"error: unknown collective {args.collective!r}; "
-                f"known: {sorted(REGISTRY)}",
-                file=sys.stderr,
-            )
-            return 2
-        collectives = [args.collective]
-        ranks = [args.nranks]
-    report = chaos_gate(
-        seed=args.seed,
-        spec=spec,
-        collectives=collectives,
-        ranks=ranks,
-        nbytes=parse_size(args.nbytes),
-        progress=None,
-    )
-    from .service import protocol as _sproto
-
-    _persist_artifact(
-        args,
-        "chaos",
-        {
-            "spec": _sproto.encode_spec(spec),
-            "seed": args.seed,
-            "collectives": collectives,
-            "ranks": list(ranks),
-            "nbytes": parse_size(args.nbytes),
-        },
-        report.to_dict(),
-    )
+    recipe = {
+        "spec": _sproto.encode_spec(spec),
+        "seed": args.seed,
+        "collectives": None,
+        "ranks": list(DEFAULT_RANKS),
+        "nbytes": parse_size(args.nbytes),
+    }
+    if not args.grid:
+        _check_point(args.collective, args.nranks)
+        recipe.update(collectives=[args.collective], ranks=[args.nranks])
+    report = _run_recipe(args, "chaos", recipe)
     if args.json:
         print(_json.dumps(report.to_dict(), indent=2))
         return (1 if not report.ok else 0) if args.strict else 0
@@ -994,55 +885,24 @@ def cmd_chaos(args) -> int:
 def cmd_replay(args) -> int:
     import json as _json
 
-    from .analysis.replaygate import (
-        DEFAULT_RANKS,
-        DEFAULT_SIZES,
-        replay_gate,
-        run_replay_point,
-    )
-    from .analysis.verify import REGISTRY
+    from .analysis.replaygate import DEFAULT_RANKS, DEFAULT_SIZES
+    from .service import protocol as _sproto
     from .util import parse_size
 
     spec = _spec(args)
-    if args.grid:
-        code = _gate_via_service(args, "replay", {}, spec=spec, strict=args.strict)
-        if code is not None:
-            return code
-        report = replay_gate(
-            spec=spec, ranks=DEFAULT_RANKS, sizes=DEFAULT_SIZES, progress=None
+    recipe = {
+        "spec": _sproto.encode_spec(spec),
+        "ranks": list(DEFAULT_RANKS),
+        "sizes": list(DEFAULT_SIZES),
+    }
+    if not args.grid:
+        _check_point(args.collective, args.nranks)
+        recipe.update(
+            collectives=[args.collective],
+            ranks=[args.nranks],
+            sizes=[parse_size(args.nbytes)],
         )
-        from .service import protocol as _sproto
-
-        _persist_artifact(
-            args,
-            "replay",
-            {
-                "spec": _sproto.encode_spec(spec),
-                "ranks": list(DEFAULT_RANKS),
-                "sizes": list(DEFAULT_SIZES),
-            },
-            report.to_dict(),
-        )
-    else:
-        if args.collective not in REGISTRY:
-            print(
-                f"error: unknown collective {args.collective!r}; "
-                f"known: {sorted(REGISTRY)}",
-                file=sys.stderr,
-            )
-            return 2
-        if not REGISTRY[args.collective].supports(args.nranks):
-            print(
-                f"error: {args.collective!r} does not support P={args.nranks}",
-                file=sys.stderr,
-            )
-            return 2
-        from .analysis.replaygate import ReplayReport
-
-        check = run_replay_point(
-            args.collective, args.nranks, parse_size(args.nbytes), spec=spec
-        )
-        report = ReplayReport(checks=(check,), machine=spec.name)
+    report = _run_recipe(args, "replay", recipe)
     if args.json:
         print(_json.dumps(report.to_dict(), indent=2))
         return (1 if not report.ok else 0) if args.strict else 0
@@ -1194,20 +1054,8 @@ def cmd_trace(args) -> int:
 
     nbytes = parse_size(args.nbytes)
     spec = _spec(args)
-    collective = REGISTRY.get(args.collective)
-    if collective is None:
-        print(
-            f"error: unknown collective {args.collective!r}; "
-            f"known: {sorted(REGISTRY)}",
-            file=sys.stderr,
-        )
-        return 2
-    if not collective.supports(args.nranks):
-        print(
-            f"error: {args.collective!r} does not support P={args.nranks}",
-            file=sys.stderr,
-        )
-        return 2
+    _check_point(args.collective, args.nranks, args.root)
+    collective = REGISTRY[args.collective]
     try:
         machine = Machine(spec, args.nranks, args.placement)
     except ReproError as exc:
@@ -1248,7 +1096,7 @@ def cmd_lint(args) -> int:
 def cmd_prove(args) -> int:
     import json as _json
 
-    from .analysis.certify import prove_all, prove_collective
+    from .analysis.certify import prove_collective
     from .errors import ConfigurationError
     from .util import parse_size
 
@@ -1259,22 +1107,9 @@ def cmd_prove(args) -> int:
         lo_s, _, hi_s = args.xval.partition(":")
         lo, hi = int(lo_s), int(hi_s)
     except ValueError:
-        print(
-            f"error: --xval expects LO:HI, got {args.xval!r}", file=sys.stderr
-        )
-        return 2
+        raise ConfigurationError(f"--xval expects LO:HI, got {args.xval!r}") from None
     if args.collective == "all":
-        try:
-            report = prove_all(
-                xval_lo=lo,
-                xval_hi=hi,
-                nbytes=nbytes,
-                skip_crossval=args.no_crossval,
-            )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        _persist_artifact(
+        report = _run_recipe(
             args,
             "prove",
             {
@@ -1283,7 +1118,6 @@ def cmd_prove(args) -> int:
                 "nbytes": nbytes,
                 "skip_crossval": args.no_crossval,
             },
-            report.to_dict(),
         )
         if args.json:
             print(_json.dumps(report.to_dict(), indent=2))
@@ -1291,17 +1125,13 @@ def cmd_prove(args) -> int:
             print(report.describe())
         ok = report.ok_strict() if args.strict else report.ok
         return 0 if ok else 1
-    try:
-        cert = prove_collective(
-            args.collective,
-            xval_lo=lo,
-            xval_hi=hi,
-            nbytes=nbytes,
-            skip_crossval=args.no_crossval,
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cert = prove_collective(
+        args.collective,
+        xval_lo=lo,
+        xval_hi=hi,
+        nbytes=nbytes,
+        skip_crossval=args.no_crossval,
+    )
     if args.json:
         print(_json.dumps(cert.to_dict(), indent=2))
     else:
@@ -1498,7 +1328,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=20000,
         help="model-checker state budget per point (default: 20000)",
     )
-    _add_serve_arg(p)
     _add_artifact_arg(p)
     p.set_defaults(func=cmd_verify)
 
@@ -1605,7 +1434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--json", action="store_true", help="machine-readable JSON output"
     )
-    _add_serve_arg(p)
     _add_artifact_arg(p)
     p.set_defaults(func=cmd_cost)
 
@@ -1645,7 +1473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--json", action="store_true", help="machine-readable JSON output"
     )
-    _add_serve_arg(p)
     _add_artifact_arg(p)
     p.set_defaults(func=cmd_chaos)
 
@@ -1682,7 +1509,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--json", action="store_true", help="machine-readable JSON output"
     )
-    _add_serve_arg(p)
     _add_artifact_arg(p)
     p.set_defaults(func=cmd_replay)
 

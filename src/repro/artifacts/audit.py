@@ -6,30 +6,39 @@ still reproduce?":
 1. **integrity** — the artifact's internal digests are recomputed from
    its payload; a tampered or torn file fails here (exit 1) without
    simulating anything;
-2. **re-execution** — the artifact's ``config`` recipe is replayed
-   through the same entry points that produced it (the sweep executor,
-   or a verify/cost/chaos/replay/mc/prove gate), serially and without
-   the result cache, so the comparison is against fresh simulation;
+2. **re-execution** — the artifact's ``config`` recipe is run again
+   through :func:`run_gate` (for a verify/cost/chaos/replay/mc/prove
+   gate, the function the CLI ran it through; for a sweep, the serial
+   executor), without the result cache, so the comparison is against
+   fresh simulation;
 3. **bitwise diff** — the fresh payload must equal the stored
    ``records`` exactly (after scrubbing the wall-clock telemetry fields
    every comparison ignores, see :data:`~repro.artifacts.store.VOLATILE_KEYS`);
    the first differing paths are named in the report.
 
-A mismatch with environment drift (different code-version salt, solver
-or engine mode) is still a mismatch — but the report says which
+A mismatch with environment drift (different code-version salt or
+engine mode) is still a mismatch — but the report says which
 fingerprint fields moved, so "the simulator changed" is distinguishable
 from "the result rotted".
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import ArtifactError
 from .store import ArtifactStore, RunArtifact, artifact_digest, scrub
 
-__all__ = ["AuditResult", "audit_artifact", "reexecute", "diff_payload"]
+__all__ = [
+    "AuditResult",
+    "audit_artifact",
+    "diff_payload",
+    "payload",
+    "reexecute",
+    "run_gate",
+]
 
 _DIFF_LIMIT = 10
 
@@ -70,53 +79,46 @@ def _diff(exp: Any, act: Any, path: str, out: List[str]) -> None:
         out.append(f"{path}: stored {exp!r} vs re-executed {act!r}")
 
 
-# -- per-kind re-execution runners ------------------------------------
-def _rerun_sweep(config: dict) -> Any:
-    import dataclasses
+# -- recipes: the one place a gate's parameters become a call ---------
+Progress = Optional[Callable[[str], None]]
 
+
+def _run_sweep(config: dict, progress: Progress = None) -> Any:
     from ..core.executor import SweepExecutor
     from ..service import protocol
 
-    spec = protocol.decode_spec(config["spec"])
-    points = protocol.decode_points(config["points"])
-    faults = protocol.decode_faults(config.get("faults"))
-    reliable = protocol.decode_reliable(config.get("reliable"))
-    records = SweepExecutor(jobs=1, cache=None, serve=False).run(
-        spec,
-        points,
+    return SweepExecutor(jobs=1, cache=None, serve=False).run(
+        protocol.decode_spec(config["spec"]),
+        protocol.decode_points(config["points"]),
         root=int(config.get("root", 0)),
         placement=config.get("placement", "blocked"),
-        faults=faults,
-        reliable=reliable,
+        faults=protocol.decode_faults(config.get("faults")),
+        reliable=protocol.decode_reliable(config.get("reliable")),
     )
-    return [dataclasses.asdict(rec) for rec in records]
 
 
-def _rerun_verify(config: dict) -> Any:
+def _run_verify(config: dict, progress: Progress = None) -> Any:
     from ..analysis.verify import verifiable_collectives, verify_collective
 
-    nbytes = int(config.get("nbytes", 65536))
-    root = int(config.get("root", 0))
-    rendezvous = bool(config.get("rendezvous", True))
     collective = config.get("collective", "all")
-    reports = []
-    for nranks in [int(p) for p in config.get("ranks", [8])]:
-        names = (
-            verifiable_collectives(nranks)
-            if collective == "all"
-            else [collective]
+    return [
+        verify_collective(
+            name,
+            nranks,
+            nbytes=int(config.get("nbytes", 65536)),
+            root=int(config.get("root", 0)),
+            rendezvous=bool(config.get("rendezvous", True)),
+            modelcheck=bool(config.get("modelcheck", False)),
+            mc_max_states=int(config.get("mc_max_states", 20000)),
         )
-        for name in names:
-            reports.append(
-                verify_collective(
-                    name, nranks, nbytes=nbytes, root=root,
-                    rendezvous=rendezvous,
-                )
-            )
-    return [r.to_dict() for r in reports]
+        for nranks in [int(p) for p in config.get("ranks", [8])]
+        for name in (
+            verifiable_collectives(nranks) if collective == "all" else [collective]
+        )
+    ]
 
 
-def _rerun_cost(config: dict) -> Any:
+def _run_cost(config: dict, progress: Progress = None) -> Any:
     from ..analysis.costmodel import differential_gate
     from ..service import protocol
 
@@ -124,10 +126,11 @@ def _rerun_cost(config: dict) -> Any:
         spec=protocol.decode_spec(config["spec"]),
         placement=config.get("placement", "blocked"),
         band=float(config.get("band", 0.5)),
-    ).to_dict()
+        progress=progress,
+    )
 
 
-def _rerun_chaos(config: dict) -> Any:
+def _run_chaos(config: dict, progress: Progress = None) -> Any:
     from ..analysis.chaos import DEFAULT_RANKS, chaos_gate
     from ..service import protocol
 
@@ -137,31 +140,35 @@ def _rerun_chaos(config: dict) -> Any:
         collectives=config.get("collectives"),
         ranks=config.get("ranks") or DEFAULT_RANKS,
         nbytes=int(config.get("nbytes", 4096)),
-    ).to_dict()
+        progress=progress,
+    )
 
 
-def _rerun_replay(config: dict) -> Any:
+def _run_replay(config: dict, progress: Progress = None) -> Any:
     from ..analysis.replaygate import DEFAULT_RANKS, DEFAULT_SIZES, replay_gate
     from ..service import protocol
 
     return replay_gate(
         spec=protocol.decode_spec(config["spec"]),
+        collectives=config.get("collectives"),
         ranks=config.get("ranks") or DEFAULT_RANKS,
         sizes=config.get("sizes") or DEFAULT_SIZES,
-    ).to_dict()
+        progress=progress,
+    )
 
 
-def _rerun_mc(config: dict) -> Any:
+def _run_mc(config: dict, progress: Progress = None) -> Any:
     from ..analysis.modelcheck import mc_grid
 
     return mc_grid(
         nbytes=int(config.get("nbytes", 1024)),
         max_states=int(config.get("max_states", 20000)),
         seed=int(config.get("seed", 0)),
-    ).to_dict()
+        progress=progress,
+    )
 
 
-def _rerun_prove(config: dict) -> Any:
+def _run_prove(config: dict, progress: Progress = None) -> Any:
     from ..analysis.certify import prove_all
 
     return prove_all(
@@ -169,29 +176,48 @@ def _rerun_prove(config: dict) -> Any:
         xval_hi=int(config.get("xval_hi", 64)),
         nbytes=int(config.get("nbytes", 65536)),
         skip_crossval=bool(config.get("skip_crossval", False)),
-    ).to_dict()
+    )
 
 
-RUNNERS: Dict[str, Callable[[dict], Any]] = {
-    "sweep": _rerun_sweep,
-    "verify": _rerun_verify,
-    "cost": _rerun_cost,
-    "chaos": _rerun_chaos,
-    "replay": _rerun_replay,
-    "mc": _rerun_mc,
-    "prove": _rerun_prove,
+RUNNERS: Dict[str, Callable[[dict, Progress], Any]] = {
+    "sweep": _run_sweep,
+    "verify": _run_verify,
+    "cost": _run_cost,
+    "chaos": _run_chaos,
+    "replay": _run_replay,
+    "mc": _run_mc,
+    "prove": _run_prove,
 }
+
+
+def run_gate(kind: str, config: dict, progress: Progress = None) -> Any:
+    """Run one recipe (the dict an artifact stores as ``config``).
+
+    Returns the gate's report: a gate report object, or a list of
+    per-point reports (``verify``) or RunRecords (``sweep``). The CLI
+    runs its gates through here and :func:`reexecute` re-runs their
+    artifacts through here, so the two cannot drift apart.
+    """
+    runner = RUNNERS.get(kind)
+    if runner is None:
+        raise ArtifactError(
+            f"cannot re-execute artifact kind {kind!r} "
+            f"(known: {sorted(RUNNERS)})"
+        )
+    return runner(config, progress)
+
+
+def payload(report: Any) -> Any:
+    """The JSON payload an artifact stores for a :func:`run_gate` report."""
+    if isinstance(report, list):
+        return [payload(r) for r in report]
+    to_dict = getattr(report, "to_dict", None)
+    return to_dict() if to_dict is not None else dataclasses.asdict(report)
 
 
 def reexecute(artifact: RunArtifact) -> Any:
     """Replay an artifact's recipe; returns the fresh payload."""
-    runner = RUNNERS.get(artifact.kind)
-    if runner is None:
-        raise ArtifactError(
-            f"cannot re-execute artifact kind {artifact.kind!r} "
-            f"(known: {sorted(RUNNERS)})"
-        )
-    return runner(artifact.config)
+    return payload(run_gate(artifact.kind, artifact.config))
 
 
 @dataclass(frozen=True)

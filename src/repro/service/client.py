@@ -411,23 +411,6 @@ class ServiceClient:
                         f"{len(missing)} of {len(points)} point(s)"
                     )
 
-    def gate(
-        self, gate: str, params: Optional[dict] = None, timeout=_UNSET
-    ) -> dict:
-        """Run a verify/cost/chaos/replay grid server-side.
-
-        Returns ``{"ok": bool, "text": str, "report": ...}``.
-        """
-        reply = self._request_one(
-            {"op": "gate", "gate": gate, "params": params or {}},
-            timeout=timeout,
-        )
-        if reply.get("type") != "gate":
-            raise ServiceError(
-                f"unexpected gate reply from {self.address}: {reply!r}"
-            )
-        return reply
-
     def shutdown_server(self, timeout=_UNSET) -> bool:
         """Ask the server to drain its pool and exit; True on ack."""
         try:

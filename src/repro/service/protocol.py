@@ -17,9 +17,6 @@ Requests (``op`` selects the handler):
   ``{"type": "error", "index": i, "error_type": ..., "message": ...,
   "traceback": ...}`` messages (one per point, completion order)
   terminated by ``{"type": "done", "count": N}``
-* ``{"op": "gate", "gate": "cost"|"chaos"|"replay"|"verify",
-  "params": {...}}`` → ``{"type": "gate", "ok": ..., "text": ...,
-  "report": {...}}``
 * ``{"op": "shutdown"}`` → ``{"type": "bye"}`` and the server drains
   its pool and exits.
 

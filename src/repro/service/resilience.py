@@ -43,8 +43,6 @@ import threading
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..errors import ServiceError
-
 __all__ = [
     "ResilientPool",
     "RESPAWN_ENV",
@@ -189,26 +187,6 @@ class ResilientPool:
 
     def shutdown(self, wait: bool = True) -> None:
         self._pool.shutdown(wait=wait)
-
-    # -- simple jobs (gates) -------------------------------------------
-    def submit_once(self, fn: Callable, *args, retries: int = 1):
-        """Run ``fn(*args)`` on the pool; one bounded respawn+retry on a
-        broken pool. Raises :class:`~repro.errors.ServiceError` when the
-        pool cannot stay alive long enough to answer."""
-        attempt = 0
-        while True:
-            pool, gen = self._checkout()
-            try:
-                fut = pool.submit(fn, *args)
-                return fut.result()
-            except concurrent.futures.BrokenExecutor as exc:
-                attempt += 1
-                if attempt > retries:
-                    raise ServiceError(
-                        f"worker pool died {attempt} time(s) running "
-                        f"{getattr(fn, '__name__', fn)!r}: {exc}"
-                    ) from exc
-                self._respawn(gen, attempt)
 
     # -- batched sweep jobs --------------------------------------------
     def run(

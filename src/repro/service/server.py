@@ -20,8 +20,8 @@ A :class:`SimulationServer` owns
   reassemble deterministic order.
 
 The TCP listener is threaded (one thread per connection, IO-bound); all
-simulation happens in the pool. ``verify``/``cost``/``chaos``/``replay``
-grid gates are jobs on the same queue (op ``gate``).
+simulation happens in the pool. The service runs sweep points only; the
+analysis gates run in the CLI's own process.
 
 The pool itself is a :class:`~repro.service.resilience.ResilientPool`
 (docs/robustness.md): a SIGKILL'd worker no longer wedges the server —
@@ -37,104 +37,18 @@ import os
 import socketserver
 import threading
 import time
-import traceback
 from typing import Optional
 
 from ..core.diskcache import DiskCache, cache_key
 from ..core.executor import _simulate_batch, _warm_worker, group_points, resolve_jobs
-from ..errors import ServiceError
 from . import protocol
 from .resilience import ResilientPool
 
 __all__ = ["SimulationServer"]
 
 
-def _run_gate(gate: str, params: dict) -> dict:
-    """Worker entry point for one analysis-gate grid job.
-
-    Returns ``{"ok": ..., "text": ..., "report": ...}``; raises nothing
-    (failures are serialised like sweep-point failures).
-    """
-    try:
-        spec = (
-            protocol.decode_spec(params["spec"]) if params.get("spec") else None
-        )
-        if gate == "cost":
-            from ..analysis.costmodel import differential_gate
-            from ..machine import ideal
-
-            report = differential_gate(
-                spec=spec if spec is not None else ideal(),
-                placement=params.get("placement", "blocked"),
-                band=float(params.get("band", 0.5)),
-            )
-        elif gate == "chaos":
-            from ..analysis.chaos import DEFAULT_RANKS, chaos_gate
-            from ..machine import ideal
-
-            report = chaos_gate(
-                seed=int(params.get("seed", 0)),
-                spec=spec if spec is not None else ideal(),
-                ranks=params.get("ranks") or DEFAULT_RANKS,
-                nbytes=int(params.get("nbytes", 4096)),
-            )
-        elif gate == "replay":
-            from ..analysis.replaygate import (
-                DEFAULT_RANKS,
-                DEFAULT_SIZES,
-                replay_gate,
-            )
-            from ..machine import hornet
-
-            report = replay_gate(
-                spec=spec if spec is not None else hornet(),
-                ranks=params.get("ranks") or DEFAULT_RANKS,
-                sizes=params.get("sizes") or DEFAULT_SIZES,
-            )
-        elif gate == "verify":
-            from ..analysis.verify import verifiable_collectives, verify_collective
-
-            ranks = [int(p) for p in params.get("ranks") or [8]]
-            nbytes = int(params.get("nbytes", 65536))
-            root = int(params.get("root", 0))
-            strict = bool(params.get("strict", False))
-            rendezvous = bool(params.get("rendezvous", True))
-            reports = [
-                verify_collective(
-                    name, nranks, nbytes=nbytes, root=root, rendezvous=rendezvous
-                )
-                for nranks in ranks
-                for name in verifiable_collectives(nranks)
-            ]
-            verdicts = [r.ok_strict() if strict else r.ok for r in reports]
-            ok = all(verdicts)
-            failed = [r for r, v in zip(reports, verdicts) if not v]
-            text = f"{len(reports) - len(failed)}/{len(reports)} schedule(s) verified"
-            for r in failed:
-                text += "\n" + r.describe()
-            return {
-                "ok": ok,
-                "text": text,
-                "report": [r.to_dict() for r in reports],
-            }
-        else:
-            return {
-                "ok": False,
-                "text": f"unknown gate {gate!r}",
-                "report": None,
-            }
-        return {"ok": report.ok, "text": report.describe(), "report": report.to_dict()}
-    except Exception as exc:  # noqa: BLE001 - serialised for the client
-        return {
-            "ok": False,
-            "text": f"gate {gate!r} raised {type(exc).__name__}: {exc}",
-            "report": None,
-            "traceback": traceback.format_exc(),
-        }
-
-
 class _Handler(socketserver.StreamRequestHandler):
-    """One connection = one request (ping/stats/sweep/gate/shutdown)."""
+    """One connection = one request (ping/stats/sweep/shutdown)."""
 
     server: "_TCPServer"
 
@@ -159,8 +73,6 @@ class _Handler(socketserver.StreamRequestHandler):
                 protocol.write_message(self.wfile, sim.describe_stats())
             elif op == "sweep":
                 sim.handle_sweep(msg, self.wfile)
-            elif op == "gate":
-                sim.handle_gate(msg, self.wfile)
             elif op == "shutdown":
                 protocol.write_message(self.wfile, {"type": "bye"})
                 sim.request_shutdown()
@@ -360,20 +272,4 @@ class SimulationServer:
             self._points_served += len(points)
         protocol.write_message(
             wfile, {"type": "done", "count": sent, "job": job}
-        )
-
-    def handle_gate(self, msg: dict, wfile) -> None:
-        """Run one verify/cost/chaos/replay grid on the worker pool."""
-        gate = str(msg.get("gate", ""))
-        params = msg.get("params") or {}
-        try:
-            result = self._pool.submit_once(_run_gate, gate, params)
-        except ServiceError as exc:
-            result = {"ok": False, "text": str(exc), "report": None}
-        with self._lock:
-            self._jobs_served += 1
-        protocol.write_message(
-            wfile,
-            {"type": "gate", "gate": gate, "ok": result.get("ok", False),
-             "text": result.get("text", ""), "report": result.get("report")},
         )

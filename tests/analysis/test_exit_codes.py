@@ -27,15 +27,22 @@ CONFIG_ERROR_INVOCATIONS = [
     ["verify", "--collective", "no_such_collective", "--nranks", "4"],
     ["verify", "--nranks", "bogus"],
     ["verify", "--nranks", ""],
+    ["verify", "--nranks", "4", "--root", "9"],
     ["mc", "--nranks", "0"],
+    ["mc", "--nranks", "4", "--root", "9"],
     ["cost", "--collective", "no_such_collective"],
     ["cost", "--nbytes", "one-meg"],
+    ["cost", "--nranks", "4", "--root", "9"],
+    ["cost", "--nranks", "0"],
     ["chaos", "--collective", "no_such_collective", "--nranks", "4"],
+    ["chaos", "--collective", "bcast_rdbl", "--nranks", "6", "--strict"],
+    ["chaos", "--nranks", "0"],
     ["replay", "--collective", "no_such_collective", "--nranks", "4"],
     ["prove", "--collective", "no_such_collective"],
     ["prove", "--xval", "banana"],
     ["prove", "--xval", "9:2"],
     ["traffic", "--procs", "x,y"],
+    ["trace", "--nranks", "4", "--root", "9"],
     ["audit", "no-such-artifact", "--dir", "/nonexistent-artifact-store"],
 ]
 

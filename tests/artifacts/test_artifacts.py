@@ -169,3 +169,23 @@ class TestCli:
         results = json.loads(capsys.readouterr().out)
         assert results[0]["ok"] is True
         assert results[0]["kind"] == "sweep"
+
+    def test_every_gate_kind_records_and_audits(self, tmp_path, capsys):
+        store = str(tmp_path / "arts")
+        runs = [
+            ("verify", ["verify", "--nranks", "4"]),
+            ("verify", ["verify", "--collective", "bcast_opt", "--nranks", "4",
+                        "--mc"]),
+            ("cost", ["cost", "--grid"]),
+            ("chaos", ["chaos", "--nranks", "4", "--nbytes", "1KiB"]),
+            ("replay", ["replay", "--nranks", "4"]),
+            ("mc", ["mc", "--grid"]),
+            ("prove", ["prove", "--all", "--xval", "2:6"]),
+        ]
+        for _, argv in runs:
+            assert main(argv + ["--artifact", store]) == 0, argv
+            assert "artifact:" in capsys.readouterr().out, argv
+        assert main(["audit", "--dir", store, "--json"]) == 0
+        results = json.loads(capsys.readouterr().out)
+        assert all(r["ok"] and r["reexecuted"] for r in results)
+        assert sorted(r["kind"] for r in results) == sorted(k for k, _ in runs)

@@ -11,11 +11,7 @@ import pytest
 
 from repro.core import Sweep, SweepPoint
 from repro.core.executor import CHAOS_CRASH_ENV, SweepExecutor
-from repro.errors import (
-    PoisonPointError,
-    ServiceError,
-    SweepExecutionError,
-)
+from repro.errors import PoisonPointError, SweepExecutionError
 from repro.machine import ideal
 from repro.service.resilience import ResilientPool
 
@@ -44,10 +40,6 @@ def _crash_latch_batch(tasks):
 def _sleep_batch(tasks):
     time.sleep(60)
     return [("ok", t) for t in tasks]
-
-
-def _pid():
-    return os.getpid()
 
 
 def _run_all(pool, fn, tasks, **kw):
@@ -108,24 +100,6 @@ class TestResilientPool:
         for kind, type_name, message, _tb in out.values():
             assert (kind, type_name) == ("err", "ServiceDeadlineError")
             assert "deadline" in message
-
-    def test_submit_once_survives_a_worker_kill(self, pool):
-        assert pool.submit_once(_pid) > 0
-        for victim in pool.worker_pids():
-            os.kill(victim, signal.SIGKILL)
-        assert pool.submit_once(_pid) > 0
-
-    def test_submit_once_raises_service_error_past_budget(self, tmp_path):
-        pool = ResilientPool(jobs=1, backoff_base_s=0.0)
-        try:
-            latch = tmp_path / "latch"
-            latch.write_text("99")
-            with pytest.raises(ServiceError, match="worker pool died"):
-                pool.submit_once(
-                    _crash_latch_batch, [(str(latch), 0)], retries=2
-                )
-        finally:
-            pool.shutdown(wait=False)
 
 
 def _spec():

@@ -130,16 +130,6 @@ class TestSweepEquality:
             srv.request_shutdown()
             thread.join(timeout=30)
 
-    def test_gate_verify(self, client):
-        reply = client.gate("verify", {"ranks": [4]})
-        assert reply["ok"] is True
-        assert "verified" in reply["text"]
-        assert isinstance(reply["report"], list)
-
-    def test_gate_unknown(self, client):
-        reply = client.gate("nonsense", {})
-        assert reply["ok"] is False
-
 
 class TestExecutorRouting:
     def test_executor_service_matches_serial(self, server, tmp_path):

@@ -4,6 +4,7 @@ Docs rot silently; these tests keep README/DESIGN/EXPERIMENTS honest
 against the tree they describe.
 """
 
+import argparse
 import ast
 import pathlib
 import re
@@ -30,6 +31,9 @@ _PATH_RE = re.compile(
 
 
 _ENV_RE = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9]\b")
+
+_CLI_RE = re.compile(r"python -m repro ([a-z][a-z-]*)([^\n`]*)")
+_FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
 def _env_names_in_package_code():
@@ -77,6 +81,23 @@ def test_documented_env_vars_are_read():
     for doc in DOCS:
         for name in sorted(set(_ENV_RE.findall(doc.read_text()))):
             assert name in read, f"{doc.name} documents {name}; src/repro never reads it"
+
+
+def test_documented_cli_flags_exist():
+    """A retired CLI flag leaves the docs together with its option."""
+    from repro.__main__ import build_parser
+
+    subcommands = next(
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    for doc in DOCS:
+        for cmd, rest in _CLI_RE.findall(doc.read_text()):
+            assert cmd in subcommands, f"{doc.name} documents `repro {cmd}`"
+            accepted = subcommands[cmd]._option_string_actions
+            for flag in _FLAG_RE.findall(rest):
+                assert flag in accepted, f"{doc.name}: `repro {cmd}` has no {flag}"
 
 
 def test_readme_example_table_matches_directory():
