@@ -112,5 +112,7 @@ class ComputeOp:
     seconds: float
 
     def __post_init__(self):
-        if self.seconds < 0:
-            raise MpiError(f"compute of negative duration {self.seconds}")
+        if not 0.0 <= self.seconds < float("inf"):  # NaN included
+            raise MpiError(
+                f"compute duration must be finite and >= 0, got {self.seconds}"
+            )

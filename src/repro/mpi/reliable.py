@@ -193,7 +193,7 @@ class ReliableTransport(Transport):
             )
         else:
             packet = _Packet(req, payload, state.seq, corrupt)
-            self.engine.schedule(duration, self._packet_arrive, packet)
+            self.engine.post(duration, self._packet_arrive, packet)
             if decision.duplicate:
                 # The fabric delivers a second copy a little later; the
                 # receiver's dedup machinery must absorb it.
@@ -202,7 +202,7 @@ class ReliableTransport(Transport):
                     "duplicate", req.owner, req.peer, req.tag, "fabric duplicate"
                 )
                 twin = _Packet(req, payload, state.seq, corrupt)
-                self.engine.schedule(duration * 1.5, self._packet_arrive, twin)
+                self.engine.post(duration * 1.5, self._packet_arrive, twin)
         timeout = self._timeout_seconds(plan, req.nbytes, state.attempts)
         state.timer = self.engine.schedule(timeout, self._on_timeout, state)
 
@@ -304,7 +304,7 @@ class ReliableTransport(Transport):
         if decision is not FaultDecision.CLEAN:
             latency = latency * decision.latency_factor + decision.extra_latency
         duration = latency + self._xfer_seconds(plan, self.config.ack_nbytes)
-        self.engine.schedule(duration, self._ack_arrive, src, dst, seq)
+        self.engine.post(duration, self._ack_arrive, src, dst, seq)
 
     def _ack_arrive(self, src: int, dst: int, seq: int) -> None:
         state = self._pending.pop((src, dst, seq), None)

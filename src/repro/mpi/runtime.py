@@ -152,7 +152,7 @@ class Job:
         self._ran = True
         for idx in range(len(self.procs)):
             # Kick every program at t=0 (FIFO order: rank 0 first).
-            self.engine.schedule(0.0, self._resume, idx, None)
+            self.engine.post(0.0, self._resume, idx, None)
         self.engine.run()
         unfinished = [p for p in self.procs if not p.finished]
         if unfinished:
@@ -243,7 +243,7 @@ class Job:
         if isinstance(op, ComputeOp):
             proc.blocked_on = f"compute({op.seconds}s)"
             cont = _Continuation(self, idx)
-            self.engine.schedule(op.seconds, cont.resume, None)
+            self.engine.post(op.seconds, cont.resume, None)
             return _BLOCKED
         raise SimulationError(
             f"rank {idx} yielded an unknown operation: {op!r} "

@@ -110,7 +110,7 @@ class Transport:
         )
         overhead = self.machine.spec.send_overhead
         if overhead > 0:
-            self.engine.schedule(overhead, self._launch_send, req)
+            self.engine.post(overhead, self._launch_send, req)
         else:
             self._launch_send(req)
 
@@ -256,10 +256,8 @@ class Transport:
                 on_complete=lambda flow, d=delivery: self._flow_done(d),
                 meta=("msg", req.owner, req.peer, req.tag),
             )
-            self.engine.schedule(latency, self._envelope_arrive, req.peer, env)
-        else:
-            # Rendezvous: only the envelope travels for now.
-            self.engine.schedule(latency, self._envelope_arrive, req.peer, env)
+        # A rendezvous send launches only the envelope for now.
+        self.engine.post(latency, self._envelope_arrive, req.peer, env)
 
     # -- receive path -----------------------------------------------------
     def _envelope_arrive(self, dst: int, env: Envelope) -> None:
@@ -297,7 +295,7 @@ class Transport:
                 delivery.send_req.owner, delivery.send_req.peer
             )
             cts = self.machine.spec.rendezvous_rtt * self._latency(plan)
-            self.engine.schedule(cts, self._start_rendezvous_flow, delivery, plan)
+            self.engine.post(cts, self._start_rendezvous_flow, delivery, plan)
         elif delivery.flow_done:
             self._deliver(delivery)
         # else: eager flow still draining; _flow_done will deliver.
@@ -325,7 +323,7 @@ class Transport:
     def _deliver(self, delivery: _Delivery) -> None:
         overhead = self.machine.spec.recv_overhead
         if overhead > 0:
-            self.engine.schedule(overhead, self._complete_recv, delivery)
+            self.engine.post(overhead, self._complete_recv, delivery)
         else:
             self._complete_recv(delivery)
 

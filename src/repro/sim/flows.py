@@ -538,12 +538,14 @@ class FlowNetwork:
         rate = self._rate
         next_eta = _INF
         for fid, r in rem.items():
-            rt = rate[fid]
-            eta = r / rt if rt > 0.0 else _INF
             if r <= _EPSILON_BYTES:
-                eta = 0.0
-            if eta < next_eta:
-                next_eta = eta
+                next_eta = 0.0  # drained: no ETA can be earlier
+                break
+            rt = rate[fid]
+            if rt > 0.0:
+                eta = r / rt
+                if eta < next_eta:
+                    next_eta = eta
         if next_eta == _INF:
             raise SimulationError(
                 f"{len(rem)} active flow(s) are stalled at zero rate"
@@ -558,8 +560,23 @@ class FlowNetwork:
             # The direct resolve below covers any deferred one.
             self._resolve_event.cancel()
             self._resolve_event = None
-        self._advance()
-        finished = sorted(fid for fid, r in self._rem.items() if r <= _EPSILON_BYTES)
+        # _advance() and the drained-flow scan in one pass; _rem iterates
+        # in fid order (fids only grow, updates keep their slot).
+        now = self.engine.now
+        elapsed = now - self._last_update
+        self._last_update = now
+        rem = self._rem
+        rate = self._rate
+        finished = []
+        for fid, r in rem.items():
+            p = r - rate[fid] * elapsed  # rates are finite: p == r at elapsed 0
+            if p > _EPSILON_BYTES:
+                rem[fid] = p
+            else:
+                rem[fid] = p if p > 0.0 else 0.0
+                finished.append(fid)
+        if elapsed > 0.0:
+            self._stat_flows_advanced += len(rem)
         if not finished:
             # Rates changed since the event was scheduled; just re-arm.
             self._resolve()

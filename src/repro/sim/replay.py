@@ -436,7 +436,7 @@ class ReplayEngine:
         for rank in range(self.schedule.nranks):
             # Kick every rank at t=0 (FIFO order: rank 0 first), exactly
             # like the DES Job.
-            self.engine.schedule(0.0, self._run_rank, rank)
+            self.engine.post(0.0, self._run_rank, rank)
         self.engine.run()
         stuck = [r for r, t in enumerate(self._finish) if t is None]
         if stuck:
@@ -457,30 +457,42 @@ class ReplayEngine:
         )
 
     def _run_rank(self, rank: int) -> None:
-        """Drain ready ops for *rank* until it blocks or finishes."""
+        """Drain ready ops for *rank* until it blocks or finishes.
+
+        Posting a send or a receive is inlined: this loop runs once per
+        op, the replay frontier's innermost step.
+        """
         kinds = self._op_kinds[rank]
         args = self._op_args[rank]
         pc = self._pc[rank]
         end = len(kinds)
+        send_done = self._send_done
+        recv_done = self._recv_done
+        recv_posted = self._recv_posted
+        env_arrived = self._env_arrived
+        overhead = self._send_overhead
+        post = self.engine.post
+        launch = self._launch_send
         while pc < end:
             kind = kinds[pc]
             arg = args[pc]
             pc += 1
-            if kind == OP_ISEND:
-                self._post_send(arg)
-            elif kind == OP_SEND:
-                self._post_send(arg)
-                if not self._send_done[arg]:
+            if kind == OP_ISEND or kind == OP_SEND:
+                if overhead > 0.0:
+                    post(overhead, launch, arg)
+                else:
+                    launch(arg)
+                if kind == OP_SEND and not send_done[arg]:
                     self._send_waiter[arg] = rank
                     self._in_wait[rank] = False
                     self._pc[rank] = pc
                     return
-            elif kind == OP_IRECV:
-                if arg >= 0:
-                    self._post_recv(arg)
-            elif kind == OP_RECV:
-                self._post_recv(arg)
-                if not self._recv_done[arg]:
+            elif kind == OP_IRECV or kind == OP_RECV:
+                if arg >= 0:  # an unmatched irecv posts nothing
+                    recv_posted[arg] = True
+                    if env_arrived[arg]:
+                        self._match(arg)
+                if kind == OP_RECV and not recv_done[arg]:
                     self._recv_waiter[arg] = rank
                     self._in_wait[rank] = False
                     self._pc[rank] = pc
@@ -490,10 +502,10 @@ class ReplayEngine:
                 for m in self.schedule.wait_members[rank][arg]:
                     order = args[m]
                     if kinds[m] == OP_ISEND:
-                        if not self._send_done[order]:
+                        if not send_done[order]:
                             self._send_waiter[order] = rank
                             remaining += 1
-                    elif not self._recv_done[order]:
+                    elif not recv_done[order]:
                         self._recv_waiter[order] = rank
                         remaining += 1
                 if remaining:
@@ -503,8 +515,7 @@ class ReplayEngine:
                     return
             else:  # OP_COMPUTE
                 self._pc[rank] = pc
-                seconds = self.schedule.compute_seconds[rank][arg]
-                self.engine.schedule(seconds, self._run_rank, rank)
+                post(self.schedule.compute_seconds[rank][arg], self._run_rank, rank)
                 return
         self._pc[rank] = pc
         self._finish[rank] = self.engine.now
@@ -519,12 +530,6 @@ class ReplayEngine:
         self._run_rank(rank)
 
     # -- transport protocol (mirrors repro.mpi.transport exactly) ------
-    def _post_send(self, order: int) -> None:
-        if self._send_overhead > 0.0:
-            self.engine.schedule(self._send_overhead, self._launch_send, order)
-        else:
-            self._launch_send(order)
-
     def _launch_send(self, order: int) -> None:
         pid = self._plan_idx_l[order]
         now = self.engine.now
@@ -540,16 +545,11 @@ class ReplayEngine:
             # Payload flow starts at launch, envelope follows the wire.
             self.flownet.start(self._nbytes[order], self._send_class[order], order)
         # Rendezvous sends only the envelope for now.
-        self.engine.schedule(latency, self._envelope_arrive, order)
+        self.engine.post(latency, self._envelope_arrive, order)
 
     def _envelope_arrive(self, order: int) -> None:
         self._env_arrived[order] = True
         if self._recv_posted[order]:
-            self._match(order)
-
-    def _post_recv(self, order: int) -> None:
-        self._recv_posted[order] = True
-        if self._env_arrived[order]:
             self._match(order)
 
     def _match(self, order: int) -> None:
@@ -557,7 +557,7 @@ class ReplayEngine:
         if not self._eager[order]:
             # Clear-to-send travels back, then the payload flow starts.
             cts = self._rtt * self._latency[self._plan_idx_l[order]]
-            self.engine.schedule(
+            self.engine.post(
                 cts,
                 self.flownet.start,
                 self._nbytes[order],
@@ -581,7 +581,7 @@ class ReplayEngine:
 
     def _deliver(self, order: int) -> None:
         if self._recv_overhead > 0.0:
-            self.engine.schedule(self._recv_overhead, self._complete_recv, order)
+            self.engine.post(self._recv_overhead, self._complete_recv, order)
         else:
             self._complete_recv(order)
 

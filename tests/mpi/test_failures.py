@@ -2,6 +2,9 @@
 machine state. The simulator must fail loudly and informatively, never
 hang or silently mis-report."""
 
+import contextlib
+import signal
+
 import pytest
 
 from repro.errors import DeadlockError, MpiError, SimulationError
@@ -74,7 +77,44 @@ class TestCrashingPrograms:
             throw_into(gen, KeyboardInterrupt())
 
 
+@contextlib.contextmanager
+def hang_guard(seconds: float):
+    """Fail the test instead of hanging when the body outlives *seconds*."""
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestProgrammingErrors:
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    def test_non_finite_compute_is_a_typed_error(self, seconds):
+        """NaN passes a `< 0` check and an event at inf parks the clock
+        there; either used to spin the engine forever while the flow
+        network re-armed its completion event."""
+        machine = Machine(ideal(), nranks=2)
+
+        def factory(ctx):
+            def program():
+                if ctx.rank == 0:
+                    yield from ctx.send(1, 1 << 20)
+                else:
+                    yield from ctx.compute(seconds)
+                    yield from ctx.recv(0, 1 << 20)
+
+            return program()
+
+        with hang_guard(10.0), pytest.raises(MpiError, match="finite"):
+            Job(machine, factory).run()
+
     def test_non_generator_program(self):
         machine = Machine(ideal(), nranks=1)
         with pytest.raises(SimulationError, match="yield from"):

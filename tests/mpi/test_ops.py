@@ -72,5 +72,10 @@ class TestOtherOps:
         with pytest.raises(MpiError):
             ComputeOp(seconds=-0.1)
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -float("inf")])
+    def test_compute_rejects_non_finite(self, seconds):
+        with pytest.raises(MpiError, match="finite"):
+            ComputeOp(seconds=seconds)
+
     def test_compute_zero_ok(self):
         assert ComputeOp(seconds=0.0).seconds == 0.0

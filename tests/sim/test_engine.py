@@ -44,14 +44,26 @@ class TestScheduling:
         assert seen == [4.0]
 
     def test_negative_delay_rejected(self):
-        with pytest.raises(SimulationError):
-            Engine().schedule(-1.0, lambda: None)
+        eng = Engine()
+        for method in (eng.schedule, eng.post):
+            with pytest.raises(SimulationError):
+                method(-1.0, lambda: None)
 
     def test_schedule_into_past_rejected(self):
         eng = Engine()
         eng.schedule(5.0, lambda: eng.schedule_at(1.0, lambda: None))
         with pytest.raises(SimulationError):
             eng.run()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_time_rejected(self, value):
+        # NaN passes every `< 0` check, and an event at inf leaves the
+        # clock there: either used to hang the flow network.
+        eng = Engine()
+        for method in (eng.post, eng.schedule, eng.schedule_at):
+            with pytest.raises(SimulationError, match="finite"):
+                method(value, lambda: None)
+        assert eng.empty and eng.now == 0.0
 
     def test_callbacks_can_schedule(self):
         eng = Engine()
@@ -134,6 +146,17 @@ class TestRun:
         eng.run()
         assert fired == ["a", "b"]
 
+    def test_run_until_before_now_rejected(self):
+        eng = Engine()
+        eng.schedule(5.0, lambda: None)
+        eng.post(10.0, lambda: None)
+        assert eng.run(until=5.0) == 5.0
+        for until in (1.0, float("nan")):
+            with pytest.raises(SimulationError, match="before now"):
+                eng.run(until=until)
+        assert eng.now == 5.0  # the clock never moves backwards
+        assert eng.run() == 10.0
+
     def test_run_not_reentrant(self):
         eng = Engine()
         errors = []
@@ -161,21 +184,67 @@ class TestRun:
 
 
 @given(
-    delays=st.lists(
-        st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+    events=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+            st.sampled_from(["post", "schedule"]),
+            st.booleans(),  # cancel the handle (schedule only)
+        ),
         min_size=1,
         max_size=60,
-    )
+    ),
+    cut=st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
 )
-def test_property_fire_order_sorted_and_clock_monotone(delays):
-    eng = Engine()
-    times = []
-    for d in delays:
-        eng.schedule(d, lambda: times.append(eng.now))
-    eng.run()
-    assert times == sorted(times)
-    assert len(times) == len(delays)
-    assert eng.now == max(delays)
+def test_property_fire_order_sorted_and_clock_monotone(events, cut):
+    """Both event kinds fire in (time, insertion) order and cancelled
+    handles never fire; pending/empty count both kinds; step() and
+    run(until=) agree whichever kind is at the top of the heap."""
+    live = sorted(
+        (delay, i)
+        for i, (delay, method, cancel) in enumerate(events)
+        if method == "post" or not cancel
+    )
+
+    def build():
+        eng = Engine()
+        fired = []
+        handles = []
+
+        def fire(i):
+            fired.append((eng.now, i))
+
+        for i, (delay, method, cancel) in enumerate(events):
+            if method == "post":
+                assert eng.post(delay, fire, i) is None
+            else:
+                handle = eng.schedule(delay, fire, i)
+                if cancel:
+                    handles.append(handle)
+        for handle in handles:
+            handle.cancel()
+        return eng, fired
+
+    eng, fired = build()
+    assert eng.pending == len(live) and eng.empty == (not live)
+    steps = 0
+    while eng.step():
+        steps += 1
+        assert eng.pending == len(live) - steps
+    assert fired == live  # sorted times: the clock is monotone
+    assert eng.empty and eng.now == (live[-1][0] if live else 0.0)
+
+    eng, fired = build()
+    before = [e for e in live if e[0] <= cut]
+    final = eng.run(until=cut)
+    assert fired == before
+    assert eng.pending == len(live) - len(before)
+    if len(before) < len(live):
+        assert final == cut
+    else:
+        assert final == (live[-1][0] if live else 0.0)
+    assert eng.now == final
+    assert eng.run() == (live[-1][0] if live else 0.0)
+    assert fired == live and eng.empty
 
 
 @given(

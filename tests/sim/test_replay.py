@@ -3,10 +3,12 @@
 import pytest
 
 from repro.analysis.verify import REGISTRY
+from repro.collectives.emit import emit_schedule
 from repro.collectives.schedule import extract_schedule
 from repro.errors import ReplayUnsupportedError, SimulationError
 from repro.machine import Machine, hornet, ideal
 from repro.mpi import ANY_SOURCE, Job
+from repro.sim import engine as engine_mod
 from repro.sim.replay import (
     ENGINE_ENV,
     ReplayEngine,
@@ -133,6 +135,31 @@ class TestReplayEngine:
         compiled = registry_compiled("bcast_opt", 8, 4096)
         with pytest.raises(SimulationError, match="hosts 4"):
             ReplayEngine(Machine(hornet(), nranks=4), compiled)
+
+    def test_event_economy(self, monkeypatch):
+        """Only cancellable events carry an EventHandle.
+
+        bcast_opt at P=65 and 12288 B on hornet (4031 eager sends)
+        queues 22,934 events. The count is part of the bitwise promise:
+        events fire in (time, seq) order, so a change to it moves seq
+        numbers. Only the flow network's completion and deferred
+        re-solve events may be cancelled; launches, envelopes, resumes
+        and receive completions are posted without a handle.
+        """
+        created = 0
+        init = engine_mod.EventHandle.__init__
+
+        def counting_init(self, *args, **kwargs):
+            nonlocal created
+            created += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(engine_mod.EventHandle, "__init__", counting_init)
+        compiled = emit_schedule("bcast_opt", 65, 12288, 0)
+        rep = ReplayEngine(Machine(hornet(), nranks=65), compiled, working_set=12288)
+        rep.run()
+        assert rep.engine._seq == 22934  # events ever queued
+        assert created <= 22934 // 2
 
     def test_rerun_is_rejected(self):
         # Engine state is single-shot; a second run() must fail loudly
