@@ -75,6 +75,7 @@ from ..mpi.matching import Envelope, MatchingEngine
 from ..mpi.ops import ANY_SOURCE, ComputeOp, IrecvOp, IsendOp, RecvOp, SendOp, WaitOp
 from ..mpi.request import Request, Status
 from ..sim import Proc
+from ..sim.process import BLOCKED
 from ..util import ChunkSet, chunk_count, is_power_of_two, scatter_size
 
 __all__ = [
@@ -422,8 +423,6 @@ def find_match_hazards(schedule: ScheduleResult) -> List[HazardPair]:
 # Pass 4: rendezvous-mode deadlock analysis
 # ---------------------------------------------------------------------------
 
-_BLOCKED = object()
-
 
 class _RdvSend:
     __slots__ = ("req",)
@@ -481,21 +480,10 @@ class RendezvousAnalyzer:
             self._ready.append((idx, None))
         while self._ready:
             idx, value = self._ready.popleft()
-            self._advance(idx, value)
+            self.procs[idx].drive(value, idx, self._execute)
         if all(p.finished for p in self.procs):
             return RendezvousReport(deadlocked=False)
         return self._diagnose()
-
-    def _advance(self, idx: int, value: object) -> None:
-        proc = self.procs[idx]
-        while True:
-            outcome = proc.advance(value)
-            if outcome.done:
-                return
-            result = self._execute(idx, outcome.value)
-            if result is _BLOCKED:
-                return
-            value = result
 
     def _wakeup(self, idx: int, value: object) -> None:
         self._parked[idx] = None
@@ -520,7 +508,7 @@ class RendezvousAnalyzer:
                 return None
             self._parked[idx] = _RdvSend(req)
             req.on_complete(lambda _r, i=idx: self._wakeup(i, None))
-            return _BLOCKED
+            return BLOCKED
         if isinstance(op, (RecvOp, IrecvOp)):
             req = Request(
                 "recv", owner=glob, peer=op.src, tag=op.tag, nbytes=op.nbytes
@@ -534,7 +522,7 @@ class RendezvousAnalyzer:
                 return req.status
             self._parked[idx] = _RdvRecv(req)
             req.on_complete(lambda r, i=idx: self._wakeup(i, r.status))
-            return _BLOCKED
+            return BLOCKED
         if isinstance(op, WaitOp):
             requests = op.requests
             remaining = sum(1 for r in requests if not r.complete)
@@ -553,7 +541,7 @@ class RendezvousAnalyzer:
             for r in requests:
                 if not r.complete:
                     r.on_complete(one_done)
-            return _BLOCKED
+            return BLOCKED
         if isinstance(op, ComputeOp):
             return None
         raise ConfigurationError(f"rendezvous analyzer got unknown op {op!r}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from ..errors import CollectiveError
 from ..util import ChunkSet
 from .relative import relative_rank, tuned_ring_role
-from .scatter import span_bytes, span_disp
+from .scatter import chunk_table
 
 __all__ = ["RingResult", "ring_allgather_native", "ring_allgather_tuned"]
 
@@ -69,18 +69,17 @@ def ring_allgather_native(ctx, nbytes: int, root: int = 0, owned: ChunkSet = Non
     left = (ctx.rank - 1 + size) % size
     right = (ctx.rank + 1) % size
 
+    disps, counts = chunk_table(nbytes, size)
     sends = recvs = redundant = 0
     for i in range(1, size):
         send_chunk, recv_chunk = _ring_step_chunks(rel, size, i)
-        send_bytes = span_bytes(nbytes, size, send_chunk, 1)
-        recv_bytes = span_bytes(nbytes, size, recv_chunk, 1)
         yield from ctx.sendrecv(
             dst=right,
-            send_nbytes=send_bytes,
+            send_nbytes=counts[send_chunk],
             src=left,
-            recv_nbytes=recv_bytes,
-            send_disp=span_disp(nbytes, size, send_chunk),
-            recv_disp=span_disp(nbytes, size, recv_chunk),
+            recv_nbytes=counts[recv_chunk],
+            send_disp=disps[send_chunk],
+            recv_disp=disps[recv_chunk],
             send_tag=RING_TAG,
             recv_tag=RING_TAG,
             chunks=(send_chunk,),
@@ -121,13 +120,14 @@ def ring_allgather_tuned(ctx, nbytes: int, root: int = 0, owned: ChunkSet = None
     right = (ctx.rank + 1) % size
     step, flag = tuned_ring_role(rel, size)
 
+    disps, counts = chunk_table(nbytes, size)
     sends = recvs = 0
     for i in range(1, size):
         send_chunk, recv_chunk = _ring_step_chunks(rel, size, i)
-        send_bytes = span_bytes(nbytes, size, send_chunk, 1)
-        recv_bytes = span_bytes(nbytes, size, recv_chunk, 1)
-        send_disp = span_disp(nbytes, size, send_chunk)
-        recv_disp = span_disp(nbytes, size, recv_chunk)
+        send_bytes = counts[send_chunk]
+        recv_bytes = counts[recv_chunk]
+        send_disp = disps[send_chunk]
+        recv_disp = disps[recv_chunk]
 
         if step <= size - i:
             # Full-duplex phase: behave exactly like the enclosed ring.

@@ -14,13 +14,21 @@ chunk interval so callers (and tests) can verify ownership.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Tuple
 
 from ..errors import CollectiveError
 from ..util import ChunkSet, next_power_of_two
 from ..util.chunking import chunk_disp
 from .relative import relative_rank, subtree_chunks
 
-__all__ = ["ScatterResult", "binomial_scatter", "span_bytes", "span_disp"]
+__all__ = [
+    "ScatterResult",
+    "binomial_scatter",
+    "chunk_table",
+    "span_bytes",
+    "span_disp",
+]
 
 # Tag reserved for scatter-phase traffic (mirrors MPICH's distinct tags
 # per collective phase so ring traffic can never match scatter receives).
@@ -46,6 +54,20 @@ def span_bytes(nbytes: int, size: int, first_chunk: int, n_chunks: int) -> int:
     start_disp = span_disp(nbytes, size, first_chunk)
     end_disp = nbytes if end == size else span_disp(nbytes, size, end)
     return end_disp - start_disp
+
+
+@lru_cache(maxsize=32)
+def chunk_table(nbytes: int, size: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """``(disps, counts)``: ``span_disp`` and the one-chunk ``span_bytes``
+    of every chunk ``0 .. size-1``.
+
+    The ring phases read both at every step. The memo is shared by every
+    rank of a run (and by both ring variants), so one table exists per
+    ``(nbytes, size)`` instead of one per rank.
+    """
+    disps = tuple(span_disp(nbytes, size, c) for c in range(size))
+    ends = disps[1:] + (nbytes,)
+    return disps, tuple(end - disp for disp, end in zip(disps, ends))
 
 
 @dataclass

@@ -44,6 +44,7 @@ from ..mpi.matching import Envelope, MatchingEngine
 from ..mpi.ops import ComputeOp, IrecvOp, IsendOp, RecvOp, SendOp, WaitOp
 from ..mpi.request import Request, Status
 from ..sim import Proc
+from ..sim.process import BLOCKED
 from ..sim.replay import (
     OP_COMPUTE,
     OP_IRECV,
@@ -61,8 +62,6 @@ __all__ = [
     "cached_schedule",
     "clear_schedule_memo",
 ]
-
-_BLOCKED = object()
 
 
 @dataclass(frozen=True)
@@ -223,20 +222,20 @@ class ScheduleExecutor:
             self._ready.append((idx, None))
         while self._ready:
             idx, value = self._ready.popleft()
-            self._advance(idx, value)
+            self.procs[idx].drive(value, idx, self._execute)
         unfinished = [
             self._describe_blocked(idx)
             for idx, p in enumerate(self.procs)
             if not p.finished
         ]
         if unfinished:
-            unfinished.extend(
+            notes = [
                 eng.describe_blockage()
                 for eng in self.matching
                 if eng.pending_unexpected
-            )
-            unfinished.extend(f"injected {line}" for line in self.suppressed)
-            raise DeadlockError(unfinished)
+            ]
+            notes.extend(f"injected {line}" for line in self.suppressed)
+            raise DeadlockError(unfinished, notes=notes)
         return ScheduleResult(
             sends=self.sends,
             rank_results=[p.result for p in self.procs],
@@ -265,17 +264,6 @@ class ScheduleExecutor:
                 f"{len(parked.requests)} request(s): {', '.join(pending)}"
             )
         return f"rank {glob} never ran to completion ({self.procs[idx]!r})"
-
-    def _advance(self, idx: int, value) -> None:
-        proc = self.procs[idx]
-        while True:
-            outcome = proc.advance(value)
-            if outcome.done:
-                return
-            result = self._execute(idx, outcome.value)
-            if result is _BLOCKED:
-                return
-            value = result
 
     # -- op execution ------------------------------------------------------
     def _execute(self, idx: int, op):
@@ -334,7 +322,7 @@ class ScheduleExecutor:
 
             self._parked[idx] = _ParkedRecv(req)
             req.on_complete(recv_done)
-            return _BLOCKED
+            return BLOCKED
         if isinstance(op, WaitOp):
             requests = op.requests
             members = []
@@ -365,7 +353,7 @@ class ScheduleExecutor:
             for r in requests:
                 if not r.complete:
                     r.on_complete(one_done)
-            return _BLOCKED
+            return BLOCKED
         if isinstance(op, ComputeOp):
             log.append([OP_COMPUTE, float(op.seconds)])
             return None  # time is free here

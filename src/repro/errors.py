@@ -48,6 +48,9 @@ class DeadlockError(SimulationError):
     descriptions (e.g. P-2 ranks all parked on the same ring receive)
     collapse to one line with a ``(xN)`` multiplicity so the headline
     stays readable at large P; ``.blocked`` keeps the full list.
+    ``notes`` are further diagnostic lines (matching-engine dumps,
+    injected faults) shown after the blocked processes but not counted
+    among them.
 
     ``witness`` optionally attaches a minimized model-checker witness
     (:class:`repro.analysis.modelcheck.DeadlockWitness` — anything whose
@@ -55,11 +58,12 @@ class DeadlockError(SimulationError):
     *who* is stuck but the shortest interleaving that gets them stuck.
     """
 
-    def __init__(self, blocked: list, witness=None) -> None:
+    def __init__(self, blocked: list, witness=None, notes=()) -> None:
         self.blocked = list(blocked)
+        self.notes = list(notes)
         self.witness = witness
         counts: dict = {}
-        for b in self.blocked:
+        for b in self.blocked + self.notes:
             line = str(b)
             counts[line] = counts.get(line, 0) + 1
         unique = [

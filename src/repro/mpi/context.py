@@ -116,22 +116,14 @@ class RankContext:
     ):
         """``MPI_Sendrecv``: concurrent send and receive, as MPICH builds
         it — isend + irecv + waitall. Returns the receive's Status."""
+        buffer = self.buffer
         send_req = yield IsendOp(
-            dst=self._global_dst(dst),
-            nbytes=send_nbytes,
-            tag=send_tag,
-            buffer=self.buffer,
-            disp=send_disp,
-            chunks=chunks,
+            self._global_dst(dst), send_nbytes, send_tag, buffer, send_disp, chunks
         )
         recv_req = yield IrecvOp(
-            src=self._global_src(src),
-            nbytes=recv_nbytes,
-            tag=recv_tag,
-            buffer=self.buffer,
-            disp=recv_disp,
+            self._global_src(src), recv_nbytes, recv_tag, buffer, recv_disp
         )
-        statuses = yield WaitOp(requests=(send_req, recv_req))
+        statuses = yield WaitOp((send_req, recv_req))
         return self._localize(statuses[1])
 
     # -- nonblocking verbs -------------------------------------------------------

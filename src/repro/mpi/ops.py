@@ -23,8 +23,7 @@ ranks before yielding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from ..errors import MpiError
 
@@ -42,11 +41,14 @@ __all__ = [
 ANY_SOURCE = -1
 ANY_TAG = -1
 
+# Descriptors are immutable tuples: a program yields one per operation,
+# so building one must cost no more than a tuple. Each class validates
+# in ``__new__`` over a NamedTuple base that only names the fields
+# (NamedTuple bodies may not define ``__new__``).
+_new = tuple.__new__
 
-@dataclass(frozen=True)
-class SendOp:
-    """Blocking send of ``nbytes`` from ``buffer[disp:]`` to global ``dst``."""
 
+class _SendFields(NamedTuple):
     dst: int
     nbytes: int
     tag: int = 0
@@ -54,65 +56,85 @@ class SendOp:
     disp: int = 0
     chunks: Tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if self.nbytes < 0:
-            raise MpiError(f"send of negative size {self.nbytes}")
-        if self.dst < 0:
-            raise MpiError(f"send to invalid rank {self.dst}")
-        if self.tag < 0:
-            raise MpiError(f"send with invalid tag {self.tag} (tags must be >= 0)")
+
+class SendOp(_SendFields):
+    """Blocking send of ``nbytes`` from ``buffer[disp:]`` to global ``dst``."""
+
+    __slots__ = ()
+
+    def __new__(cls, dst, nbytes, tag=0, buffer=None, disp=0, chunks=()):
+        if nbytes < 0:
+            raise MpiError(f"send of negative size {nbytes}")
+        if dst < 0:
+            raise MpiError(f"send to invalid rank {dst}")
+        if tag < 0:
+            raise MpiError(f"send with invalid tag {tag} (tags must be >= 0)")
+        return _new(cls, (dst, nbytes, tag, buffer, disp, chunks))
 
 
-@dataclass(frozen=True)
-class RecvOp:
-    """Blocking receive of at most ``nbytes`` into ``buffer[disp:]``.
-
-    ``src`` may be :data:`ANY_SOURCE` and ``tag`` :data:`ANY_TAG`.
-    """
-
+class _RecvFields(NamedTuple):
     src: int
     nbytes: int
     tag: int = 0
     buffer: object = None
     disp: int = 0
 
-    def __post_init__(self):
-        if self.nbytes < 0:
-            raise MpiError(f"recv of negative size {self.nbytes}")
-        if self.src < ANY_SOURCE:
-            raise MpiError(f"recv from invalid rank {self.src}")
-        if self.tag < ANY_TAG:
-            raise MpiError(f"recv with invalid tag {self.tag}")
+
+class RecvOp(_RecvFields):
+    """Blocking receive of at most ``nbytes`` into ``buffer[disp:]``.
+
+    ``src`` may be :data:`ANY_SOURCE` and ``tag`` :data:`ANY_TAG`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, src, nbytes, tag=0, buffer=None, disp=0):
+        if nbytes < 0:
+            raise MpiError(f"recv of negative size {nbytes}")
+        if src < ANY_SOURCE:
+            raise MpiError(f"recv from invalid rank {src}")
+        if tag < ANY_TAG:
+            raise MpiError(f"recv with invalid tag {tag}")
+        return _new(cls, (src, nbytes, tag, buffer, disp))
 
 
-@dataclass(frozen=True)
 class IsendOp(SendOp):
     """Nonblocking send; yields a Request immediately."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class IrecvOp(RecvOp):
     """Nonblocking receive; yields a Request immediately."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class WaitOp:
+
+class _WaitFields(NamedTuple):
+    requests: tuple = ()
+
+
+class WaitOp(_WaitFields):
     """Block until every request in ``requests`` completes."""
 
-    requests: tuple = field(default_factory=tuple)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "requests", tuple(self.requests))
+    def __new__(cls, requests=()):
+        return _new(cls, (tuple(requests),))
 
 
-@dataclass(frozen=True)
-class ComputeOp:
-    """Occupy the rank for ``seconds`` of simulated computation."""
-
+class _ComputeFields(NamedTuple):
     seconds: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.seconds < float("inf"):  # NaN included
+
+class ComputeOp(_ComputeFields):
+    """Occupy the rank for ``seconds`` of simulated computation."""
+
+    __slots__ = ()
+
+    def __new__(cls, seconds):
+        if not 0.0 <= seconds < float("inf"):  # NaN included
             raise MpiError(
-                f"compute duration must be finite and >= 0, got {self.seconds}"
+                f"compute duration must be finite and >= 0, got {seconds}"
             )
+        return _new(cls, (seconds,))

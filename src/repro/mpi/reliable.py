@@ -127,9 +127,11 @@ class ReliableTransport(Transport):
             caps.append(plan.rate_cap)
         return nbytes / min(caps) if caps else 0.0
 
-    def _timeout_seconds(self, plan, nbytes: int, attempts: int) -> float:
+    def _timeout_seconds(self, plan, xfer_s: float, attempts: int) -> float:
+        """Retransmit timeout of a transmission whose payload takes
+        *xfer_s* seconds (:meth:`_xfer_seconds`) on the path."""
         cfg = self.config
-        rtt = 2.0 * plan.latency + self._xfer_seconds(plan, nbytes)
+        rtt = 2.0 * plan.latency + xfer_s
         base = cfg.min_timeout + cfg.timeout_margin * rtt
         return base * cfg.backoff ** max(attempts - 1, 0)
 
@@ -160,22 +162,24 @@ class ReliableTransport(Transport):
             self._log_fault("corrupt", req.owner, req.peer, req.tag, "payload bit-flip")
             if not self.config.checksum:
                 payload = self._corrupt_payload(payload)
-        self.trace.emit(
-            self.engine.now,
-            "send_launch",
-            src=req.owner,
-            dst=req.peer,
-            tag=req.tag,
-            nbytes=req.nbytes,
-            protocol="reliable",
-            seq=state.seq,
-            attempt=state.attempts,
-            intra=plan.intra_node,
-        )
+        if self.trace.enabled:
+            self.trace.emit(
+                self.engine.now,
+                "send_launch",
+                src=req.owner,
+                dst=req.peer,
+                tag=req.tag,
+                nbytes=req.nbytes,
+                protocol="reliable",
+                seq=state.seq,
+                attempt=state.attempts,
+                intra=plan.intra_node,
+            )
         latency = self._latency(plan) + self._queueing_delay(plan, req.nbytes)
         if decision is not FaultDecision.CLEAN:
             latency = latency * decision.latency_factor + decision.extra_latency
-        duration = latency + self._xfer_seconds(plan, req.nbytes)
+        xfer_s = self._xfer_seconds(plan, req.nbytes)
+        duration = latency + xfer_s
         if decision.drop:
             cause = decision.cause or "drop"
             state.last_cause = cause
@@ -203,7 +207,7 @@ class ReliableTransport(Transport):
                 )
                 twin = _Packet(req, payload, state.seq, corrupt)
                 self.engine.post(duration * 1.5, self._packet_arrive, twin)
-        timeout = self._timeout_seconds(plan, req.nbytes, state.attempts)
+        timeout = self._timeout_seconds(plan, xfer_s, state.attempts)
         state.timer = self.engine.schedule(timeout, self._on_timeout, state)
 
     def _on_timeout(self, state: _PendingSend) -> None:
@@ -313,13 +317,14 @@ class ReliableTransport(Transport):
         state.acked = True
         if state.timer is not None:
             state.timer.cancel()
-        self.trace.emit(
-            self.engine.now,
-            "ack",
-            src=src,
-            dst=dst,
-            tag=state.req.tag,
-            seq=seq,
-            attempts=state.attempts,
-        )
+        if self.trace.enabled:
+            self.trace.emit(
+                self.engine.now,
+                "ack",
+                src=src,
+                dst=dst,
+                tag=state.req.tag,
+                seq=seq,
+                attempts=state.attempts,
+            )
         state.req.finish()

@@ -16,6 +16,7 @@ from ..errors import DeadlockError, SimulationError
 from ..machine import Machine
 from ..sim import Engine, FlowNetwork, NullTrace, Proc, RngStreams, Trace
 from ..sim.faults import FaultPlan
+from ..sim.process import BLOCKED
 from .comm import Communicator
 from .context import RankContext
 from .counters import TrafficCounters
@@ -25,8 +26,6 @@ from .request import Request
 from .transport import Transport
 
 __all__ = ["Job", "JobResult"]
-
-_BLOCKED = object()
 
 
 class JobResult:
@@ -63,22 +62,34 @@ class JobResult:
         )
 
 
-class _Continuation:
-    """Resume hook for a blocked rank; fires exactly once."""
+class _Waiter:
+    """A blocked rank's resume hook: the completion callback of the
+    requests it waits on (the engine callback for a compute). It counts
+    those completions down and resumes the rank exactly once, with the
+    request's status (None for a send) or a waitall's status list."""
 
-    __slots__ = ("job", "idx", "fired")
+    __slots__ = ("job", "idx", "requests", "remaining")
 
-    def __init__(self, job: "Job", idx: int):
+    def __init__(
+        self, job: "Job", idx: int, requests: tuple = (), remaining: int = 1
+    ):
         self.job = job
         self.idx = idx
-        self.fired = False
+        self.requests = requests  # a waitall's requests; () otherwise
+        self.remaining = remaining
 
-    def resume(self, value) -> None:
-        if self.fired:
+    def __call__(self, req: Optional[Request] = None) -> None:
+        self.remaining -= 1
+        if self.remaining > 0:
+            return
+        if self.remaining < 0:
             raise SimulationError(
                 f"rank {self.idx} resumed twice from the same blocking point"
             )
-        self.fired = True
+        if self.requests:
+            value = [r.status for r in self.requests]
+        else:
+            value = None if req is None else req.status
         self.job._resume(self.idx, value)
 
 
@@ -134,8 +145,8 @@ class Job:
 
         self.contexts: List[RankContext] = []
         self.procs: List[Proc] = []
-        for local in range(self.comm.size):
-            glob = self.comm.to_global(local)
+        self._ranks = [self.comm.to_global(i) for i in range(self.comm.size)]
+        for local, glob in enumerate(self._ranks):
             buf = buffers[local] if buffers is not None else None
             ctx = RankContext(glob, self.comm, buffer=buf)
             self.contexts.append(ctx)
@@ -154,14 +165,13 @@ class Job:
             # Kick every program at t=0 (FIFO order: rank 0 first).
             self.engine.post(0.0, self._resume, idx, None)
         self.engine.run()
-        unfinished = [p for p in self.procs if not p.finished]
+        unfinished = [repr(p) for p in self.procs if not p.finished]
         if unfinished:
-            blocked = [repr(p) for p in unfinished]
-            blocked.extend(self.transport.blocked_summary())
-            blocked.extend(
+            notes = self.transport.blocked_summary()
+            notes.extend(
                 f"injected {line}" for line in self.transport.fault_summary()
             )
-            raise DeadlockError(blocked)
+            raise DeadlockError(unfinished, notes=notes)
         makespan = max(t for t in self._finish_times)
         return JobResult(
             time=makespan,
@@ -175,103 +185,61 @@ class Job:
 
     # -- program driving ----------------------------------------------------
     def _resume(self, idx: int, value) -> None:
-        proc = self.procs[idx]
-        while True:
-            outcome = proc.advance(value)
-            if outcome.done:
-                self._finish_times[idx] = self.engine.now
-                return
-            result = self._execute(idx, outcome.value)
-            if result is _BLOCKED:
-                return
-            value = result
+        if self.procs[idx].drive(value, idx, self._execute):
+            self._finish_times[idx] = self.engine.now
 
     def _execute(self, idx: int, op):
-        """Run one yielded operation; immediate result or _BLOCKED."""
-        glob = self.comm.to_global(idx)
-        proc = self.procs[idx]
-
-        if isinstance(op, IsendOp):
-            req = self._make_send(glob, op)
+        """Run one yielded operation; its immediate result or BLOCKED."""
+        kind = type(op)
+        if kind is SendOp or kind is IsendOp:
+            dst, nbytes, tag, buffer, disp, chunks = op
+            req = Request(
+                "send", self._ranks[idx], dst, tag, nbytes, buffer, disp, chunks
+            )
             self.transport.post_send(req)
-            return req
-        if isinstance(op, IrecvOp):
-            req = self._make_recv(glob, op)
-            self.transport.post_recv(req)
-            return req
-        if isinstance(op, SendOp):
-            req = self._make_send(glob, op)
-            self.transport.post_send(req)
+            if kind is IsendOp:
+                return req
             if req.complete:
                 return None
-            proc.blocked_on = f"send to {op.dst} tag={op.tag}"
-            cont = _Continuation(self, idx)
-            req.on_complete(lambda r: cont.resume(None))
-            return _BLOCKED
-        if isinstance(op, RecvOp):
-            req = self._make_recv(glob, op)
+            self.procs[idx].blocked_on = f"send to {dst} tag={tag}"
+            req.on_complete(_Waiter(self, idx))
+            return BLOCKED
+        if kind is RecvOp or kind is IrecvOp:
+            src, nbytes, tag, buffer, disp = op
+            req = Request("recv", self._ranks[idx], src, tag, nbytes, buffer, disp)
             self.transport.post_recv(req)
+            if kind is IrecvOp:
+                return req
             if req.complete:
                 return req.status
-            proc.blocked_on = f"recv from {op.src} tag={op.tag}"
-            cont = _Continuation(self, idx)
-            req.on_complete(lambda r: cont.resume(r.status))
-            return _BLOCKED
-        if isinstance(op, WaitOp):
+            self.procs[idx].blocked_on = f"recv from {src} tag={tag}"
+            req.on_complete(_Waiter(self, idx))
+            return BLOCKED
+        if kind is WaitOp:
             requests = op.requests
+            remaining = 0
             for r in requests:
                 if not isinstance(r, Request):
                     raise SimulationError(
                         f"WaitOp expects Request objects, got {type(r).__name__}"
                     )
-            remaining = sum(1 for r in requests if not r.complete)
+                if not r.complete:
+                    remaining += 1
             if remaining == 0:
                 return [r.status for r in requests]
-            proc.blocked_on = f"waitall({len(requests)} reqs, {remaining} pending)"
-            cont = _Continuation(self, idx)
-            state = {"remaining": remaining}
-
-            def one_done(_req, state=state, cont=cont, requests=requests):
-                state["remaining"] -= 1
-                if state["remaining"] == 0:
-                    cont.resume([r.status for r in requests])
-
+            self.procs[idx].blocked_on = (
+                f"waitall({len(requests)} reqs, {remaining} pending)"
+            )
+            waiter = _Waiter(self, idx, requests, remaining)
             for r in requests:
                 if not r.complete:
-                    r.on_complete(one_done)
-            return _BLOCKED
-        if isinstance(op, ComputeOp):
-            proc.blocked_on = f"compute({op.seconds}s)"
-            cont = _Continuation(self, idx)
-            self.engine.post(op.seconds, cont.resume, None)
-            return _BLOCKED
+                    r.on_complete(waiter)
+            return BLOCKED
+        if kind is ComputeOp:
+            self.procs[idx].blocked_on = f"compute({op.seconds}s)"
+            self.engine.post(op.seconds, _Waiter(self, idx))
+            return BLOCKED
         raise SimulationError(
             f"rank {idx} yielded an unknown operation: {op!r} "
             "(programs must yield repro.mpi op descriptors)"
-        )
-
-    # -- request construction ------------------------------------------------
-    @staticmethod
-    def _make_send(owner: int, op: SendOp) -> Request:
-        return Request(
-            "send",
-            owner=owner,
-            peer=op.dst,
-            tag=op.tag,
-            nbytes=op.nbytes,
-            buffer=op.buffer,
-            disp=op.disp,
-            chunks=op.chunks,
-        )
-
-    @staticmethod
-    def _make_recv(owner: int, op: RecvOp) -> Request:
-        return Request(
-            "recv",
-            owner=owner,
-            peer=op.src,
-            tag=op.tag,
-            nbytes=op.nbytes,
-            buffer=op.buffer,
-            disp=op.disp,
         )

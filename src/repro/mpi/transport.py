@@ -100,14 +100,17 @@ class Transport:
         """Start a send request; completion is reported via callbacks."""
         req.seq = self._seq
         self._seq += 1
-        self.trace.emit(
-            self.engine.now,
-            "send_post",
-            src=req.owner,
-            dst=req.peer,
-            tag=req.tag,
-            nbytes=req.nbytes,
-        )
+        # Per-message records check ``enabled`` first: building the
+        # keyword dict costs about a microsecond even for a NullTrace.
+        if self.trace.enabled:
+            self.trace.emit(
+                self.engine.now,
+                "send_post",
+                src=req.owner,
+                dst=req.peer,
+                tag=req.tag,
+                nbytes=req.nbytes,
+            )
         overhead = self.machine.spec.send_overhead
         if overhead > 0:
             self.engine.post(overhead, self._launch_send, req)
@@ -116,14 +119,15 @@ class Transport:
 
     def post_recv(self, req: Request) -> None:
         """Post a receive; matching may complete it now or much later."""
-        self.trace.emit(
-            self.engine.now,
-            "recv_post",
-            dst=req.owner,
-            src=req.peer,
-            tag=req.tag,
-            nbytes=req.nbytes,
-        )
+        if self.trace.enabled:
+            self.trace.emit(
+                self.engine.now,
+                "recv_post",
+                dst=req.owner,
+                src=req.peer,
+                tag=req.tag,
+                nbytes=req.nbytes,
+            )
         env = self.matching[req.owner].post_recv(req)
         if env is not None:
             self._matched(env, req)
@@ -221,16 +225,17 @@ class Transport:
             self.counters.corrupt_injected += 1
             self._log_fault("corrupt", req.owner, req.peer, req.tag, "payload bit-flip")
             payload = self._corrupt_payload(payload)
-        self.trace.emit(
-            self.engine.now,
-            "send_launch",
-            src=req.owner,
-            dst=req.peer,
-            tag=req.tag,
-            nbytes=req.nbytes,
-            protocol="eager" if eager else "rendezvous",
-            intra=plan.intra_node,
-        )
+        if self.trace.enabled:
+            self.trace.emit(
+                self.engine.now,
+                "send_launch",
+                src=req.owner,
+                dst=req.peer,
+                tag=req.tag,
+                nbytes=req.nbytes,
+                protocol="eager" if eager else "rendezvous",
+                intra=plan.intra_node,
+            )
         delivery = _Delivery(req, payload, rendezvous=not eager)
         env = Envelope(req.owner, req.tag, req.nbytes, delivery, req.seq)
         latency = self._latency(plan) + self._queueing_delay(plan, req.nbytes)
@@ -261,14 +266,15 @@ class Transport:
 
     # -- receive path -----------------------------------------------------
     def _envelope_arrive(self, dst: int, env: Envelope) -> None:
-        self.trace.emit(
-            self.engine.now,
-            "envelope",
-            src=env.src,
-            dst=dst,
-            tag=env.tag,
-            nbytes=env.nbytes,
-        )
+        if self.trace.enabled:
+            self.trace.emit(
+                self.engine.now,
+                "envelope",
+                src=env.src,
+                dst=dst,
+                tag=env.tag,
+                nbytes=env.nbytes,
+            )
         recv_req = self.matching[dst].arrive(env)
         if recv_req is not None:
             self._matched(env, recv_req)
@@ -281,14 +287,15 @@ class Transport:
                 f"receive of {recv_req.nbytes} bytes on rank {recv_req.owner}"
             )
         delivery.recv_req = recv_req
-        self.trace.emit(
-            self.engine.now,
-            "match",
-            src=env.src,
-            dst=recv_req.owner,
-            tag=env.tag,
-            nbytes=env.nbytes,
-        )
+        if self.trace.enabled:
+            self.trace.emit(
+                self.engine.now,
+                "match",
+                src=env.src,
+                dst=recv_req.owner,
+                tag=env.tag,
+                nbytes=env.nbytes,
+            )
         if delivery.rendezvous:
             # Clear-to-send travels back, then the payload flow starts.
             plan = self.machine.transfer_plan(
@@ -333,14 +340,15 @@ class Transport:
         if recv_req.buffer is not None and delivery.payload is not None:
             recv_req.buffer.write(recv_req.disp, delivery.payload)
         status = Status(send_req.owner, send_req.tag, send_req.nbytes, send_req.chunks)
-        self.trace.emit(
-            self.engine.now,
-            "recv_complete",
-            src=send_req.owner,
-            dst=recv_req.owner,
-            tag=send_req.tag,
-            nbytes=send_req.nbytes,
-        )
+        if self.trace.enabled:
+            self.trace.emit(
+                self.engine.now,
+                "recv_complete",
+                src=send_req.owner,
+                dst=recv_req.owner,
+                tag=send_req.tag,
+                nbytes=send_req.nbytes,
+            )
         recv_req.finish(status)
 
     # -- diagnostics ------------------------------------------------------------

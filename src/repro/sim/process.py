@@ -2,28 +2,36 @@
 
 Rank programs (and collective algorithms) are plain Python generators
 that ``yield`` operation descriptors and receive each operation's result
-back at the ``yield`` expression. Three executors drive the same
+back at the ``yield`` expression. Five executors drive the same
 generators:
 
 * the discrete-event runtime (:mod:`repro.mpi.runtime`),
 * the schedule-extraction counter (:mod:`repro.collectives.schedule`),
+* the rendezvous analyzer (:mod:`repro.analysis.verify`),
+* the match-order model checker (:mod:`repro.analysis.modelcheck`),
 * the real-thread backend (:mod:`repro.backends.threads`).
 
-This module holds the one piece they all share: a tiny stepper that
-advances a generator and reports either the next yielded operation or
-the final return value.
+The first three run each program until an op blocks with
+:meth:`Proc.drive`, one loop over ``gen.send``. The model checker steps
+through :meth:`Proc.advance` and the thread backend through
+:func:`step_coroutine`, which report either the next yielded operation
+or the final return value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from ..errors import SimulationError
 
-__all__ = ["StepOutcome", "step_coroutine", "ensure_generator"]
+__all__ = ["BLOCKED", "StepOutcome", "step_coroutine", "ensure_generator"]
 
 _SENTINEL = object()
+
+#: What an executor's op handler returns when the op parks the program;
+#: anything else is the op's result, sent back into the generator.
+BLOCKED = object()
 
 
 @dataclass
@@ -102,6 +110,28 @@ class Proc:
             self.result = outcome.value
             self.blocked_on = None
         return outcome
+
+    def drive(
+        self, value: Any, idx: int, execute: Callable[[int, Any], Any]
+    ) -> bool:
+        """Send *value* into the program and run each op it yields
+        through ``execute(idx, op)`` until one returns :data:`BLOCKED`
+        (returns False) or the program finishes (returns True)."""
+        if self.finished:
+            raise SimulationError(f"process {self.name} already finished")
+        self.started = True
+        send = self.gen.send
+        while True:
+            try:
+                op = send(value)
+            except StopIteration as stop:
+                self.finished = True
+                self.result = stop.value
+                self.blocked_on = None
+                return True
+            value = execute(idx, op)
+            if value is BLOCKED:
+                return False
 
     def __repr__(self) -> str:
         if self.finished:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import CollectiveError
 from repro.collectives import binomial_scatter, span_bytes, span_disp, subtree_chunks
+from repro.collectives.scatter import chunk_table
 from repro.collectives.schedule import extract_schedule
 from repro.mpi import RealBuffer
 from repro.util import ChunkSet, chunk_count, chunk_disp
@@ -51,6 +52,22 @@ class TestSpanHelpers:
                 assert span_bytes(100, 8, first, n) + span_bytes(
                     100, 8, first + n, 1
                 ) == span_bytes(100, 8, first, n + 1)
+
+
+class TestChunkTable:
+    @pytest.mark.parametrize("P", range(1, 71))
+    def test_table_matches_span_helpers(self, P):
+        for nbytes in sorted({0, P - 1, P + 1, 12289, 2 << 20}):
+            disps, counts = chunk_table(nbytes, P)
+            assert disps == tuple(span_disp(nbytes, P, c) for c in range(P))
+            assert counts == tuple(span_bytes(nbytes, P, c, 1) for c in range(P))
+
+    def test_one_table_shared_per_size(self):
+        assert chunk_table(12289, 65) is chunk_table(12289, 65)
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(CollectiveError):
+            chunk_table(-1, 4)
 
 
 class TestPaperFigures:

@@ -205,6 +205,8 @@ class TestDeadlockReporting:
         msg = str(exc.value)
         assert "rank 1 blocked in recv(src=0, tag=5, nbytes=4)" in msg
         assert "unexpected(src=0, tag=7)" in msg
+        # The matching-engine line is a note, not a blocked process.
+        assert "deadlocked with 1 blocked process(es)" in msg
 
     def test_any_source_recv_described(self):
         from repro.mpi.ops import ANY_SOURCE

@@ -155,6 +155,42 @@ class TestProgrammingErrors:
         # The report includes the matching-engine state.
         assert "tag=2" in str(exc.value) or "unexpected" in str(exc.value)
 
+    def test_des_deadlock_report_lines_and_count(self):
+        """The report names each blocked rank's op, then every matching
+        engine's pending state; the headline counts the ranks only."""
+        machine = Machine(ideal(), nranks=3)
+
+        def factory(ctx):
+            def program():
+                if ctx.rank == 0:
+                    yield from ctx.recv(1, 8, tag=2)
+                elif ctx.rank == 1:
+                    r = yield from ctx.irecv(0, 8, tag=3)
+                    s = yield from ctx.isend(2, 1 << 30, tag=3)
+                    yield from ctx.waitall([r, s])
+                else:
+                    yield from ctx.send(0, 1 << 30, tag=4)
+
+            return program()
+
+        with pytest.raises(DeadlockError) as exc:
+            Job(machine, factory).run()
+        err = exc.value
+        assert err.blocked == [
+            "<Proc rank0: blocked on recv from 1 tag=2>",
+            "<Proc rank1: blocked on waitall(2 reqs, 2 pending)>",
+            "<Proc rank2: blocked on send to 0 tag=4>",
+        ]
+        assert err.notes == [
+            "rank 0: recv(src=1, tag=2), unexpected(src=2, tag=4)",
+            "rank 1: recv(src=0, tag=3)",
+            "rank 2: unexpected(src=1, tag=3)",
+        ]
+        assert str(err) == (
+            "simulation deadlocked with 3 blocked process(es): "
+            + "; ".join(err.blocked + err.notes)
+        )
+
     def test_self_message_rejected_by_machine(self):
         machine = Machine(ideal(), nranks=2)
 

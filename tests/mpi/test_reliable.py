@@ -172,6 +172,50 @@ class TestExhaustion:
         assert attempts() == attempts()
 
 
+class TestDeterminism:
+    def test_chaos_point_is_pinned(self):
+        """One point of the P=65 chaos sweep, pinned bit for bit: the
+        simulated time, the ARQ counters and the engine's event count
+        (every packet, ACK and resume is posted; each transmission arms
+        one retransmission timer)."""
+        from repro.collectives import get_algorithm
+        from repro.machine import hornet
+
+        algo = get_algorithm("scatter_ring_opt")
+        job = Job(
+            Machine(hornet(16), nranks=65),
+            lambda ctx: algo(ctx, 12288, 0),
+            working_set=12288,
+            faults=FaultPlan.uniform(seed=0, drop_p=0.01),
+            reliable=True,
+        )
+        engine = job.engine
+        calls = {"post": 0, "schedule_at": 0}
+
+        def counted(name):
+            method = getattr(engine, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return method(*args)
+
+            return wrapper
+
+        engine.post = counted("post")
+        engine.schedule_at = counted("schedule_at")
+        res = job.run()
+        c = res.counters
+        assert res.time.hex() == "0x1.827d76824f41dp-12"
+        assert (c.messages, c.retrans_messages, c.ack_messages, c.timeouts) == (
+            4031,
+            77,
+            4069,
+            77,
+        )
+        assert engine._seq == 20335
+        assert calls == {"post": 16227, "schedule_at": 4108}
+
+
 class TestPlainTransportFaults:
     def test_rendezvous_drop_reported_in_deadlock(self):
         """On the plain transport a dropped rendezvous send blocks the
@@ -220,6 +264,7 @@ class TestConfig:
         transport = job.transport
         assert isinstance(transport, ReliableTransport)
         plan = transport.machine.transfer_plan(0, 1)
-        t1 = transport._timeout_seconds(plan, 1024, attempts=1)
-        t3 = transport._timeout_seconds(plan, 1024, attempts=3)
+        xfer_s = transport._xfer_seconds(plan, 1024)
+        t1 = transport._timeout_seconds(plan, xfer_s, attempts=1)
+        t3 = transport._timeout_seconds(plan, xfer_s, attempts=3)
         assert t3 == pytest.approx(t1 * transport.config.backoff ** 2)

@@ -301,6 +301,35 @@ class TestFailureModes:
         with pytest.raises(DeadlockError):
             run_job(two_rank_machine, factory)
 
+    def test_blocked_rank_resumes_only_once(self, two_rank_machine):
+        """A blocked rank's completion hook resumes it once; a second
+        completion of the same blocking point is a typed error."""
+
+        def factory(ctx):
+            def program():
+                if ctx.rank == 0:
+                    yield from ctx.recv(1, 8, tag=1)
+                else:
+                    yield from ctx.send(0, 1 << 30, tag=5)  # rendezvous
+
+            return program()
+
+        job = Job(two_rank_machine, factory)
+        with pytest.raises(DeadlockError, match=r"with 2 blocked process\(es\)"):
+            job.run()
+        engine = job.transport.matching[0]
+        recv_req = engine.posted[0]
+        send_req = engine.unexpected[0].send_req.send_req
+        for rank, req in ((0, recv_req), (1, send_req)):
+            resume = req._callbacks[0]
+            resume(req)
+            assert job.procs[rank].finished
+            with pytest.raises(
+                SimulationError,
+                match=f"rank {rank} resumed twice from the same blocking point",
+            ):
+                resume(req)
+
     def test_unknown_op_rejected(self, two_rank_machine):
         def factory(ctx):
             def program():

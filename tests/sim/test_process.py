@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Proc, step_coroutine, ensure_generator
-from repro.sim.process import throw_into
+from repro.sim.process import BLOCKED, throw_into
 
 
 def echo_program():
@@ -108,3 +108,35 @@ class TestProc:
     def test_wraps_only_generators(self):
         with pytest.raises(SimulationError):
             Proc("p", 42)
+
+
+class TestDrive:
+    def test_runs_until_an_op_blocks(self):
+        proc = Proc("p", echo_program())
+        seen = []
+
+        def execute(idx, op):
+            seen.append((idx, op))
+            return BLOCKED if op != "op1" else 7
+
+        assert proc.drive(None, 3, execute) is False
+        assert seen == [(3, "op1"), (3, ("op2", 7))]
+        assert proc.started and not proc.finished
+
+    def test_resumes_and_finishes(self):
+        proc = Proc("p", echo_program())
+        assert proc.drive(None, 0, lambda idx, op: BLOCKED) is False
+        assert proc.drive(1, 0, lambda idx, op: 2) is True
+        assert proc.finished and proc.result == 3
+        assert proc.blocked_on is None
+
+    def test_drive_after_finish_raises(self):
+        def prog():
+            return "done"
+            yield  # pragma: no cover
+
+        proc = Proc("p", prog())
+        assert proc.drive(None, 0, lambda idx, op: None) is True
+        assert proc.result == "done"
+        with pytest.raises(SimulationError, match="already finished"):
+            proc.drive(None, 0, lambda idx, op: None)
