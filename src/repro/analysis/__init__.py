@@ -3,8 +3,7 @@
 Post-hoc trace tooling (timelines, phase summaries, Chrome trace
 export, critical path) plus the static schedule verifier
 (:mod:`repro.analysis.verify`), the α-β/LogGP cost engine
-(:mod:`repro.analysis.costmodel`), the symbolic all-P savings proofs
-(:mod:`repro.analysis.symbolic`), the determinism lint
+(:mod:`repro.analysis.costmodel`), the determinism lint
 (:mod:`repro.analysis.lint`), the exhaustive match-order model checker
 with dynamic partial-order reduction
 (:mod:`repro.analysis.modelcheck`), the engine differential gates:
@@ -83,13 +82,6 @@ from .modelcheck import (
     default_mc_plans,
     mc_grid,
 )
-from .symbolic import (
-    SavingsProof,
-    prove_savings,
-    prove_savings_range,
-    subtree_extents,
-    subtree_sum,
-)
 from .verify import (
     CollectiveSpec,
     HazardPair,
@@ -167,11 +159,6 @@ __all__ = [
     "check_program",
     "default_mc_plans",
     "mc_grid",
-    "SavingsProof",
-    "prove_savings",
-    "prove_savings_range",
-    "subtree_extents",
-    "subtree_sum",
     "CollectiveSpec",
     "HazardPair",
     "RedundantTransfer",

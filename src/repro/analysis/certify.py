@@ -33,7 +33,9 @@ A certificate for a ring-based schedule is checked in four layers:
    theorems: the enclosed ring moves ``P*(P-1)`` messages of which
    exactly ``S-P`` are redundant; the tuned ring moves
    ``P*(P-1)-(S-P)`` with zero redundancy; savings are exactly ``S-P``
-   (12 at P=8, 15 at P=10).
+   (12 at P=8, 15 at P=10). The paper's instances are evaluated on
+   :mod:`repro.core.traffic`, the one closed form of these counts, and
+   cross-validation holds every executed ring to it.
 
 Obligations that rest on a structural induction or a finite-universe
 counting rule (rather than a single entailment) are labelled
@@ -56,14 +58,15 @@ from ..collectives.relative import relative_rank, subtree_chunks, tuned_ring_rol
 from ..collectives.schedule import cached_schedule
 from ..errors import ConfigurationError
 from ..util import chunk_count, scatter_size
-from .abstract import Env, Interval, Lin, RingSet, const, var
-from .symbolic import (
-    PAPER_CASES,
+from ..core.traffic import (
+    ring_bytes_native,
+    ring_bytes_tuned,
     ring_transfers_native,
     ring_transfers_tuned,
-    savings,
     subtree_sum,
+    transfers_saved,
 )
+from .abstract import Env, Interval, Lin, RingSet, const, var
 from .verify import REGISTRY, verify_provenance
 
 __all__ = [
@@ -84,6 +87,9 @@ __all__ = [
 #: certified collective is compared bit-for-bit against the concrete
 #: provenance verifier at each P in this inclusive range.
 DEFAULT_XVAL_RANGE = (2, 64)
+
+#: The paper's published instances: P -> (savings, native ring, tuned ring).
+PAPER_CASES: Dict[int, Tuple[int, int, int]] = {8: (12, 56, 44), 10: (15, 90, 75)}
 
 
 # ---------------------------------------------------------------------------
@@ -755,12 +761,11 @@ def _prove_counts(pr: _Prover, tuned: bool, seeded: bool) -> Dict[str, Any]:
         corollaries["redundant"] = "0"
         corollaries["savings"] = "S - P"
 
-    # Pin the paper's numbers and the closed forms in analysis/symbolic.
-    # Only meaningful for scatter-seeded rings: plain allgather rings
-    # have nothing redundant to save.
+    # Pin the paper's numbers on the closed forms of core.traffic. Only
+    # meaningful for scatter-seeded rings: plain allgather rings have
+    # nothing redundant to save.
     if not seeded:
         return corollaries
-    lo, hi = DEFAULT_XVAL_RANGE
     for Pn, (save, native_n, tuned_n) in sorted(PAPER_CASES.items()):
         S = subtree_sum(Pn)
         pr.check(
@@ -768,26 +773,11 @@ def _prove_counts(pr: _Prover, tuned: bool, seeded: bool) -> Dict[str, Any]:
             f"paper corollary at P={Pn}: S={S}, savings S-P={save}, "
             f"ring {native_n}->{tuned_n}",
             "exact-evaluation",
-            savings(Pn) == save == S - Pn
+            transfers_saved(Pn) == save == S - Pn
             and ring_transfers_native(Pn) == native_n == Pn * (Pn - 1)
             and ring_transfers_tuned(Pn) == tuned_n == Pn * (Pn - 1) - save,
         )
         corollaries[f"savings_P{Pn}"] = save
-    closed_ok = all(
-        ring_transfers_native(Pn) == Pn * (Pn - 1)
-        and ring_transfers_tuned(Pn)
-        == Pn * (Pn - 1) - (subtree_sum(Pn) - Pn)
-        and savings(Pn) == subtree_sum(Pn) - Pn
-        and subtree_sum(Pn) == sum(subtree_chunks(x, Pn) for x in range(Pn))
-        for Pn in range(lo, hi + 1)
-    )
-    pr.check(
-        "count.symbolic_consistency",
-        "certificate count polynomials agree with analysis/symbolic "
-        f"closed forms and the extent recurrence for P in [{lo}, {hi}]",
-        "exact-evaluation",
-        closed_ok,
-    )
     return corollaries
 
 
@@ -892,7 +882,9 @@ def crossvalidate_certificate(
 
     Checks, per rank and per step: delivered chunk ids, the full
     ownership set after every delivery, send activity windows, phase
-    transfer counts, redundancy count, and the final ownership sets.
+    transfer counts, redundancy count, and the final ownership sets;
+    the ring's transfers, and a seeded ring's wire bytes, must equal the
+    closed forms of :mod:`repro.core.traffic`.
     Returns a list of mismatch descriptions (empty = validated).
     """
     cert = CERTIFICATES.get(name)
@@ -1060,13 +1052,10 @@ def crossvalidate_certificate(
     # --- global counts ---------------------------------------------------
     if ring_phase is not None:
         got_ring = sum(len(v) for v in ring_in.values())
-        S = subtree_sum(nranks)
         if ring_phase.tuned:
-            want_ring = nranks * (nranks - 1) - (S - nranks)
+            want_ring = ring_transfers_tuned(nranks)
         else:
-            want_ring = nranks * (nranks - 1)
-        if nranks == 1:
-            want_ring = 0
+            want_ring = ring_transfers_native(nranks)
         if got_ring != want_ring:
             failures.append(
                 f"ring transfers {got_ring}, certified {want_ring}"
@@ -1077,6 +1066,13 @@ def crossvalidate_certificate(
                 f"{want_ring}"
             )
     if ring_phase is not None and ring_phase.seeded:
+        ring_bytes = ring_bytes_tuned if ring_phase.tuned else ring_bytes_native
+        got_bytes = sum(send.nbytes for v in ring_in.values() for send in v)
+        want_bytes = ring_bytes(nranks, nbytes)
+        if got_bytes != want_bytes:
+            failures.append(
+                f"ring wire bytes {got_bytes}, closed form {want_bytes}"
+            )
         want_red = predicted_redundant_exact(nranks, nbytes)
         if ring_phase.tuned:
             want_red = 0

@@ -40,10 +40,9 @@ dynamic one for every collective in the verify registry: byte counts
 must equal a fresh :class:`ScheduleExecutor` extraction exactly (and the
 DES :class:`TrafficCounters` at the simulated points), time bounds must
 lower-bound — and track within a band — simulated makespans on the
-ideal machine, the native-vs-tuned ranking must agree with the
-simulator, and the symbolic savings proofs of
-:mod:`repro.analysis.symbolic` must hold for all P with the paper's
-P=8 → 12 and P=10 → 15 instances pinned.
+ideal machine, and the native-vs-tuned ranking must agree with the
+simulator. The S−P savings themselves are proved for all P by the
+broadcast certificates of :mod:`repro.analysis.certify`.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from ..errors import ConfigurationError, ReproError
 from ..machine import Machine, MachineSpec, TransferPlan, ideal
 from ..mpi.runtime import Job
 from ..util import KIB, MIB
-from . import symbolic
 from .verify import REGISTRY
 
 __all__ = [
@@ -374,7 +372,7 @@ def analyze_collective(
 class GateCheck:
     """One static-vs-dynamic cross-check."""
 
-    kind: str  # "bytes" | "time-bound" | "ranking" | "symbolic"
+    kind: str  # "bytes" | "time-bound" | "ranking"
     subject: str
     ok: bool
     detail: str
@@ -446,7 +444,6 @@ def differential_gate(
     sim_ranks: Sequence[int] = (8, 10),
     sizes: Sequence[int] = (64 * KIB, 1 * MIB),
     band: float = 0.5,
-    symbolic_max: int = 64,
     progress: Optional[Callable[[str], None]] = None,
 ) -> GateReport:
     """Cross-check the static cost layer against the dynamic one.
@@ -461,10 +458,6 @@ def differential_gate(
       band (``t_bound >= band * makespan``).
     * **ranking** — static ``t_bound`` and simulated makespan must agree
       that the tuned broadcast is never slower than the native one.
-    * **symbolic** — :func:`repro.analysis.symbolic.prove_savings_range`
-      must hold for P in [2, symbolic_max] with the paper's instances
-      pinned, and the recurrence must match the transfer counts of the
-      actually-extracted schedules at the simulated points.
 
     ``spec`` defaults to the ideal machine — the only preset whose
     makespans the α-β bound is guaranteed to track tightly; the gate is
@@ -481,7 +474,7 @@ def differential_gate(
     say = progress if progress is not None else (lambda _msg: None)
 
     # -- pass 1: static byte accounting over the full grid -------------------
-    say("pass 1/4: static byte accounting vs schedule executor")
+    say("pass 1/3: static byte accounting vs schedule executor")
     for nranks in static_ranks:
         for name in sorted(REGISTRY):
             collective = REGISTRY[name]
@@ -521,7 +514,7 @@ def differential_gate(
             )
 
     # -- pass 2 + 3: simulated points ----------------------------------------
-    say("pass 2/4: time bounds vs simulated makespans")
+    say("pass 2/3: time bounds vs simulated makespans")
     makespans: Dict[Tuple[str, int, int], float] = {}
     bounds: Dict[Tuple[str, int, int], float] = {}
     for nranks in sim_ranks:
@@ -591,7 +584,7 @@ def differential_gate(
                     )
                 )
 
-    say("pass 3/4: native-vs-tuned ranking")
+    say("pass 3/3: native-vs-tuned ranking")
     for nranks in sim_ranks:
         for nbytes in sizes:
             key_n = ("bcast_native", nranks, nbytes)
@@ -613,49 +606,4 @@ def differential_gate(
                 )
             )
 
-    # -- pass 4: symbolic proofs ---------------------------------------------
-    say("pass 4/4: symbolic savings proofs")
-    failures = symbolic.prove_savings_range(2, symbolic_max)
-    report.checks.append(
-        GateCheck(
-            "symbolic",
-            f"savings(P) == S - P for P in [2, {symbolic_max}], "
-            f"pinned P=8->12, P=10->15",
-            not failures,
-            "all proofs held" if not failures else "; ".join(failures),
-        )
-    )
-    for nranks in sim_ranks:
-        nbytes = sizes[-1]
-        subject = f"recurrence vs extracted schedules P={nranks} nbytes={nbytes}"
-        try:
-            native = cached_schedule(
-                ("registry", "bcast_native", nranks, nbytes, 0, None),
-                nranks,
-                REGISTRY["bcast_native"].build(nranks, nbytes, 0),
-            )
-            tuned = cached_schedule(
-                ("registry", "bcast_opt", nranks, nbytes, 0, None),
-                nranks,
-                REGISTRY["bcast_opt"].build(nranks, nbytes, 0),
-            )
-        except ReproError as exc:
-            report.checks.append(
-                GateCheck("symbolic", subject, False, f"{type(exc).__name__}: {exc}")
-            )
-            continue
-        expected = symbolic.savings(nranks)
-        measured = native.transfers - tuned.transfers
-        bytes_expected = symbolic.ring_bytes_saved(nranks, nbytes)
-        bytes_measured = native.total_bytes - tuned.total_bytes
-        ok = measured == expected and bytes_measured == bytes_expected
-        report.checks.append(
-            GateCheck(
-                "symbolic",
-                subject,
-                ok,
-                f"transfers saved {measured} (recurrence {expected}), "
-                f"bytes saved {bytes_measured} (closed form {bytes_expected})",
-            )
-        )
     return report

@@ -68,6 +68,7 @@ from ..collectives import (
     subtree_chunks,
 )
 from ..collectives.schedule import RecordedSend, ScheduleResult, _describe_request
+from ..core.traffic import transfers_saved
 from ..errors import ConfigurationError, ReproError
 from ..mpi.comm import Communicator
 from ..mpi.context import RankContext
@@ -694,7 +695,8 @@ def _uniform_chunks(nranks: int, nbytes: int) -> bool:
 def expected_redundant_native(nranks: int, nbytes: int = 1 << 20) -> Optional[int]:
     """``S - P``: redundant transfers of the enclosed (native) ring.
 
-    ``S = sum(subtree_chunks(r))`` over relative ranks. Every non-leaf
+    ``S = sum(subtree_chunks(r))`` over relative ranks, evaluated by
+    :func:`repro.core.traffic.transfers_saved`. Every non-leaf
     subtree root of extent ``e`` receives ``e - 1`` chunks it already
     holds from the scatter — exactly the sends the tuned ring drops
     (12 at P=8: 56 -> 44; 15 at P=10: 90 -> 75). Returns ``None``
@@ -704,7 +706,7 @@ def expected_redundant_native(nranks: int, nbytes: int = 1 << 20) -> Optional[in
         return 0
     if not _uniform_chunks(nranks, nbytes):
         return None
-    return sum(subtree_chunks(r, nranks) for r in range(nranks)) - nranks
+    return transfers_saved(nranks)
 
 
 BuildFn = Callable[[int, int, int], Callable[[RankContext], object]]

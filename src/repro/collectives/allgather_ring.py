@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from ..errors import CollectiveError
 from ..util import ChunkSet
-from .relative import relative_rank, tuned_ring_role
+from .relative import relative_rank, subtree_chunks, tuned_ring_role
 from .scatter import chunk_table
 
 __all__ = ["RingResult", "ring_allgather_native", "ring_allgather_tuned"]
@@ -88,7 +88,6 @@ def ring_allgather_native(ctx, nbytes: int, root: int = 0, owned: ChunkSet = Non
         recvs += 1
         if not owned.add(recv_chunk):
             redundant += 1
-            owned.add(recv_chunk)
 
     if not owned.is_full:
         raise CollectiveError(
@@ -111,8 +110,6 @@ def ring_allgather_tuned(ctx, nbytes: int, root: int = 0, owned: ChunkSet = None
     size = ctx.size
     rel = relative_rank(ctx.rank, root, size)
     if owned is None:
-        from .relative import subtree_chunks
-
         owned = ChunkSet.interval(size, rel, subtree_chunks(rel, size))
     else:
         owned = owned.copy()

@@ -447,11 +447,11 @@ def extract_schedule(
 
 
 # Process-wide extraction memo. Schedule extraction is the dominant cost
-# of every static-analysis pass (cost gate, replay gate, symbolic
-# checks) and they all revisit the same (collective, P, nbytes, root)
-# points; extracting once per process instead of once per pass keeps the
-# combined CI gates close to the cost of the cheapest one. Entries are
-# treated as immutable by every consumer.
+# of every static-analysis pass (cost gate, replay gate, certificate
+# cross-validation) and they all revisit the same (collective, P,
+# nbytes, root) points; extracting once per process instead of once per
+# pass keeps the combined CI gates close to the cost of the cheapest
+# one. Entries are treated as immutable by every consumer.
 _SCHEDULE_MEMO: dict = {}
 _SCHEDULE_MEMO_CAP = 1024
 

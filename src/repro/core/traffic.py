@@ -16,6 +16,10 @@ Key formulas (ring phase only, P >= 2):
   neighbour skip ``e - 1`` sends;
 * both phases also pay the binomial scatter's ``P - 1`` transfers
   (fewer when trailing chunks are empty).
+
+These are the package's only closed forms of the counts: the broadcast
+certificates of :mod:`repro.analysis.certify` prove them for every P
+and cross-validate executed rings against them.
 """
 
 from __future__ import annotations

@@ -19,11 +19,11 @@ from repro.analysis.certify import (
     prove_all,
     prove_collective,
 )
-from repro.analysis.symbolic import (
+from repro.core.traffic import (
     ring_transfers_tuned,
-    savings,
     subtree_chunks,
     subtree_sum,
+    transfers_saved as savings,
 )
 from repro.analysis.verify import REGISTRY
 from repro.collectives.certificates import CERTIFICATES, UNCERTIFIED
@@ -111,6 +111,25 @@ class TestTamperedCertificateFails:
         assert any(
             o.oid.endswith("count.paper_P8") for o in report.failed_obligations
         )
+
+    @pytest.mark.parametrize(
+        "closed_form, mismatch",
+        [
+            ("ring_transfers_tuned", "ring transfers 75, certified 76"),
+            ("ring_bytes_tuned", "ring wire bytes"),
+        ],
+    )
+    def test_off_by_one_closed_form_is_rejected(
+        self, monkeypatch, closed_form, mismatch
+    ):
+        import repro.analysis.certify as certify
+
+        honest = getattr(certify, closed_form)
+        monkeypatch.setattr(
+            certify, closed_form, lambda *args: honest(*args) + 1
+        )
+        failures = crossvalidate_certificate("bcast_opt", 10)
+        assert any(f.startswith(mismatch) for f in failures), failures
 
 
 class TestConcretePredictions:

@@ -184,11 +184,11 @@ class TestDifferentialGate:
 
     def test_gate_to_dict(self):
         report = differential_gate(
-            static_ranks=(4,), sim_ranks=(), sizes=(65536,), symbolic_max=16
+            static_ranks=(4,), sim_ranks=(), sizes=(65536,)
         )
         data = report.to_dict()
         assert data["ok"] is True
-        assert data["counts"]["symbolic"]["total"] >= 1
+        assert data["counts"]["bytes"]["total"] >= 1
 
     def test_rejects_jittery_spec(self):
         with pytest.raises(ConfigurationError):
@@ -202,6 +202,8 @@ class TestDifferentialGate:
         lines = []
         differential_gate(
             static_ranks=(4,), sim_ranks=(), sizes=(65536,),
-            symbolic_max=8, progress=lines.append,
+            progress=lines.append,
         )
-        assert any("pass" in line for line in lines)
+        assert [line.split(":")[0] for line in lines] == [
+            "pass 1/3", "pass 2/3", "pass 3/3"
+        ]

@@ -75,12 +75,13 @@ class TestDataCorrectness:
         for res in schedule.rank_results:
             res.assert_complete()
 
-    def test_native_reports_redundancy(self):
-        schedule, _ = run_bcast(bcast_scatter_ring_native, 8, 800)
+    @pytest.mark.parametrize("P, nbytes, redundant", [(8, 800, 12), (10, 1000, 15)])
+    def test_native_reports_redundancy(self, P, nbytes, redundant):
+        schedule, _ = run_bcast(bcast_scatter_ring_native, P, nbytes)
         total_redundant = sum(r.redundant_recvs for r in schedule.rank_results)
         # The enclosed ring redelivers exactly the chunks the tuned ring
-        # skips: 12 at P=8.
-        assert total_redundant == 12
+        # skips: 12 at P=8, 15 at P=10.
+        assert total_redundant == redundant
 
     def test_tuned_never_redundant(self):
         schedule, _ = run_bcast(bcast_scatter_ring_opt, 10, 1000)

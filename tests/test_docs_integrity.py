@@ -6,6 +6,7 @@ against the tree they describe.
 
 import argparse
 import ast
+import importlib
 import pathlib
 import re
 
@@ -31,6 +32,8 @@ _PATH_RE = re.compile(
 
 
 _ENV_RE = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9]\b")
+
+_MODULE_RE = re.compile(r"`(repro(?:\.\w+)+)")
 
 _CLI_RE = re.compile(r"python -m repro ([a-z][a-z-]*)([^\n`]*)")
 _FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
@@ -81,6 +84,33 @@ def test_documented_env_vars_are_read():
     for doc in DOCS:
         for name in sorted(set(_ENV_RE.findall(doc.read_text()))):
             assert name in read, f"{doc.name} documents {name}; src/repro never reads it"
+
+
+def _resolves(dotted):
+    """Import the longest module prefix of *dotted*, then walk the rest
+    as attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        module = ".".join(parts[:cut])
+        try:
+            obj = importlib.import_module(module)
+        except ModuleNotFoundError as exc:
+            if exc.name != module:
+                raise  # a real module failed to import one of its own deps
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_documented_module_names_resolve():
+    """A deleted module or function leaves the docs together with its code."""
+    for doc in DOCS:
+        for name in sorted(set(_MODULE_RE.findall(doc.read_text()))):
+            assert _resolves(name), f"{doc.name} names {name}; it does not resolve"
 
 
 def test_documented_cli_flags_exist():
