@@ -20,17 +20,9 @@ Commands cover the common workflows without writing a script:
   replay engine must reproduce the DES bitwise (makespan, per-rank
   finish times, every wire counter); single point by default,
   ``--grid`` covers the registry (``--strict`` for nonzero exit);
-* ``serve``   — start the persistent simulation service: a warm worker
-  pool plus the sharded result cache behind a local TCP socket, so
-  repeated sweeps skip process start-up and share hot solver memos
-  (``--status`` pings a running server, ``--stop`` shuts one down);
 * ``audit``   — re-execute a stored run artifact and diff it bitwise
   against the recorded results (``--artifact`` on ``sweep``/``verify``/
   ``cost``/``chaos``/``replay``/``mc``/``prove`` records one);
-* ``service-chaos`` — fault-injection gate for the simulation service
-  itself: kill pool workers mid-batch, sever the client socket
-  mid-stream, truncate cache shards, plant stale state files — every
-  scenario must end in bitwise-identical results or a typed error;
 * ``bench-report`` — print every ``BENCH_*.json`` performance
   trajectory file as one table;
 * ``trace``   — simulate one collective with tracing and report the
@@ -64,19 +56,14 @@ re-runs recorded artifacts through; ``--artifact`` freezes that recipe.
 ``sweep`` and ``figure`` accept ``--jobs N`` to fan points out over N
 worker processes (``0`` = one per CPU) and use the on-disk result cache
 by default (``--no-cache`` bypasses it, ``--cache-dir`` relocates it).
-With a ``repro serve`` instance running, ``--serve`` (or
-``REPRO_SERVE=auto``) submits the points to its warm pool instead;
-``--serve HOST:PORT`` names a server explicitly and fails if it is
-unreachable, while auto-discovery falls back to the in-process path.
+A cache hit is the warm path: a repeated point is read back, not
+simulated again.
 
 Examples::
 
     python -m repro compare --nranks 64 --nbytes 1MiB
     python -m repro sweep --nranks 129 --sizes 12KiB,64KiB,512KiB,1MiB --jobs 4
     python -m repro figure --id fig6b --jobs 0
-    python -m repro serve --jobs 0          # then: sweep/figure --serve
-    python -m repro serve --status
-    python -m repro figure --id fig6b --serve
     python -m repro traffic --procs 8,10,16,64
     python -m repro verify --collective bcast_native --nranks 8
     python -m repro verify --nranks 2,5,8,10,16 --json
@@ -96,15 +83,12 @@ Examples::
     python -m repro cache --fsck --repair
     python -m repro sweep --nranks 8 --sizes 64KiB --artifact
     python -m repro audit sweep-0123abcd4567
-    python -m repro service-chaos --seed 0
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-
-from .errors import ServiceUnavailableError
 
 from .core import (
     DiskCache,
@@ -273,19 +257,6 @@ def _add_exec_args(p: argparse.ArgumentParser) -> None:
         default=None,
         help="cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
     )
-    p.add_argument(
-        "--serve",
-        nargs="?",
-        const="auto",
-        default=None,
-        metavar="ADDR",
-        help=(
-            "submit to a running simulation server (`repro serve`); bare "
-            "--serve auto-discovers one and falls back in-process, an "
-            "explicit HOST:PORT or state-file path fails if unreachable "
-            "(default: follow $REPRO_SERVE)"
-        ),
-    )
 
 
 def _exec_cache(args):
@@ -312,7 +283,8 @@ def _persist_artifact(args, kind: str, config: dict, report) -> None:
 
     Enabled by ``--artifact [DIR]`` or a non-empty ``REPRO_ARTIFACTS``
     environment variable; a no-op otherwise, so the default CLI paths
-    stay write-free.
+    stay write-free. The notice goes to stderr, so ``--json`` output on
+    stdout stays parseable.
     """
     import os
 
@@ -324,7 +296,7 @@ def _persist_artifact(args, kind: str, config: dict, report) -> None:
 
     store = ArtifactStore(None if dest in (None, "auto") else dest)
     path = store.save(RunArtifact.create(kind, config, payload(report)))
-    print(f"artifact: {path}")
+    print(f"artifact: {path}", file=sys.stderr)
 
 
 def _run_recipe(args, kind: str, recipe: dict, progress=None):
@@ -371,7 +343,7 @@ def cmd_sweep(args) -> int:
         faults=_faults(args),
     )
     cache = _exec_cache(args)
-    records = sweep.run(jobs=args.jobs, cache=cache, serve=args.serve)
+    records = sweep.run(jobs=args.jobs, cache=cache)
     print(
         sweep.to_table(
             args.nranks,
@@ -386,18 +358,18 @@ def cmd_sweep(args) -> int:
         print(_chaos_stats_table(records))
     if cache is not None:
         print(cache.stats().describe())
-    from .service import protocol as _sproto
+    from .artifacts import audit as _recipe
 
     _persist_artifact(
         args,
         "sweep",
         {
-            "spec": _sproto.encode_spec(sweep.spec),
-            "points": _sproto.encode_points(sweep.points()),
+            "spec": _recipe.encode_spec(sweep.spec),
+            "points": _recipe.encode_points(sweep.points()),
             "root": sweep.root,
             "placement": sweep.placement,
-            "faults": _sproto.encode_faults(sweep.faults),
-            "reliable": _sproto.encode_reliable(sweep.reliable),
+            "faults": _recipe.encode_faults(sweep.faults),
+            "reliable": _recipe.encode_reliable(sweep.reliable),
         },
         records,
     )
@@ -423,7 +395,7 @@ def cmd_figure(args) -> int:
     }
     exp = factories[args.id]()
     cache = _exec_cache(args)
-    exp.run(jobs=args.jobs, cache=cache, serve=args.serve)
+    exp.run(jobs=args.jobs, cache=cache)
     if args.id == "fig7":
         print(render_speedup_table(exp))
     else:
@@ -457,86 +429,6 @@ def cmd_cache(args) -> int:
         print(
             f"{cache.dir}: {len(cache)} record(s) in {shards} shard(s){legacy}"
         )
-    return 0
-
-
-def cmd_serve(args) -> int:
-    import os
-    import signal
-
-    from .errors import ServiceError
-    from .service import ServiceClient, SimulationServer
-    from .service.protocol import (
-        locate_live_server,
-        read_state,
-        state_file_path,
-    )
-
-    if args.status or args.stop:
-        state = state_file_path(args.state_file)
-        had_file = read_state(state) is not None
-        located = locate_live_server(state)
-        if located is None:
-            if had_file:
-                print(
-                    f"removed stale state file at {state} "
-                    f"(the advertised server process is gone)",
-                    file=sys.stderr,
-                )
-            else:
-                print(f"no server state file at {state}", file=sys.stderr)
-            return 1
-        client = ServiceClient(*located)
-        if args.stop:
-            if client.shutdown_server():
-                print(f"server at {client.address} shutting down")
-                return 0
-            print(f"no server answered at {client.address}", file=sys.stderr)
-            return 1
-        try:
-            pong = client.ping(timeout=2.0)
-            stats = client.stats()
-        except (OSError, ServiceError) as exc:
-            print(
-                f"no server answered at {client.address}: {exc}", file=sys.stderr
-            )
-            return 1
-        print(
-            f"server at {client.address}: pid {pong['pid']}, "
-            f"{pong['workers']} worker(s)"
-        )
-        print(
-            f"  uptime {stats['uptime_s']:.0f}s, {stats['jobs']} job(s), "
-            f"{stats['points']} point(s) served"
-        )
-        if stats.get("cache"):
-            c = stats["cache"]
-            print(
-                f"  cache: {c['entries']} entries, {c['hits']} hit(s), "
-                f"{c['stores']} store(s)"
-            )
-        return 0
-
-    server = SimulationServer(
-        host=args.host,
-        port=args.port,
-        jobs=args.jobs,
-        cache=_exec_cache(args),
-        state_file=args.state_file,
-    )
-
-    def _shutdown(signum, frame):  # noqa: ARG001 - signal handler signature
-        server.request_shutdown()
-
-    signal.signal(signal.SIGTERM, _shutdown)
-    signal.signal(signal.SIGINT, _shutdown)
-    print(
-        f"simulation server listening on {server.address} "
-        f"(pid {os.getpid()}, {server.jobs} worker(s))",
-        flush=True,
-    )
-    server.serve_forever()
-    print("server stopped")
     return 0
 
 
@@ -773,13 +665,13 @@ def cmd_cost(args) -> int:
         args.machine = "ideal" if args.grid else "hornet"
     spec = _spec(args)
     if args.grid:
-        from .service import protocol as _sproto
+        from .artifacts.audit import encode_spec
 
         report = _run_recipe(
             args,
             "cost",
             {
-                "spec": _sproto.encode_spec(spec),
+                "spec": encode_spec(spec),
                 "placement": args.placement,
                 "band": args.band,
             },
@@ -840,7 +732,7 @@ def cmd_chaos(args) -> int:
     import json as _json
 
     from .analysis.chaos import DEFAULT_RANKS
-    from .service import protocol as _sproto
+    from .artifacts.audit import encode_spec
     from .util import parse_size
 
     # Like ``cost --grid``, the gate's reference-equality guarantees are
@@ -849,7 +741,7 @@ def cmd_chaos(args) -> int:
         args.machine = "ideal"
     spec = _spec(args)
     recipe = {
-        "spec": _sproto.encode_spec(spec),
+        "spec": encode_spec(spec),
         "seed": args.seed,
         "collectives": None,
         "ranks": list(DEFAULT_RANKS),
@@ -886,12 +778,12 @@ def cmd_replay(args) -> int:
     import json as _json
 
     from .analysis.replaygate import DEFAULT_RANKS, DEFAULT_SIZES
-    from .service import protocol as _sproto
+    from .artifacts.audit import encode_spec
     from .util import parse_size
 
     spec = _spec(args)
     recipe = {
-        "spec": _sproto.encode_spec(spec),
+        "spec": encode_spec(spec),
         "ranks": list(DEFAULT_RANKS),
         "sizes": list(DEFAULT_SIZES),
     }
@@ -950,21 +842,6 @@ def cmd_audit(args) -> int:
     return 1 if any(not r.ok for r in results) else 0
 
 
-def cmd_service_chaos(args) -> int:
-    import json as _json
-
-    from .service.chaos import service_chaos_gate
-
-    report = service_chaos_gate(
-        seed=args.seed, progress=None if args.json else print
-    )
-    if args.json:
-        print(_json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.describe())
-    return 0 if report.ok else 1
-
-
 def cmd_bench_report(args) -> int:
     import json as _json
     from pathlib import Path
@@ -1000,10 +877,9 @@ def cmd_bench_report(args) -> int:
                     table.add_row(gate, entry, "?")
             print(table)
             # Robustness gates are result-integrity checks: a nonzero
-            # exit means stored results stopped reproducing (or the
-            # service lost data under chaos), which must not scroll by
-            # as just another table row.
-            for gate in ("audit", "service-chaos", "cache"):
+            # exit means stored results stopped reproducing, which must
+            # not scroll by as just another table row.
+            for gate in ("audit", "cache"):
                 entry = gates.get(gate)
                 code = entry.get("exit") if isinstance(entry, dict) else None
                 if isinstance(code, int) and code != 0:
@@ -1096,7 +972,6 @@ def cmd_lint(args) -> int:
 def cmd_prove(args) -> int:
     import json as _json
 
-    from .analysis.certify import prove_collective
     from .errors import ConfigurationError
     from .util import parse_size
 
@@ -1108,30 +983,21 @@ def cmd_prove(args) -> int:
         lo, hi = int(lo_s), int(hi_s)
     except ValueError:
         raise ConfigurationError(f"--xval expects LO:HI, got {args.xval!r}") from None
+    recipe = {
+        "xval_lo": lo,
+        "xval_hi": hi,
+        "nbytes": nbytes,
+        "skip_crossval": args.no_crossval,
+    }
     if args.collective == "all":
-        report = _run_recipe(
-            args,
-            "prove",
-            {
-                "xval_lo": lo,
-                "xval_hi": hi,
-                "nbytes": nbytes,
-                "skip_crossval": args.no_crossval,
-            },
-        )
+        report = _run_recipe(args, "prove", recipe)
         if args.json:
             print(_json.dumps(report.to_dict(), indent=2))
         else:
             print(report.describe())
         ok = report.ok_strict() if args.strict else report.ok
         return 0 if ok else 1
-    cert = prove_collective(
-        args.collective,
-        xval_lo=lo,
-        xval_hi=hi,
-        nbytes=nbytes,
-        skip_crossval=args.no_crossval,
-    )
+    cert = _run_recipe(args, "prove", {"collective": args.collective, **recipe})
     if args.json:
         print(_json.dumps(cert.to_dict(), indent=2))
     else:
@@ -1231,52 +1097,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --fsck: rewrite damaged shards, dropping corrupt lines",
     )
     p.set_defaults(func=cmd_cache)
-
-    p = sub.add_parser(
-        "serve",
-        help="run the persistent simulation service (warm pool + shared cache)",
-    )
-    p.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)"
-    )
-    p.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="TCP port (default: 0 = auto-assign, advertised in the state file)",
-    )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        help="worker processes (default: 0 = one per CPU)",
-    )
-    p.add_argument(
-        "--state-file",
-        default=None,
-        help="where to advertise host/port/pid (default: <cache-dir>/service.json)",
-    )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="serve without the shared on-disk result cache",
-    )
-    p.add_argument(
-        "--cache-dir",
-        default=None,
-        help="cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    p.add_argument(
-        "--status",
-        action="store_true",
-        help="ping the advertised server and print its stats",
-    )
-    p.add_argument(
-        "--stop",
-        action="store_true",
-        help="ask the advertised server to shut down",
-    )
-    p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("traffic", help="transfer-count table for process counts")
     p.add_argument("--procs", default="8,10,16,64", help="comma-separated P values")
@@ -1539,21 +1359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser(
-        "service-chaos",
-        help=(
-            "fault-injection gate for the simulation service itself "
-            "(worker kills, severed sockets, torn shards, stale state)"
-        ),
-    )
-    p.add_argument(
-        "--seed", type=int, default=0, help="scenario seed (default: 0)"
-    )
-    p.add_argument(
-        "--json", action="store_true", help="machine-readable JSON output"
-    )
-    p.set_defaults(func=cmd_service_chaos)
-
-    p = sub.add_parser(
         "bench-report",
         help="print every BENCH_*.json performance trajectory as tables",
     )
@@ -1699,11 +1504,6 @@ def main(argv=None) -> int:
     start = perf_counter() if gate_log else 0.0
     try:
         code = args.func(args)
-    except ServiceUnavailableError as exc:
-        # An explicitly requested server that is not there is a usage
-        # error (exit 2), not a crash: print the actionable one-liner.
-        print(f"error: {exc}", file=sys.stderr)
-        code = 2
     except ArtifactError as exc:
         # A missing/unreadable artifact reference is a usage error too;
         # a *failed* audit (records no longer reproduce) exits 1.

@@ -6,7 +6,7 @@ machine must produce bit-identical transfer counts, timings, and cached
 results (the disk cache keys on content hashes, so hidden
 nondeterminism silently poisons it). This lint enforces that statically
 for the deterministic core — ``sim/``, ``collectives/``, ``mpi/``,
-``machine/``, ``analysis/``, ``service/``, ``core/``, ``bench/`` —
+``machine/``, ``analysis/``, ``core/``, ``bench/`` —
 where neither wall-clock time nor global random state may be consulted:
 
 * ``time.time`` / ``monotonic`` / ``perf_counter`` (and ``_ns``
@@ -19,8 +19,7 @@ where neither wall-clock time nor global random state may be consulted:
 
 A line can opt out with a trailing ``# det: allow`` comment — the only
 current uses are the solver's wall-time *telemetry* counters in
-``sim/flows.py``, the simulation server's uptime bookkeeping in
-``service/server.py``, and the microbenchmark harness's stopwatch in
+``sim/flows.py`` and the microbenchmark harness's stopwatch in
 ``bench/micro.py``, which measure how long something took without ever
 feeding back into simulated results. The marker keeps such exceptions
 visible in review rather than smuggled in.
@@ -52,12 +51,9 @@ __all__ = [
 #: and ``analysis`` joined once the static cost model started deriving
 #: results from them (a nondeterministic link enumeration or cost pass
 #: would poison the differential gate just like a nondeterministic sim).
-#: ``service`` joined when the simulation server started executing the
-#: same gate jobs out-of-process — its results must be byte-identical to
-#: the in-process path, so only explicitly marked telemetry lines (the
-#: server loop's uptime clock) may touch the host clock. ``core`` and
-#: ``bench`` joined with the parametric proof layer: the high-level
-#: experiment drivers feed cached result files and BENCH ledgers, and
+#: ``core`` and ``bench`` joined with the parametric proof layer: the
+#: high-level experiment drivers feed cached result files and BENCH
+#: ledgers (``core`` also holds the sweep executor's worker pool), and
 #: the microbenchmark harness's stopwatch is exactly the kind of clock
 #: read that must stay visibly marked rather than drift into measured
 #: results.
@@ -67,7 +63,6 @@ DEFAULT_TARGETS = (
     "mpi",
     "machine",
     "analysis",
-    "service",
     "core",
     "bench",
 )

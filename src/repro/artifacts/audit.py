@@ -26,15 +26,27 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from ..errors import ArtifactError
+from ..core.sweep import SweepPoint
+from ..errors import ArtifactError, ConfigurationError
+from ..machine import MachineSpec
+from ..mpi.reliable import ReliableConfig
+from ..sim.faults import FaultPlan
 from .store import ArtifactStore, RunArtifact, artifact_digest, scrub
 
 __all__ = [
     "AuditResult",
     "audit_artifact",
+    "decode_faults",
+    "decode_points",
+    "decode_reliable",
+    "decode_spec",
     "diff_payload",
+    "encode_faults",
+    "encode_points",
+    "encode_reliable",
+    "encode_spec",
     "payload",
     "reexecute",
     "run_gate",
@@ -79,21 +91,69 @@ def _diff(exp: Any, act: Any, path: str, out: List[str]) -> None:
         out.append(f"{path}: stored {exp!r} vs re-executed {act!r}")
 
 
+# -- recipe codecs: the JSON form of a recipe's non-JSON values -------
+def encode_spec(spec: MachineSpec) -> dict:
+    return dataclasses.asdict(spec)
+
+
+def decode_spec(data: dict) -> MachineSpec:
+    return MachineSpec(**data)
+
+
+def encode_points(points: Iterable) -> List[list]:
+    return [[p.algorithm, p.nranks, p.nbytes] for p in points]
+
+
+def decode_points(data: Iterable) -> List[SweepPoint]:
+    return [SweepPoint(str(a), int(p), int(n)) for a, p, n in data]
+
+
+def encode_faults(faults: Optional[FaultPlan]) -> Optional[dict]:
+    return None if faults is None else faults.to_dict()
+
+
+def decode_faults(data: Optional[dict]) -> Optional[FaultPlan]:
+    return None if data is None else FaultPlan.from_dict(data)
+
+
+def encode_reliable(reliable) -> Optional[dict]:
+    """``None``/bool/:class:`ReliableConfig` → recipe form."""
+    if reliable is None:
+        return None
+    if isinstance(reliable, bool):
+        return {"kind": "bool", "value": reliable}
+    if isinstance(reliable, ReliableConfig):
+        return {"kind": "config", "value": dataclasses.asdict(reliable)}
+    raise ConfigurationError(
+        f"reliable must be None, bool or ReliableConfig in a recipe, "
+        f"got {type(reliable).__name__}"
+    )
+
+
+def decode_reliable(data: Optional[dict]):
+    if data is None:
+        return None
+    if data.get("kind") == "bool":
+        return bool(data["value"])
+    if data.get("kind") == "config":
+        return ReliableConfig(**data["value"])
+    raise ConfigurationError(f"malformed reliable payload: {data!r}")
+
+
 # -- recipes: the one place a gate's parameters become a call ---------
 Progress = Optional[Callable[[str], None]]
 
 
 def _run_sweep(config: dict, progress: Progress = None) -> Any:
     from ..core.executor import SweepExecutor
-    from ..service import protocol
 
-    return SweepExecutor(jobs=1, cache=None, serve=False).run(
-        protocol.decode_spec(config["spec"]),
-        protocol.decode_points(config["points"]),
+    return SweepExecutor(jobs=1, cache=None).run(
+        decode_spec(config["spec"]),
+        decode_points(config["points"]),
         root=int(config.get("root", 0)),
         placement=config.get("placement", "blocked"),
-        faults=protocol.decode_faults(config.get("faults")),
-        reliable=protocol.decode_reliable(config.get("reliable")),
+        faults=decode_faults(config.get("faults")),
+        reliable=decode_reliable(config.get("reliable")),
     )
 
 
@@ -120,10 +180,9 @@ def _run_verify(config: dict, progress: Progress = None) -> Any:
 
 def _run_cost(config: dict, progress: Progress = None) -> Any:
     from ..analysis.costmodel import differential_gate
-    from ..service import protocol
 
     return differential_gate(
-        spec=protocol.decode_spec(config["spec"]),
+        spec=decode_spec(config["spec"]),
         placement=config.get("placement", "blocked"),
         band=float(config.get("band", 0.5)),
         progress=progress,
@@ -132,11 +191,10 @@ def _run_cost(config: dict, progress: Progress = None) -> Any:
 
 def _run_chaos(config: dict, progress: Progress = None) -> Any:
     from ..analysis.chaos import DEFAULT_RANKS, chaos_gate
-    from ..service import protocol
 
     return chaos_gate(
         seed=int(config.get("seed", 0)),
-        spec=protocol.decode_spec(config["spec"]),
+        spec=decode_spec(config["spec"]),
         collectives=config.get("collectives"),
         ranks=config.get("ranks") or DEFAULT_RANKS,
         nbytes=int(config.get("nbytes", 4096)),
@@ -146,10 +204,9 @@ def _run_chaos(config: dict, progress: Progress = None) -> Any:
 
 def _run_replay(config: dict, progress: Progress = None) -> Any:
     from ..analysis.replaygate import DEFAULT_RANKS, DEFAULT_SIZES, replay_gate
-    from ..service import protocol
 
     return replay_gate(
-        spec=protocol.decode_spec(config["spec"]),
+        spec=decode_spec(config["spec"]),
         collectives=config.get("collectives"),
         ranks=config.get("ranks") or DEFAULT_RANKS,
         sizes=config.get("sizes") or DEFAULT_SIZES,
@@ -169,14 +226,17 @@ def _run_mc(config: dict, progress: Progress = None) -> Any:
 
 
 def _run_prove(config: dict, progress: Progress = None) -> Any:
-    from ..analysis.certify import prove_all
+    from ..analysis.certify import prove_all, prove_collective
 
-    return prove_all(
+    kwargs = dict(
         xval_lo=int(config.get("xval_lo", 2)),
         xval_hi=int(config.get("xval_hi", 64)),
         nbytes=int(config.get("nbytes", 65536)),
         skip_crossval=bool(config.get("skip_crossval", False)),
     )
+    if "collective" in config:
+        return prove_collective(config["collective"], **kwargs)
+    return prove_all(**kwargs)
 
 
 RUNNERS: Dict[str, Callable[[dict, Progress], Any]] = {

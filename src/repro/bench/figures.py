@@ -60,11 +60,10 @@ class Experiment:
     sizes_axis: List[int]
     paper_claim: str
 
-    def run(self, jobs=1, cache=None, serve=None) -> None:
-        """Populate the sweep; ``jobs``/``cache``/``serve`` forward to
-        :meth:`repro.core.Sweep.run` (parallel fan-out, disk cache,
-        simulation-service routing)."""
-        self.sweep.run(jobs=jobs, cache=cache, serve=serve)
+    def run(self, jobs=1, cache=None) -> None:
+        """Populate the sweep; ``jobs``/``cache`` forward to
+        :meth:`repro.core.Sweep.run` (parallel fan-out, disk cache)."""
+        self.sweep.run(jobs=jobs, cache=cache)
 
     def comparisons(self) -> List:
         """All (nranks, nbytes) comparison records of the grid."""

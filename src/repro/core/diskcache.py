@@ -10,15 +10,15 @@ Storage is *sharded* JSON-lines: records live under ``shards/<xx>.jsonl``
 where ``xx`` is the first two hex digits of the key, one
 ``{"key": ..., "record": ...}`` object per line — append-only writes, no
 index file, human-greppable. Sharding keeps two properties the
-single-file layout could not offer at service scale:
+single-file layout could not offer:
 
 * **lazy loading** — a lookup parses only the one shard its key hashes
   to (1/256th of the store), instead of the whole cache on first use;
 * **concurrent safety** — appends take an exclusive ``flock`` on the
   shard file and writers touching different shards never contend at
   all. Readers that miss re-scan just the bytes appended since their
-  last load, so many clients of one long-running simulation service can
-  share a warm cache directory without lost or torn records.
+  last load, so concurrent sweeps can share a warm cache directory
+  without lost or torn records.
 
 Every line written carries a content checksum (``"sum"``: a SHA-256
 prefix over the canonical ``{"key", "record"}`` JSON), so a torn append,

@@ -1,21 +1,19 @@
-"""Parallel sweep execution over a process pool or the simulation service.
+"""Parallel sweep execution over a process pool.
 
 Each sweep point is an independent pure simulation, so the cross product
 behind a figure is embarrassingly parallel. :class:`SweepExecutor` fans
-points out over a :class:`concurrent.futures.ProcessPoolExecutor` — or,
-when a persistent simulation server is up (``repro serve``), submits
-them to its warm worker pool — and guarantees:
+points out over a crash-surviving process pool
+(:class:`~repro.core.pool.ResilientPool`) and guarantees:
 
 * **deterministic ordering** — results come back in the order the points
   were given, regardless of worker completion order;
 * **identical records** — workers run the same ``simulate_bcast`` as the
-  serial path, so ``jobs=1``, ``jobs=N`` and the service produce equal
+  serial path, so ``jobs=1`` and ``jobs=N`` produce equal
   :class:`~repro.core.report.RunRecord` rows;
 * **faithful failures** — a worker exception is captured worker-side and
   re-raised in the parent as
-  :class:`~repro.errors.SweepExecutionError` (service-side:
-  :class:`~repro.errors.ServiceJobError`, a subclass) with the offending
-  point attached (arbitrary exceptions do not always survive pickling);
+  :class:`~repro.errors.SweepExecutionError` with the offending point
+  attached (arbitrary exceptions do not always survive pickling);
 * **cache integration** — an optional
   :class:`~repro.core.diskcache.DiskCache` is consulted before
   simulating and populated afterwards, so only cold points cost CPU;
@@ -38,7 +36,7 @@ import traceback
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..errors import SweepExecutionError
+from ..errors import PoisonPointError, SweepExecutionError
 from ..machine import MachineSpec
 from .api import simulate_bcast
 from .diskcache import DiskCache, cache_key
@@ -51,7 +49,7 @@ __all__ = [
     "CHAOS_CRASH_ENV",
 ]
 
-#: Chaos-injection latch directory (service-chaos gate + crash tests).
+#: Chaos-injection latch directory (worker-crash tests).
 #: When set, a worker about to simulate point ``(alg, nranks, nbytes)``
 #: first checks ``$REPRO_CHAOS_CRASH/<alg>-<nranks>-<nbytes>``: a file
 #: holding a positive integer N makes the worker decrement it and
@@ -164,47 +162,24 @@ def group_points(points: Sequence, indices: Sequence[int], workers: int) -> List
 
 
 class SweepExecutor:
-    """Run sweep points serially, across a process pool, or on the
-    persistent simulation service — with caching throughout.
+    """Run sweep points serially or across a process pool, with caching
+    throughout."""
 
-    ``serve`` selects the service routing: ``None`` (default) submits to
-    a server only when ``REPRO_SERVE`` asks for one and falls back to
-    the in-process path when none is up; ``False`` never uses a server;
-    an explicit address (``"host:port"``, a state-file path, or
-    ``"auto"``) requires one and raises
-    :class:`~repro.errors.ServiceUnavailableError` when unreachable.
-    """
-
-    def __init__(
-        self,
-        jobs: Optional[int] = 1,
-        cache: Optional[DiskCache] = None,
-        serve=None,
-    ):
+    def __init__(self, jobs: Optional[int] = 1, cache: Optional[DiskCache] = None):
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
-        self.serve = serve
 
     # -- internals -----------------------------------------------------
-    @staticmethod
-    def _typed_error(point, error_type: str, message: str, tb: str = ""):
-        """Map a wire/worker ``error_type`` back to the richest typed
-        exception: quarantine and deadline failures keep their identity
-        across the process (and service) boundary."""
-        from ..errors import PoisonPointError, ServiceDeadlineError
-
-        if error_type == "PoisonPointError":
-            return PoisonPointError(point, error_type, message, tb)
-        if error_type == "ServiceDeadlineError":
-            return ServiceDeadlineError(point, error_type, message, tb)
-        return SweepExecutionError(point, error_type, message, tb)
-
     @staticmethod
     def _unwrap(outcome, point) -> RunRecord:
         if outcome[0] == "ok":
             return outcome[1]
         _, error_type, message, tb = outcome
-        raise SweepExecutor._typed_error(point, error_type, message, tb)
+        # Quarantine failures keep their typed identity across the
+        # process boundary.
+        if error_type == "PoisonPointError":
+            raise PoisonPointError(point, error_type, message, tb)
+        raise SweepExecutionError(point, error_type, message, tb)
 
     def _run_parallel(
         self, tasks: Sequence[tuple], points: Sequence
@@ -213,7 +188,7 @@ class SweepExecutor:
         respawn and a re-dispatch of the in-flight batches, not the
         sweep; a point that keeps killing workers surfaces as a typed
         :class:`~repro.errors.PoisonPointError`."""
-        from ..service.resilience import ResilientPool
+        from .pool import ResilientPool
 
         records: List[Optional[RunRecord]] = [None] * len(tasks)
         failures: dict = {}  # index -> SweepExecutionError
@@ -243,59 +218,6 @@ class SweepExecutor:
             # failure at the earliest point index.
             raise failures[min(failures)]
         return records  # type: ignore[return-value]
-
-    def _run_service(
-        self, client, spec, points: Sequence, cold: Sequence[int],
-        root, placement, faults, reliable,
-    ) -> List[RunRecord]:
-        """Submit the cold points to a live server, index-aligned."""
-        from ..errors import ServiceJobError
-
-        records: List[Optional[RunRecord]] = [None] * len(cold)
-        failures: dict = {}
-        for local, outcome in client.sweep(
-            spec,
-            [points[i] for i in cold],
-            root=root,
-            placement=placement,
-            faults=faults,
-            reliable=reliable,
-            # A cache-bypassing run must bypass the server's cache too,
-            # or "cold" points could come back warm.
-            cache=self.cache is not None,
-        ):
-            if outcome[0] == "ok":
-                records[local] = outcome[1]
-            else:
-                _, error_type, message, tb = outcome
-                # Quarantine/deadline failures keep their typed identity;
-                # everything else becomes the generic service job error.
-                if error_type in ("PoisonPointError", "ServiceDeadlineError"):
-                    failures[local] = self._typed_error(
-                        points[cold[local]], error_type, message, tb
-                    )
-                else:
-                    failures[local] = ServiceJobError(
-                        points[cold[local]], error_type, message, tb
-                    )
-        if failures:
-            raise failures[min(failures)]
-        missing = [i for i, rec in enumerate(records) if rec is None]
-        if missing:
-            raise ServiceJobError(
-                points[cold[missing[0]]],
-                "ServiceError",
-                f"server returned no result for {len(missing)} point(s)",
-            )
-        return records  # type: ignore[return-value]
-
-    def _service_client(self):
-        """A connected client per the ``serve`` policy, or ``None``."""
-        if self.serve is False:
-            return None
-        from ..service.client import connect_or_none
-
-        return connect_or_none(self.serve)
 
     # -- API -----------------------------------------------------------
     def run(
@@ -335,15 +257,9 @@ class SweepExecutor:
             if results[i] is None:
                 cold.append(i)
 
-        # Simulate the cold points: service, pool fan-out, or serial.
+        # Simulate the cold points: pool fan-out or serial.
         tasks = [(spec, points[i], root, placement, faults, reliable) for i in cold]
-        client = self._service_client() if cold else None
-        if client is not None:
-            with client:
-                fresh = self._run_service(
-                    client, spec, points, cold, root, placement, faults, reliable
-                )
-        elif self.jobs == 1 or len(cold) <= 1:
+        if self.jobs == 1 or len(cold) <= 1:
             fresh = [
                 self._unwrap(_simulate_point(task), points[i])
                 for task, i in zip(tasks, cold)

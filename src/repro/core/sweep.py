@@ -93,7 +93,6 @@ class Sweep:
         progress=None,
         jobs: Optional[int] = 1,
         cache: Optional[DiskCache] = None,
-        serve=None,
     ) -> List[RunRecord]:
         """Run every point; optional ``progress(point)`` hook.
 
@@ -102,11 +101,7 @@ class Sweep:
         are identical and identically ordered regardless. ``cache`` is
         an optional :class:`~repro.core.diskcache.DiskCache` consulted
         before simulating and populated afterwards, so repeat runs skip
-        already-simulated points across processes. ``serve`` selects the
-        persistent simulation service (see
-        :class:`~repro.core.executor.SweepExecutor`): ``None`` defers to
-        ``REPRO_SERVE``, ``False`` stays in-process, an address requires
-        a live server.
+        already-simulated points across processes.
         """
         points = self.points()
         todo = [p for p in points if p not in self._cache]
@@ -115,7 +110,7 @@ class Sweep:
                 if point in self._cache:
                     progress(point)
         if todo:
-            records = SweepExecutor(jobs=jobs, cache=cache, serve=serve).run(
+            records = SweepExecutor(jobs=jobs, cache=cache).run(
                 self.spec,
                 todo,
                 root=self.root,
@@ -220,14 +215,12 @@ class Sweep:
             raise ConfigurationError(f"csv_row lacks field(s): {sorted(missing)}")
         return {field: str(row[field]) for field in Sweep.CSV_FIELDS}
 
-    def to_csv(
-        self, target=None, jobs: Optional[int] = 1, cache=None, serve=None
-    ) -> str:
+    def to_csv(self, target=None, jobs: Optional[int] = 1, cache=None) -> str:
         """All sweep records as CSV (returned; also written to *target*
         path or file object when given). Runs any missing points,
-        forwarding ``jobs``/``cache``/``serve`` to :meth:`run`."""
+        forwarding ``jobs``/``cache`` to :meth:`run`."""
         lines = [",".join(self.CSV_FIELDS)]
-        for rec in self.run(jobs=jobs, cache=cache, serve=serve):
+        for rec in self.run(jobs=jobs, cache=cache):
             row = self.csv_row(rec)
             lines.append(",".join(row[field] for field in self.CSV_FIELDS))
         text = "\n".join(lines) + "\n"

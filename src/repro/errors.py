@@ -23,10 +23,6 @@ __all__ = [
     "ConfigurationError",
     "SweepExecutionError",
     "PoisonPointError",
-    "ServiceError",
-    "ServiceUnavailableError",
-    "ServiceJobError",
-    "ServiceDeadlineError",
     "ArtifactError",
     "AuditMismatchError",
 ]
@@ -182,7 +178,7 @@ class SweepExecutionError(ReproError):
 class PoisonPointError(SweepExecutionError):
     """A sweep point repeatedly crashed pool workers and was quarantined.
 
-    The fault-tolerant pool (:class:`repro.service.resilience.ResilientPool`)
+    The fault-tolerant pool (:class:`repro.core.pool.ResilientPool`)
     respawns crashed worker pools and re-dispatches the in-flight points
     one by one; a point whose simulation keeps killing its worker — a
     segfaulting extension, an OOM kill — is quarantined after a bounded
@@ -190,50 +186,6 @@ class PoisonPointError(SweepExecutionError):
     instead of sinking the whole sweep. Carries the same payload as
     :class:`SweepExecutionError` (``.point``, ``.error_type``,
     ``.worker_traceback``).
-    """
-
-
-class ServiceError(ReproError):
-    """Base class for simulation-service (``repro serve``) failures."""
-
-
-class ServiceUnavailableError(ServiceError):
-    """No simulation server answered at the requested address.
-
-    Raised when ``--serve``/``REPRO_SERVE`` names a server explicitly
-    and nothing is listening there (auto-discovery without an explicit
-    address falls back to the in-process path instead of raising).
-    """
-
-    def __init__(self, address: str, reason: str = "") -> None:
-        self.address = address
-        detail = f"no simulation server reachable at {address}"
-        if reason:
-            detail += f": {reason}"
-        detail += " (start one with `python -m repro serve`)"
-        super().__init__(detail)
-
-
-class ServiceJobError(SweepExecutionError, ServiceError):
-    """A job failed inside the simulation service.
-
-    Subclasses :class:`SweepExecutionError` so sweep drivers handle
-    service-side and worker-side failures uniformly: the offending point
-    (``.point``), original exception class name (``.error_type``) and
-    server-side traceback text (``.worker_traceback``) all survive the
-    wire.
-    """
-
-
-class ServiceDeadlineError(ServiceJobError):
-    """A service job exceeded its wall-clock deadline and was cancelled.
-
-    Raised (or streamed per point as ``error_type ==
-    "ServiceDeadlineError"``) when a sweep carries a ``deadline_s`` and
-    the warm pool cannot finish the remaining points inside it. The
-    server cancels what has not started and abandons what has; finished
-    points are still delivered, so a client can resubmit just the
-    missing remainder.
     """
 
 

@@ -42,6 +42,10 @@ class RankContext:
         self.global_rank = global_rank
         self.comm = comm
         self.buffer = buffer
+        # Peers are translated on every yielded op: index the member
+        # list directly instead of going through ``comm.to_global``.
+        self._members = comm.members
+        self._size = comm.size
 
     # -- identity --------------------------------------------------------
     @property
@@ -65,12 +69,16 @@ class RankContext:
 
     # -- rank translation ----------------------------------------------------
     def _global_dst(self, local: int) -> int:
-        return self.comm.to_global(local)
+        if 0 <= local < self._size:
+            return self._members[local]
+        return self.comm.to_global(local)  # raises MpiError
 
     def _global_src(self, local: int) -> int:
+        if 0 <= local < self._size:
+            return self._members[local]
         if local == ANY_SOURCE:
             return ANY_SOURCE
-        return self.comm.to_global(local)
+        return self.comm.to_global(local)  # raises MpiError
 
     def _localize(self, status: Optional[Status]) -> Optional[Status]:
         if status is None:

@@ -112,9 +112,9 @@ def engine_mode() -> str:
 # across every replay whose *structure* matches: same dense resource
 # capacities, same (resource path, rate cap) definition per class id.
 # That structural signature is computed once per engine; engines with
-# equal signatures share one memo dict, so a long-running process (the
-# simulation service's warm workers above all) pays the kernel cost for
-# each contention pattern once, not once per job. Hits replay the exact
+# equal signatures share one memo dict, so a long-running process (a
+# sweep or a ``--jobs N`` worker running a batch of points) pays the
+# kernel cost for each contention pattern once, not once per point. Hits replay the exact
 # floats (and round counts) the kernel produced, keeping results and
 # telemetry bitwise-identical to a cold process — asserted by
 # ``tests/sim/test_replay_memo.py`` and the replay differential gate.
@@ -448,12 +448,18 @@ class ReplayEngine:
                 ]
             )
         makespan = max(self._finish) if self._finish else 0.0
+        # The network's completion callback is a method of this engine:
+        # dropping the network breaks that cycle, so the run's state is
+        # freed with the engine, not at the next full garbage collection
+        # (which a sweep's next point may not reach before its own peak).
+        net = self.flownet
+        del self.flownet
         return ReplayResult(
             time=makespan,
             rank_finish_times=list(self._finish),
             counters=self._build_counters(),
-            flows_completed=self.flownet.completed_count,
-            solver_stats=self.flownet.stats(),
+            flows_completed=net.completed_count,
+            solver_stats=net.stats(),
         )
 
     def _run_rank(self, rank: int) -> None:

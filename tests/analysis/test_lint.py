@@ -160,7 +160,6 @@ class TestTree:
             "mpi",
             "machine",
             "analysis",
-            "service",
             "core",
             "bench",
         )
@@ -173,15 +172,6 @@ class TestTree:
         for root in default_target_paths():
             covered.update(p.name for p in root.rglob("*.py"))
         assert {"micro.py", "traffic.py"} <= covered
-        assert lint_paths(default_target_paths()) == []
-
-    def test_service_server_loop_is_covered_and_clean(self):
-        # The server's host-clock uses must stay visible as explicit
-        # `# det: allow` telemetry escapes, not lint blind spots.
-        covered = set()
-        for root in default_target_paths():
-            covered.update(p.name for p in root.rglob("*.py"))
-        assert "server.py" in covered
         assert lint_paths(default_target_paths()) == []
 
     def test_default_targets_cover_replay_engine(self):

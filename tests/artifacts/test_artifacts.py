@@ -16,11 +16,11 @@ from repro.artifacts import (
     diff_payload,
     scrub,
 )
+from repro.artifacts.audit import encode_points, encode_spec
 from repro.core.executor import SweepExecutor
 from repro.core.sweep import SweepPoint
 from repro.errors import ArtifactError
 from repro.machine import ideal
-from repro.service import protocol
 
 
 def _spec():
@@ -30,12 +30,12 @@ def _spec():
 def _sweep_artifact():
     """A real one-point sweep artifact (cheap: P=4, 4KiB on ideal)."""
     points = [SweepPoint("scatter_ring_opt", 4, 4096)]
-    records = SweepExecutor(jobs=1, cache=None, serve=False).run(
+    records = SweepExecutor(jobs=1, cache=None).run(
         _spec(), points
     )
     config = {
-        "spec": protocol.encode_spec(_spec()),
-        "points": protocol.encode_points(points),
+        "spec": encode_spec(_spec()),
+        "points": encode_points(points),
         "root": 0,
         "placement": "blocked",
         "faults": None,
@@ -164,7 +164,7 @@ class TestCli:
             ]
         )
         assert rc == 0
-        assert "artifact:" in capsys.readouterr().out
+        assert "artifact:" in capsys.readouterr().err
         assert main(["audit", "--dir", str(tmp_path / "arts"), "--json"]) == 0
         results = json.loads(capsys.readouterr().out)
         assert results[0]["ok"] is True
@@ -181,11 +181,26 @@ class TestCli:
             ("replay", ["replay", "--nranks", "4"]),
             ("mc", ["mc", "--grid"]),
             ("prove", ["prove", "--all", "--xval", "2:6"]),
+            ("prove", ["prove", "--collective", "bcast_opt", "--xval", "2:3"]),
         ]
         for _, argv in runs:
             assert main(argv + ["--artifact", store]) == 0, argv
-            assert "artifact:" in capsys.readouterr().out, argv
+            assert "artifact:" in capsys.readouterr().err, argv
         assert main(["audit", "--dir", store, "--json"]) == 0
         results = json.loads(capsys.readouterr().out)
         assert all(r["ok"] and r["reexecuted"] for r in results)
         assert sorted(r["kind"] for r in results) == sorted(k for k, _ in runs)
+
+    def test_artifact_notice_keeps_json_stdout_parseable(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        store = tmp_path / "arts"
+        monkeypatch.setenv("REPRO_ARTIFACTS", str(store))
+        argv = ["verify", "--collective", "bcast_native", "--nranks", "8,10",
+                "--json"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        reports = json.loads(captured.out)
+        assert [r["redundant_count"] for r in reports] == [12, 15]
+        (path,) = store.glob("verify-*.json")
+        assert f"artifact: {path}" in captured.err

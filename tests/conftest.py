@@ -1,7 +1,7 @@
 """Suite-wide fixtures.
 
 Tests run hermetically: every inherited ``REPRO_*`` knob (engine
-selection, service discovery, worker counts, ...) is unset, so a
+selection, artifact store, worker counts, ...) is unset, so a
 developer's shell cannot change what the suite checks. The sweep
 harness persists results under ``~/.cache/repro`` by default; tests
 must never read or pollute the developer's real cache, so every test

@@ -1,8 +1,13 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.core.diskcache import DiskCache
+from repro.core.report import RunRecord
 
 
 class TestParser:
@@ -18,6 +23,9 @@ class TestParser:
     def test_machine_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare", "--machine", "summit"])
+
+    def test_cache_migrate_flag(self):
+        assert build_parser().parse_args(["cache", "--migrate"]).migrate
 
 
 class TestCommands:
@@ -520,3 +528,67 @@ class TestBenchReportCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert "BENCH_replay.json" in out
+
+
+class TestCacheCommand:
+    def _legacy_record(self):
+        return RunRecord(
+            algorithm="a", nranks=4, nbytes=1024, root=0, time=1e-5,
+            messages=3, bytes_on_wire=2048, intra_messages=3, inter_messages=0,
+        )
+
+    def test_cache_reports_shards(self, capsys, tmp_path):
+        cache = DiskCache(tmp_path)
+        cache.put("ab" + "0" * 62, self._legacy_record())
+        rc = main(["cache", "--cache-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "1 record(s) in 1 shard(s)" in out
+
+    def test_cache_migrate(self, capsys, tmp_path):
+        line = json.dumps(
+            {
+                "key": "cd" + "0" * 62,
+                "record": dataclasses.asdict(self._legacy_record()),
+            }
+        )
+        (tmp_path / "sweep-records.jsonl").write_text(line + "\n")
+        rc = main(["cache", "--cache-dir", str(tmp_path), "--migrate"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "migrated 1 legacy record(s)" in out
+        assert not (tmp_path / "sweep-records.jsonl").exists()
+
+
+class TestBenchReportFlagging:
+    def _write_bench(self, tmp_path, **fields):
+        data = {
+            "benchmark": "sweep harness",
+            "date": "2026-08-08",
+            **fields,
+        }
+        (tmp_path / "BENCH_x.json").write_text(json.dumps(data))
+
+    def test_single_cpu_speedup_flagged(self, capsys, tmp_path):
+        self._write_bench(tmp_path, cpu_count=1, speedup_jobs4_vs_serial=0.92)
+        assert main(["bench-report", "--dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "WARNING" in out and "1-CPU host" in out
+        assert "speedup_jobs4_vs_serial" in out
+
+    def test_multi_cpu_not_flagged(self, capsys, tmp_path):
+        self._write_bench(tmp_path, cpu_count=8, speedup_jobs4_vs_serial=3.4)
+        assert main(["bench-report", "--dir", str(tmp_path)]) == 0
+        assert "WARNING" not in capsys.readouterr().out
+
+    def test_no_speedup_columns_not_flagged(self, capsys, tmp_path):
+        self._write_bench(tmp_path, cpu_count=1, warm_vs_cold=3.2)
+        assert main(["bench-report", "--dir", str(tmp_path)]) == 0
+        assert "WARNING" not in capsys.readouterr().out
+
+    def test_algorithmic_speedup_not_flagged(self, capsys, tmp_path):
+        # Solver/replay speedups are single-process algorithmic wins —
+        # valid on any core count.
+        self._write_bench(tmp_path, cpu_count=1, p65_speedup=6.89)
+        assert main(["bench-report", "--dir", str(tmp_path)]) == 0
+        assert "WARNING" not in capsys.readouterr().out

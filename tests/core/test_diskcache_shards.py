@@ -1,7 +1,7 @@
 """Tests for the sharded DiskCache layout: concurrency + legacy migration.
 
 The single-file JSON-lines cache became ``shards/<xx>.jsonl`` so many
-processes (CLI clients, service workers) can share one cache directory.
+processes (concurrent CLI runs) can share one cache directory.
 These tests cover what the layout promises: flock-protected appends lose
 nothing under multi-process contention, readers pick up other writers'
 records, and pre-sharding caches keep working unchanged.

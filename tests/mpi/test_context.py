@@ -125,3 +125,12 @@ class TestVerbLowering:
     def test_out_of_range_local_rank(self):
         with pytest.raises(MpiError):
             step_coroutine(make_ctx().send(3, 1))
+
+    @pytest.mark.parametrize("peer", [3, -5])
+    @pytest.mark.parametrize("verb", ["send", "isend", "recv", "irecv"])
+    def test_peer_outside_communicator_rejected(self, verb, peer):
+        # Local ranks index the member list; a negative one must raise,
+        # not wrap around to the last members.
+        ctx = make_ctx()
+        with pytest.raises(MpiError, match=rf"local rank {peer} outside \[0, 3\)"):
+            step_coroutine(getattr(ctx, verb)(peer, 1))

@@ -1,5 +1,8 @@
 """Tests for the vectorized schedule-replay engine (repro.sim.replay)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.analysis.verify import REGISTRY
@@ -124,6 +127,20 @@ class TestReplayEngine:
         stats = rep.solver_stats
         assert stats.mode == "replay"
         assert stats.solves > 0 and stats.flows_solved > 0
+
+    def test_finished_engine_is_freed_without_the_cycle_collector(self):
+        # A sweep's next point must not run while the previous point's
+        # replay state waits for a full garbage collection.
+        compiled = registry_compiled("bcast_opt", 8, 65536)
+        gc.disable()
+        try:
+            engine = ReplayEngine(Machine(hornet(), nranks=8), compiled)
+            engine.run()
+            ref = weakref.ref(engine)
+            del engine
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_jitter_spec_rejected(self):
         compiled = registry_compiled("bcast_opt", 4, 4096)

@@ -3,7 +3,7 @@
 The replay engine memoises water-filling solves by the structural
 signature ``(capacities, class_index)``; the shared store lets every
 engine with the same signature — across runs in one process, e.g. a
-sweep batch or a service worker — reuse each other's solves. The
+sweep batch or a ``--jobs N`` worker — reuse each other's solves. The
 non-negotiable property: memo state never changes a record. Warm and
 cold runs, shared and private (full-store) memos, must agree bitwise —
 including the ``solver_rounds`` telemetry, which replays the stored
