@@ -224,7 +224,16 @@ def _faults(args):
     )
 
 
+def _check_nranks(nranks: int) -> None:
+    """Raise ConfigurationError (exit 2) for a process count below 1."""
+    from .errors import ConfigurationError
+
+    if nranks < 1:
+        raise ConfigurationError(f"process count must be >= 1, got {nranks}")
+
+
 def cmd_compare(args) -> int:
+    _check_nranks(args.nranks)
     cmp = compare_bcast(
         _spec(args),
         nranks=args.nranks,
@@ -278,22 +287,28 @@ def _add_artifact_arg(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _artifact_requested(args) -> bool:
+    """``--artifact [DIR]`` or a non-empty ``REPRO_ARTIFACTS``."""
+    import os
+
+    return getattr(args, "artifact", None) is not None or bool(
+        os.environ.get("REPRO_ARTIFACTS", "").strip()
+    )
+
+
 def _persist_artifact(args, kind: str, config: dict, report) -> None:
     """Freeze one completed run into the artifact store when asked.
 
-    Enabled by ``--artifact [DIR]`` or a non-empty ``REPRO_ARTIFACTS``
-    environment variable; a no-op otherwise, so the default CLI paths
-    stay write-free. The notice goes to stderr, so ``--json`` output on
-    stdout stays parseable.
+    Enabled by :func:`_artifact_requested`; a no-op otherwise, so the
+    default CLI paths stay write-free. The notice goes to stderr, so
+    ``--json`` output on stdout stays parseable.
     """
-    import os
-
-    dest = getattr(args, "artifact", None)
-    if dest is None and not os.environ.get("REPRO_ARTIFACTS", "").strip():
+    if not _artifact_requested(args):
         return
     from .artifacts import ArtifactStore, RunArtifact
     from .artifacts.audit import payload
 
+    dest = getattr(args, "artifact", None)
     store = ArtifactStore(None if dest in (None, "auto") else dest)
     path = store.save(RunArtifact.create(kind, config, payload(report)))
     print(f"artifact: {path}", file=sys.stderr)
@@ -333,6 +348,7 @@ def _check_point(
 
 
 def cmd_sweep(args) -> int:
+    _check_nranks(args.nranks)
     sizes = args.sizes.split(",")
     sweep = Sweep(
         _spec(args),
@@ -358,6 +374,8 @@ def cmd_sweep(args) -> int:
         print(_chaos_stats_table(records))
     if cache is not None:
         print(cache.stats().describe())
+    if not _artifact_requested(args):
+        return 0
     from .artifacts import audit as _recipe
 
     _persist_artifact(
@@ -416,19 +434,13 @@ def cmd_cache(args) -> int:
     if args.clear:
         removed = cache.invalidate()
         print(f"cleared {removed} cached record(s) from {cache.dir}")
-    elif args.migrate:
-        moved = cache.migrate()
-        print(f"migrated {moved} legacy record(s) into {cache.shard_dir}")
     else:
         shards = (
             len(list(cache.shard_dir.glob("*.jsonl")))
             if cache.shard_dir.is_dir()
             else 0
         )
-        legacy = " + a legacy file (run --migrate)" if cache.file.exists() else ""
-        print(
-            f"{cache.dir}: {len(cache)} record(s) in {shards} shard(s){legacy}"
-        )
+        print(f"{cache.dir}: {len(cache)} record(s) in {shards} shard(s)")
     return 0
 
 
@@ -500,7 +512,6 @@ def cmd_verify(args) -> int:
         "ranks": ranks,
         "nbytes": nbytes,
         "root": args.root,
-        "rendezvous": not args.no_rendezvous,
     }
     if args.mc:
         recipe.update(modelcheck=True, mc_max_states=args.mc_max_states)
@@ -1079,11 +1090,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None, help="cache directory override")
     p.add_argument("--clear", action="store_true", help="delete all cached records")
     p.add_argument(
-        "--migrate",
-        action="store_true",
-        help="fold a legacy single-file cache into the sharded layout",
-    )
-    p.add_argument(
         "--fsck",
         action="store_true",
         help=(
@@ -1123,11 +1129,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict",
         action="store_true",
         help="match-order hazards also fail the verdict",
-    )
-    p.add_argument(
-        "--no-rendezvous",
-        action="store_true",
-        help="skip the synchronous-send deadlock analysis",
     )
     p.add_argument(
         "--no-cost",
@@ -1497,7 +1498,7 @@ def main(argv=None) -> int:
     import os
     from time import perf_counter
 
-    from .errors import ArtifactError, ConfigurationError
+    from .errors import ArtifactError, ConfigurationError, SweepExecutionError
 
     args = build_parser().parse_args(argv)
     gate_log = os.environ.get("REPRO_GATE_TIMES")
@@ -1514,6 +1515,11 @@ def main(argv=None) -> int:
         # (violations exit 1, clean runs 0) across every subcommand.
         print(f"error: {exc}", file=sys.stderr)
         code = 2
+    except SweepExecutionError as exc:
+        # A failed or quarantined sweep point: its error names the
+        # point, so no traceback of this process is needed (exit 1).
+        print(f"error: {exc}", file=sys.stderr)
+        code = 1
     if gate_log:
         _record_gate_time(gate_log, args.command, perf_counter() - start, code)
     return code

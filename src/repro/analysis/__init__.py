@@ -86,12 +86,12 @@ from .verify import (
     CollectiveSpec,
     HazardPair,
     RedundantTransfer,
-    RendezvousAnalyzer,
     RendezvousReport,
     VerifyReport,
     Violation,
     WaitForEdge,
     analyze_rendezvous,
+    check_rendezvous,
     expected_redundant_native,
     find_match_hazards,
     verifiable_collectives,
@@ -162,12 +162,12 @@ __all__ = [
     "CollectiveSpec",
     "HazardPair",
     "RedundantTransfer",
-    "RendezvousAnalyzer",
     "RendezvousReport",
     "VerifyReport",
     "Violation",
     "WaitForEdge",
     "analyze_rendezvous",
+    "check_rendezvous",
     "expected_redundant_native",
     "find_match_hazards",
     "verifiable_collectives",

@@ -17,10 +17,10 @@ running the timing simulation:
    wholly owned by the receiver is flagged. The native enclosed ring
    produces exactly ``S - P`` of these; the paper's tuned ring produces
    zero. Registry entries carry the expected count as an assertion.
-3. **Rendezvous deadlock analysis** (:class:`RendezvousAnalyzer`): the
-   program is re-run under *synchronous-send* semantics — stricter than
-   the schedule executor's buffered sends — and, on a stall, the
-   wait-for graph is reported with the blocked rank/op cycle.
+3. **Rendezvous deadlock analysis** (:func:`check_rendezvous`): the
+   extracted op log is walked under *synchronous-send* semantics —
+   stricter than the schedule executor's buffered sends — and, on a
+   stall, the wait-for graph is reported with the blocked rank/op cycle.
 4. **Match-order hazards** (:func:`find_match_hazards`): pairs of
    same-``(src, dst, tag)`` messages that were concurrently in flight
    with different chunk sets or sizes. MPI's non-overtaking rule is the
@@ -36,7 +36,6 @@ verify`` CLI subcommand wraps them with table/JSON output.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
@@ -67,16 +66,12 @@ from ..collectives import (
     scan_recursive_doubling,
     subtree_chunks,
 )
-from ..collectives.schedule import RecordedSend, ScheduleResult, _describe_request
+from ..collectives.schedule import RecordedSend, ScheduleResult
 from ..core.traffic import transfers_saved
-from ..errors import ConfigurationError, ReproError
+from ..errors import ConfigurationError, MpiError, ReproError
 from ..mpi.comm import Communicator
 from ..mpi.context import RankContext
-from ..mpi.matching import Envelope, MatchingEngine
-from ..mpi.ops import ANY_SOURCE, ComputeOp, IrecvOp, IsendOp, RecvOp, SendOp, WaitOp
-from ..mpi.request import Request, Status
-from ..sim import Proc
-from ..sim.process import BLOCKED
+from ..sim.replay import OP_IRECV, OP_ISEND, OP_RECV, OP_SEND, OP_WAIT
 from ..util import ChunkSet, chunk_count, is_power_of_two, scatter_size
 
 __all__ = [
@@ -92,7 +87,7 @@ __all__ = [
     "expected_redundant_native",
     "verify_provenance",
     "find_match_hazards",
-    "RendezvousAnalyzer",
+    "check_rendezvous",
     "analyze_rendezvous",
     "verify_program",
     "verify_collective",
@@ -425,183 +420,93 @@ def find_match_hazards(schedule: ScheduleResult) -> List[HazardPair]:
 # ---------------------------------------------------------------------------
 
 
-class _RdvSend:
-    __slots__ = ("req",)
-
-    def __init__(self, req: Request) -> None:
-        self.req = req
-
-
-class _RdvRecv:
-    __slots__ = ("req",)
-
-    def __init__(self, req: Request) -> None:
-        self.req = req
+_SENDS = (OP_SEND, OP_ISEND)
+_RECVS = (OP_RECV, OP_IRECV)
+_BLOCKING = (OP_SEND, OP_RECV, OP_WAIT)  # ops that can park a rank
+_NEVER = float("inf")  # op index of a receive that was never posted
 
 
-class _RdvWait:
-    __slots__ = ("requests", "remaining")
+def check_rendezvous(schedule: ScheduleResult) -> RendezvousReport:
+    """Walk the extracted op log under *synchronous-send* semantics.
 
-    def __init__(self, requests: List[Request], remaining: int) -> None:
-        self.requests = requests
-        self.remaining = remaining
-
-
-class RendezvousAnalyzer:
-    """Zero-time executor with *synchronous-send* semantics.
-
-    Unlike :class:`~repro.collectives.schedule.ScheduleExecutor` (whose
-    sends are buffered and never block), every send here blocks until
-    the matching receive is posted — MPI's ``MPI_Ssend`` / rendezvous
-    protocol. Programs that are only correct thanks to eager buffering
-    deadlock under this model; the analyzer reports the wait-for cycle
-    instead of hanging.
+    Stricter than the buffered extraction that recorded it: a send or
+    isend completes once its matched receive is posted (``MPI_Ssend``,
+    the rendezvous protocol), a recv or irecv once its matched send is
+    issued, and a waitall once all its members have. Programs that are
+    only correct thanks to eager buffering stall; the ranks left blocked
+    are reported with their wait-for edges and the first cycle among
+    them. The pairing is the one extraction recorded, which is MPI's for
+    programs without wildcard sources; an ``ANY_SOURCE`` receive is
+    checked in the match order extraction saw.
     """
+    log, sends = schedule.op_log, schedule.sends
+    issued_at = [0] * len(sends)  # send order -> op index at its sender
+    posted_at: Dict[int, Tuple[int, int]] = {}  # send order -> (rank, op index)
+    for rank, ops in log.items():
+        for i, (kind, arg) in enumerate(ops):
+            if kind in _SENDS:
+                issued_at[arg] = i
+            elif kind in _RECVS and arg >= 0:
+                posted_at[arg] = (rank, i)
+            elif kind == OP_WAIT and not all(0 <= m < i for m in arg):
+                raise MpiError(
+                    f"rank {rank} waits on a request not returned by its "
+                    f"own isend/irecv (op {i}); the rendezvous pass cannot "
+                    f"place it"
+                )
+    pc = dict.fromkeys(log, 0)  # ops before pc[rank] completed; pc[rank] issued
 
-    def __init__(
-        self,
-        nranks: int,
-        program_factory: Callable[[RankContext], object],
-        comm: Optional[Communicator] = None,
-    ) -> None:
-        self.comm = comm if comm is not None else Communicator.world(nranks)
-        self.matching = [MatchingEngine(r) for r in range(nranks)]
-        self.procs: List[Proc] = []
-        self._parked: List[object] = [None] * self.comm.size
-        self._ready: "deque[Tuple[int, object]]" = deque()
-        self._seq = 0
-        for local in range(self.comm.size):
-            glob = self.comm.to_global(local)
-            ctx = RankContext(glob, self.comm)
-            self.procs.append(Proc(f"rank{local}", program_factory(ctx)))
-
-    # -- driving ---------------------------------------------------------
-    def run(self) -> RendezvousReport:
-        for idx in range(len(self.procs)):
-            self._ready.append((idx, None))
-        while self._ready:
-            idx, value = self._ready.popleft()
-            self.procs[idx].drive(value, idx, self._execute)
-        if all(p.finished for p in self.procs):
-            return RendezvousReport(deadlocked=False)
-        return self._diagnose()
-
-    def _wakeup(self, idx: int, value: object) -> None:
-        self._parked[idx] = None
-        self._ready.append((idx, value))
-
-    # -- op execution ------------------------------------------------------
-    def _execute(self, idx: int, op: object) -> object:
-        glob = self.comm.to_global(idx)
-        if isinstance(op, (SendOp, IsendOp)):
-            req = Request(
-                "send",
-                owner=glob,
-                peer=op.dst,
-                tag=op.tag,
-                nbytes=op.nbytes,
-                chunks=op.chunks,
-            )
-            self._announce(req)
-            if isinstance(op, IsendOp):
-                return req
-            if req.complete:
-                return None
-            self._parked[idx] = _RdvSend(req)
-            req.on_complete(lambda _r, i=idx: self._wakeup(i, None))
-            return BLOCKED
-        if isinstance(op, (RecvOp, IrecvOp)):
-            req = Request(
-                "recv", owner=glob, peer=op.src, tag=op.tag, nbytes=op.nbytes
-            )
-            env = self.matching[glob].post_recv(req)
-            if env is not None:
-                self._complete_pair(req, env)
-            if isinstance(op, IrecvOp):
-                return req
-            if req.complete:
-                return req.status
-            self._parked[idx] = _RdvRecv(req)
-            req.on_complete(lambda r, i=idx: self._wakeup(i, r.status))
-            return BLOCKED
-        if isinstance(op, WaitOp):
-            requests = op.requests
-            remaining = sum(1 for r in requests if not r.complete)
-            if remaining == 0:
-                return [r.status for r in requests]
-            state = _RdvWait(requests, remaining)
-            self._parked[idx] = state
-
-            def one_done(
-                _req: Request, i: int = idx, state: _RdvWait = state
-            ) -> None:
-                state.remaining -= 1
-                if state.remaining == 0:
-                    self._wakeup(i, [r.status for r in state.requests])
-
-            for r in requests:
-                if not r.complete:
-                    r.on_complete(one_done)
-            return BLOCKED
-        if isinstance(op, ComputeOp):
+    def blocker(rank: int, i: int) -> Optional[int]:
+        """The rank op *i* of *rank* still waits on; None once complete."""
+        kind, arg = log[rank][i]
+        if kind in _SENDS:
+            peer, j = posted_at.get(arg, (sends[arg].dst, _NEVER))
+        elif kind in _RECVS:
+            peer, j = sends[arg].src, issued_at[arg]
+        else:  # a waitall waits on its first incomplete member
+            for m in arg:
+                peer = blocker(rank, m)
+                if peer is not None:
+                    return peer
             return None
-        raise ConfigurationError(f"rendezvous analyzer got unknown op {op!r}")
+        return None if pc[peer] >= j else peer
 
-    # -- rendezvous transfer ------------------------------------------------
-    def _announce(self, req: Request) -> None:
-        """Deliver the envelope; the send completes only when matched."""
-        self._seq += 1
-        env = Envelope(req.owner, req.tag, req.nbytes, req, self._seq)
-        recv_req = self.matching[req.peer].arrive(env)
-        if recv_req is not None:
-            self._complete_pair(recv_req, env)
+    progress = True
+    while progress:
+        progress = False
+        for rank, ops in log.items():
+            start = pc[rank]
+            while pc[rank] < len(ops) and (
+                ops[pc[rank]][0] not in _BLOCKING or blocker(rank, pc[rank]) is None
+            ):
+                pc[rank] += 1
+            progress = progress or pc[rank] > start
 
-    def _complete_pair(self, recv_req: Request, env: Envelope) -> None:
-        send_req = env.send_req
-        recv_req.finish(Status(env.src, env.tag, env.nbytes, send_req.chunks))
-        send_req.finish()
+    edges: Dict[int, List[WaitForEdge]] = {}
+    for rank, ops in log.items():
+        if pc[rank] < len(ops):
+            kind, arg = ops[pc[rank]]
+            for m in arg if kind == OP_WAIT else (pc[rank],):
+                peer = blocker(rank, m)
+                if peer is not None:
+                    op = _describe_op(ops[m], sends)
+                    edges.setdefault(rank, []).append(WaitForEdge(rank, peer, op))
+    blocked = [
+        f"rank {rank}: {', '.join(e.op for e in rank_edges)}"
+        for rank, rank_edges in sorted(edges.items())
+    ]
+    return RendezvousReport(
+        deadlocked=bool(edges), cycle=_find_cycle(edges), blocked=blocked
+    )
 
-    # -- diagnosis ----------------------------------------------------------
-    def _edges(self) -> Dict[int, List[WaitForEdge]]:
-        """Wait-for edges of every blocked rank (global rank keyed)."""
-        unfinished = {
-            self.comm.to_global(i)
-            for i, p in enumerate(self.procs)
-            if not p.finished
-        }
-        edges: Dict[int, List[WaitForEdge]] = {}
 
-        def add(rank: int, req: Request) -> None:
-            op = _describe_request(req)
-            targets = (
-                sorted(unfinished - {rank})
-                if req.kind == "recv" and req.peer == ANY_SOURCE
-                else [req.peer]
-            )
-            for peer in targets:
-                edges.setdefault(rank, []).append(WaitForEdge(rank, peer, op))
-
-        for idx, proc in enumerate(self.procs):
-            if proc.finished:
-                continue
-            glob = self.comm.to_global(idx)
-            parked = self._parked[idx]
-            if isinstance(parked, (_RdvSend, _RdvRecv)):
-                add(glob, parked.req)
-            elif isinstance(parked, _RdvWait):
-                for r in parked.requests:
-                    if not r.complete:
-                        add(glob, r)
-        return edges
-
-    def _diagnose(self) -> RendezvousReport:
-        edges = self._edges()
-        blocked = [
-            f"rank {rank}: {', '.join(e.op for e in rank_edges)}"
-            for rank, rank_edges in sorted(edges.items())
-        ]
-        cycle = _find_cycle(edges)
-        return RendezvousReport(deadlocked=True, cycle=cycle, blocked=blocked)
+def _describe_op(entry: List, sends: List[RecordedSend]) -> str:
+    """``send(dst=1, tag=0, nbytes=64)``-style rendering of a send or
+    receive op-log entry, by the message it carried or matched."""
+    s = sends[entry[1]]
+    if entry[0] in _SENDS:
+        return f"send(dst={s.dst}, tag={s.tag}, nbytes={s.nbytes})"
+    return f"recv(src={s.src}, tag={s.tag}, nbytes={s.nbytes})"
 
 
 def _find_cycle(edges: Dict[int, List[WaitForEdge]]) -> List[WaitForEdge]:
@@ -645,8 +550,12 @@ def analyze_rendezvous(
     program_factory: Callable[[RankContext], object],
     comm: Optional[Communicator] = None,
 ) -> RendezvousReport:
-    """One-call helper: run the synchronous-send analysis."""
-    return RendezvousAnalyzer(nranks, program_factory, comm=comm).run()
+    """One-call helper: extract the schedule, then :func:`check_rendezvous`.
+
+    A program that deadlocks even with buffered sends raises extraction's
+    :class:`~repro.errors.DeadlockError`.
+    """
+    return check_rendezvous(extract_schedule(nranks, program_factory, comm=comm))
 
 
 # ---------------------------------------------------------------------------
@@ -1038,17 +947,16 @@ def verify_program(
     initial_owned: Optional[List[ChunkSet]] = None,
     expected_final: Optional[List[ChunkSet]] = None,
     expected_redundant: Optional[int] = None,
-    rendezvous_factory: Optional[Callable[[RankContext], object]] = None,
     name: str = "<program>",
     nbytes: int = 0,
     root: int = 0,
 ) -> VerifyReport:
     """Statically verify an arbitrary rank program.
 
-    Runs the buffered schedule extraction, then the provenance /
-    redundancy / hazard passes (when ``initial_owned`` is given) and the
-    rendezvous deadlock analysis (when ``rendezvous_factory`` is given —
-    generators are single-use, so a *fresh* factory is required).
+    Runs the buffered schedule extraction once, then reads that one
+    schedule in every pass: provenance / redundancy (when
+    ``initial_owned`` is given), match-order hazards and the rendezvous
+    deadlock analysis.
     """
     report = VerifyReport(
         collective=name,
@@ -1083,13 +991,16 @@ def verify_program(
                 )
             )
     report.hazards = find_match_hazards(schedule)
-    if rendezvous_factory is not None:
-        try:
-            report.rendezvous = analyze_rendezvous(nranks, rendezvous_factory)
-        except ReproError as exc:
-            report.rendezvous = RendezvousReport(
-                deadlocked=True, blocked=[f"{type(exc).__name__}: {exc}"]
+    try:
+        report.rendezvous = check_rendezvous(schedule)
+    except MpiError as exc:
+        report.violations.append(
+            Violation(
+                kind="error",
+                detail=f"rendezvous analysis: {type(exc).__name__}: {exc}",
             )
+        )
+    else:
         if report.rendezvous.deadlocked:
             report.violations.append(
                 Violation(
@@ -1122,7 +1033,6 @@ def verify_collective(
     nranks: int,
     nbytes: int = 65536,
     root: int = 0,
-    rendezvous: bool = True,
     modelcheck: bool = False,
     mc_max_states: int = 20000,
 ) -> VerifyReport:
@@ -1160,9 +1070,6 @@ def verify_collective(
             spec.expected_redundant(nranks, nbytes)
             if spec.expected_redundant is not None
             else None
-        ),
-        rendezvous_factory=(
-            spec.build(nranks, nbytes, root) if rendezvous else None
         ),
         name=name,
         nbytes=nbytes,

@@ -167,7 +167,6 @@ def _run_verify(config: dict, progress: Progress = None) -> Any:
             nranks,
             nbytes=int(config.get("nbytes", 65536)),
             root=int(config.get("root", 0)),
-            rendezvous=bool(config.get("rendezvous", True)),
             modelcheck=bool(config.get("modelcheck", False)),
             mc_max_states=int(config.get("mc_max_states", 20000)),
         )

@@ -14,13 +14,6 @@ was issued. This preserves the data-flow dependencies that determine
 needs. Programs that deadlock even under buffered sends (receive cycles)
 are reported as :class:`~repro.errors.DeadlockError`.
 
-A :class:`~repro.sim.faults.FaultPlan` may be attached (``faults=``):
-drop decisions then statically suppress the matching sends — recorded
-but never delivered — and a resulting deadlock report names the exact
-injected event that ate the expected message instead of reading like a
-schedule bug. The executor has no clock, so time-windowed faults
-(blackouts, timed crashes) are evaluated at t=0.
-
 Besides the transfer list, the executor records one *op log* per rank:
 the exact ``(kind, arg)`` sequence of MPI operations the program
 executed, with every receive annotated with the send order it matched
@@ -181,13 +174,9 @@ class ScheduleExecutor:
         comm: Optional[Communicator] = None,
         buffers: Optional[List] = None,
         placement=None,
-        faults=None,
     ):
         self.comm = comm if comm is not None else Communicator.world(nranks)
         self.placement = placement
-        self.faults = faults
-        self.suppressed: List[str] = []  # injected-drop audit lines
-        self._op_index: Dict[Tuple[int, int], int] = {}
         self.sends: List[RecordedSend] = []
         self.issue_clock: Dict[int, int] = {}
         self.match_clock: Dict[int, int] = {}
@@ -234,7 +223,6 @@ class ScheduleExecutor:
                 for eng in self.matching
                 if eng.pending_unexpected
             ]
-            notes.extend(f"injected {line}" for line in self.suppressed)
             raise DeadlockError(unfinished, notes=notes)
         return ScheduleResult(
             sends=self.sends,
@@ -327,7 +315,7 @@ class ScheduleExecutor:
             requests = op.requests
             members = []
             for r in requests:
-                member = self._req_op.get(r, -1)
+                member = self._req_op.get(r, -1) if r.owner == glob else -1
                 if member < 0:
                     self._blockers.append(
                         f"rank {glob} waits on a request not returned by "
@@ -389,18 +377,6 @@ class ScheduleExecutor:
         self.dep_counts[order] = len(self.observed[req.owner])
         self.issue_clock[order] = self._clock
         self._clock += 1
-        if self.faults is not None:
-            op_index = self._op_index.get((req.owner, req.peer), 0)
-            self._op_index[(req.owner, req.peer)] = op_index + 1
-            decision = self.faults.decide(req.owner, req.peer, req.tag, op_index)
-            if decision.drop:
-                self.suppressed.append(
-                    f"drop {req.owner}->{req.peer} tag={req.tag} "
-                    f"op#{op_index} send order {order} "
-                    f"({decision.cause or 'drop'})"
-                )
-                req.finish()  # the sender is still buffered, never blocks
-                return
         env = Envelope(req.owner, req.tag, req.nbytes, (req, payload), len(self.sends))
         self._env_order[env.seq] = order
         req.finish()  # buffered: sends always complete immediately
@@ -433,16 +409,10 @@ def extract_schedule(
     comm: Optional[Communicator] = None,
     buffers: Optional[List] = None,
     placement=None,
-    faults=None,
 ) -> ScheduleResult:
     """One-call helper: build, run and return the schedule."""
     return ScheduleExecutor(
-        nranks,
-        program_factory,
-        comm=comm,
-        buffers=buffers,
-        placement=placement,
-        faults=faults,
+        nranks, program_factory, comm=comm, buffers=buffers, placement=placement
     ).run()
 
 

@@ -23,15 +23,10 @@ single-file layout could not offer:
 Every line written carries a content checksum (``"sum"``: a SHA-256
 prefix over the canonical ``{"key", "record"}`` JSON), so a torn append,
 a truncated shard, or bit-rot is *detected*, not silently parsed into a
-wrong record: readers skip lines whose checksum does not match, and
-:meth:`DiskCache.fsck` (``repro cache --fsck``) reports every corrupt or
-checksum-less line and can atomically rewrite the damaged shards keeping
-only verified records. Lines from older cache versions (no ``"sum"``)
-remain readable; ``fsck(repair=True)`` upgrades them in place.
-
-Caches written by older versions (a single ``sweep-records.jsonl``) are
-read transparently and can be folded into the sharded layout with
-:meth:`DiskCache.migrate` (``repro cache --migrate``).
+wrong record: readers skip every line without a matching checksum, and
+:meth:`DiskCache.fsck` (``repro cache --fsck``) reports those lines as
+corrupt and can atomically rewrite the damaged shards keeping only
+verified records.
 
 The directory defaults to ``~/.cache/repro`` (respecting
 ``XDG_CACHE_HOME``) and can be overridden with the ``REPRO_CACHE_DIR``
@@ -77,7 +72,6 @@ __all__ = [
 # memo hits too (cross-run shared solve memo).
 CACHE_VERSION = "2026.08.08.2"
 
-_LEGACY_FILENAME = "sweep-records.jsonl"
 _SHARD_DIR = "shards"
 _PREFIX_LEN = 2  # hex chars -> 256 shards
 
@@ -167,14 +161,13 @@ def _line_checksum(key: str, record: dict) -> str:
 def _scan_lines(text: str):
     """Parse JSON-lines cache content, verifying per-line checksums.
 
-    Returns ``(entries, corrupt, unsummed)``: the verified records, how
-    many lines were dropped (torn JSON, missing fields, or a checksum
-    mismatch — i.e. the payload was altered after it was written), and
-    how many parsed fine but predate per-line checksums.
+    Returns ``(entries, corrupt)``: the verified records and how many
+    lines were dropped (torn JSON, missing fields, or a missing or
+    mismatched checksum — the payload was altered after it was written,
+    or was written before lines carried checksums).
     """
     entries: Dict[str, RunRecord] = {}
     corrupt = 0
-    unsummed = 0
     for line in text.splitlines():
         line = line.strip()
         if not line:
@@ -184,17 +177,13 @@ def _scan_lines(text: str):
             key = obj["key"]
             record = obj["record"]
             rec = RunRecord(**record)
+            if obj["sum"] != _line_checksum(key, record):
+                raise ValueError("checksum mismatch")
         except (ValueError, KeyError, TypeError):
             corrupt += 1  # torn/stale line: ignore, do not crash
             continue
-        declared = obj.get("sum")
-        if declared is None:
-            unsummed += 1
-        elif declared != _line_checksum(key, record):
-            corrupt += 1
-            continue
         entries[key] = rec
-    return entries, corrupt, unsummed
+    return entries, corrupt
 
 
 def _parse_lines(text: str) -> Dict[str, RunRecord]:
@@ -207,10 +196,9 @@ class FsckReport:
     """Outcome of one :meth:`DiskCache.fsck` integrity scan."""
 
     shards: int  # shard files scanned
-    entries: int  # verified records across all shards + legacy file
-    corrupt: int  # lines dropped: torn JSON or checksum mismatch
-    unsummed: int  # valid lines that predate per-line checksums
-    repaired: int  # corrupt+unsummed lines resolved by a repair rewrite
+    entries: int  # verified records across all shards
+    corrupt: int  # lines dropped: torn JSON, no checksum or a mismatch
+    repaired: int  # corrupt lines resolved by a repair rewrite
 
     @property
     def ok(self) -> bool:
@@ -220,12 +208,11 @@ class FsckReport:
         verdict = "clean" if self.ok else "CORRUPT"
         text = (
             f"cache fsck: {verdict} — {self.entries} verified record(s) in "
-            f"{self.shards} shard(s); {self.corrupt} corrupt line(s), "
-            f"{self.unsummed} pre-checksum line(s)"
+            f"{self.shards} shard(s); {self.corrupt} corrupt line(s)"
         )
         if self.repaired:
             text += f"; repaired {self.repaired} (shards rewritten)"
-        elif self.corrupt or self.unsummed:
+        elif self.corrupt:
             text += " (run with --repair to rewrite)"
         return text
 
@@ -235,15 +222,12 @@ class DiskCache:
 
     def __init__(self, path: Union[str, Path, None] = None):
         self.dir = Path(path).expanduser() if path is not None else default_cache_dir()
-        # Pre-sharding single-file layout, still read transparently.
-        self.file = self.dir / _LEGACY_FILENAME
         self.shard_dir = self.dir / _SHARD_DIR
         # prefix -> entries; loaded lazily, one shard at a time.
         self._shards: Dict[str, Dict[str, RunRecord]] = {}
         # prefix -> bytes of the shard file consumed so far. A miss on a
         # loaded shard re-reads only the tail another process appended.
         self._offsets: Dict[str, int] = {}
-        self._legacy: Optional[Dict[str, RunRecord]] = None
         self._hits = 0
         self._misses = 0
         self._stores = 0
@@ -255,16 +239,6 @@ class DiskCache:
 
     def _shard_path(self, prefix: str) -> Path:
         return self.shard_dir / f"{prefix}.jsonl"
-
-    def _load_legacy(self) -> Dict[str, RunRecord]:
-        if self._legacy is None:
-            if self.file.exists():
-                self._legacy = _parse_lines(
-                    self.file.read_text(encoding="utf-8")
-                )
-            else:
-                self._legacy = {}
-        return self._legacy
 
     def _load_shard(self, prefix: str) -> Dict[str, RunRecord]:
         entries = self._shards.get(prefix)
@@ -334,8 +308,6 @@ class DiskCache:
             # Another process may have stored it since our shard load.
             rec = self._refresh_shard(prefix).get(key)
         if rec is None:
-            rec = self._load_legacy().get(key)
-        if rec is None:
             self._misses += 1
         else:
             self._hits += 1
@@ -345,14 +317,14 @@ class DiskCache:
         """Persist *rec* under *key* (no-op if the key is already stored)."""
         prefix = self._prefix(key)
         entries = self._load_shard(prefix)
-        if key in entries or key in self._load_legacy():
+        if key in entries:
             return
         entries[key] = rec
         self._append(key, rec)
         self._stores += 1
 
     def _all_entries(self) -> Dict[str, RunRecord]:
-        entries: Dict[str, RunRecord] = dict(self._load_legacy())
+        entries: Dict[str, RunRecord] = {}
         if self.shard_dir.is_dir():
             for path in sorted(self.shard_dir.glob("*.jsonl")):
                 entries.update(self._refresh_shard(path.stem))
@@ -363,37 +335,14 @@ class DiskCache:
 
     def __contains__(self, key: str) -> bool:
         prefix = self._prefix(key)
-        return key in self._load_shard(prefix) or key in self._load_legacy()
+        return key in self._load_shard(prefix)
 
     # -- maintenance --------------------------------------------------
-    def migrate(self) -> int:
-        """Fold a legacy single-file cache into the sharded layout.
-
-        Returns how many records moved. Safe to call on an already
-        sharded (or empty) cache — it is then a no-op.
-        """
-        legacy = self._load_legacy()
-        moved = 0
-        for key, rec in legacy.items():
-            prefix = self._prefix(key)
-            entries = self._load_shard(prefix)
-            if key not in entries:
-                entries[key] = rec
-                self._append(key, rec)
-                moved += 1
-        if self.file.exists():
-            self.file.unlink()
-        self._legacy = {}
-        return moved
-
     def invalidate(self) -> int:
         """Drop every stored record; returns how many were removed."""
         removed = len(self._all_entries())
         self._shards = {}
         self._offsets = {}
-        self._legacy = {}
-        if self.file.exists():
-            self.file.unlink()
         if self.shard_dir.is_dir():
             for path in self.shard_dir.glob("*.jsonl"):
                 path.unlink()
@@ -438,43 +387,30 @@ class DiskCache:
     def fsck(self, repair: bool = False) -> FsckReport:
         """Verify every stored line's checksum; optionally repair.
 
-        Detects torn appends, truncated shards and bit-rot (checksum
-        mismatches). With ``repair=True``, shards holding corrupt or
-        pre-checksum lines are atomically rewritten keeping only the
-        verified records — corrupt lines are dropped (their points will
-        simply re-simulate), legacy lines gain checksums.
+        Detects torn appends, truncated shards, bit-rot (checksum
+        mismatches) and lines without a checksum. With ``repair=True``,
+        shards holding such lines are atomically rewritten keeping only
+        the verified records — the dropped lines' points will simply
+        re-simulate.
         """
         shards = 0
         total = 0
         corrupt = 0
-        unsummed = 0
         repaired = 0
         if self.shard_dir.is_dir():
             for path in sorted(self.shard_dir.glob("*.jsonl")):
                 shards += 1
-                entries, bad, old = _scan_lines(
-                    path.read_text(encoding="utf-8")
-                )
+                entries, bad = _scan_lines(path.read_text(encoding="utf-8"))
                 total += len(entries)
                 corrupt += bad
-                unsummed += old
-                if repair and (bad or old):
+                if repair and bad:
                     self._rewrite_shard(path, entries)
-                    repaired += bad + old
+                    repaired += bad
                     # Drop the in-memory copy: offsets no longer match.
                     self._shards.pop(path.stem, None)
                     self._offsets.pop(path.stem, None)
-        if self.file.exists():
-            legacy, bad, old = _scan_lines(self.file.read_text(encoding="utf-8"))
-            total += len(legacy)
-            corrupt += bad
-            unsummed += old  # legacy lines never carry checksums
         return FsckReport(
-            shards=shards,
-            entries=total,
-            corrupt=corrupt,
-            unsummed=unsummed,
-            repaired=repaired,
+            shards=shards, entries=total, corrupt=corrupt, repaired=repaired
         )
 
     def stats(self) -> CacheStats:

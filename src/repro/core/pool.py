@@ -16,8 +16,8 @@ pool is a replaceable part:
   next crash is attributable to exactly one point;
 * **poison-point quarantine** — a single point that kills its worker
   :data:`POISON_THRESHOLD` times is quarantined: it returns a typed
-  :class:`~repro.errors.PoisonPointError` outcome naming the point, and
-  the rest of the sweep completes normally. Quarantine is remembered
+  :class:`~repro.errors.PoisonPointError` outcome (the executor's error
+  names the point), and the rest of the sweep completes normally. Quarantine is remembered
   for the pool's lifetime, so the same point cannot kill workers again
   in a later :meth:`ResilientPool.run` call.
 
@@ -49,6 +49,18 @@ POISON_THRESHOLD = 2
 DEFAULT_BACKOFF_BASE_S = 0.05
 
 _BACKOFF_CAP_S = 2.0
+
+
+def _poison_outcome(crashes: int) -> tuple:
+    """The outcome of a quarantined point; the executor's error names
+    the point, so the message does not."""
+    return (
+        "err",
+        "PoisonPointError",
+        f"killed {crashes} worker process(es) and was quarantined; the "
+        f"rest of the sweep completed",
+        "",
+    )
 
 
 def _exhausted_outcome(respawns: int) -> tuple:
@@ -128,7 +140,7 @@ class ResilientPool:
             for i in batch:
                 key = keyer(i)
                 if key in self.quarantined:
-                    yield i, self._poison_outcome(i, tasks, self.quarantined[key])
+                    yield i, _poison_outcome(self.quarantined[key])
                 else:
                     unit.append(i)
             if unit:
@@ -188,20 +200,8 @@ class ResilientPool:
                 self.crash_counts[key] = self.crash_counts.get(key, 0) + 1
                 if self.crash_counts[key] >= POISON_THRESHOLD:
                     self.quarantined[key] = self.crash_counts[key]
-                    yield i, self._poison_outcome(i, tasks, self.crash_counts[key])
+                    yield i, _poison_outcome(self.crash_counts[key])
                 else:
                     requeue.append([i])
             pending = requeue + pending
             careful = True
-
-    @staticmethod
-    def _poison_outcome(i: int, tasks: Dict[int, tuple], crashes: int) -> tuple:
-        task = tasks.get(i)
-        point = task[1] if task is not None and len(task) > 1 else i
-        return (
-            "err",
-            "PoisonPointError",
-            f"sweep point {point} killed {crashes} worker process(es) and "
-            f"was quarantined; the rest of the sweep completed",
-            "",
-        )

@@ -316,7 +316,10 @@ class ReliableTransport(Transport):
             return  # duplicate ACK for an already-completed send
         state.acked = True
         if state.timer is not None:
+            # The timer's args hold the state: drop the pair's link so
+            # both are freed without the cycle collector.
             state.timer.cancel()
+            state.timer = None
         if self.trace.enabled:
             self.trace.emit(
                 self.engine.now,

@@ -303,7 +303,9 @@ class FlowNetwork:
     ):
         self.engine = engine
         self.memo = memo
-        self._on_done = self._finish_flow if on_done is None else on_done
+        # None completes DES flows; storing the bound _finish_flow
+        # instead would tie the network into a reference cycle.
+        self._on_done = on_done
         self._next_fid = 0
         self._last_update = engine.now
         self._completion_event: Optional[EventHandle] = None
@@ -588,7 +590,10 @@ class FlowNetwork:
 
     def _finish(self, token) -> None:
         self.completed_count += 1
-        self._on_done(token)
+        if self._on_done is None:
+            self._finish_flow(token)
+        else:
+            self._on_done(token)
 
     def _finish_flow(self, flow: Flow) -> None:
         flow._remaining = 0.0

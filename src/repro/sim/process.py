@@ -2,16 +2,15 @@
 
 Rank programs (and collective algorithms) are plain Python generators
 that ``yield`` operation descriptors and receive each operation's result
-back at the ``yield`` expression. Five executors drive the same
+back at the ``yield`` expression. Four executors drive the same
 generators:
 
 * the discrete-event runtime (:mod:`repro.mpi.runtime`),
 * the schedule-extraction counter (:mod:`repro.collectives.schedule`),
-* the rendezvous analyzer (:mod:`repro.analysis.verify`),
 * the match-order model checker (:mod:`repro.analysis.modelcheck`),
 * the real-thread backend (:mod:`repro.backends.threads`).
 
-The first three run each program until an op blocks with
+The first two run each program until an op blocks with
 :meth:`Proc.drive`, one loop over ``gen.send``. The model checker steps
 through :meth:`Proc.advance` and the thread backend through
 :func:`step_coroutine`, which report either the next yielded operation

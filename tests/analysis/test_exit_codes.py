@@ -44,6 +44,8 @@ CONFIG_ERROR_INVOCATIONS = [
     ["traffic", "--procs", "x,y"],
     ["trace", "--nranks", "4", "--root", "9"],
     ["audit", "no-such-artifact", "--dir", "/nonexistent-artifact-store"],
+    ["sweep", "--nranks", "0"],
+    ["compare", "--nranks", "0"],
 ]
 
 

@@ -179,6 +179,34 @@ class TestRendezvous:
         for e, nxt in zip(report.cycle, report.cycle[1:] + report.cycle[:1]):
             assert e.waits_on == nxt.rank
 
+    def test_unreceived_send_blocks_without_a_cycle(self):
+        def body(ctx):
+            if ctx.rank == 0:
+                yield from ctx.send(1, 16, tag=3)
+
+        report = analyze_rendezvous(2, prog_factory(body))
+        assert report.deadlocked and report.cycle == []
+        assert report.blocked == ["rank 0: send(dst=1, tag=3, nbytes=16)"]
+
+    def test_blocked_receive_named_by_its_matched_message(self):
+        def body(ctx):
+            if ctx.rank == 0:
+                yield from ctx.recv(2, 64)  # any tag, room for 64 B
+            elif ctx.rank == 1:
+                yield from ctx.send(2, 8, tag=1)
+            else:
+                yield from ctx.send(1, 16, tag=2)  # rank 1 never receives
+                yield from ctx.recv(1, 64)
+                yield from ctx.send(0, 24, tag=5)
+
+        report = analyze_rendezvous(3, prog_factory(body))
+        assert report.blocked == [
+            "rank 0: recv(src=2, tag=5, nbytes=24)",
+            "rank 1: send(dst=2, tag=1, nbytes=8)",
+            "rank 2: send(dst=1, tag=2, nbytes=16)",
+        ]
+        assert [(e.rank, e.waits_on) for e in report.cycle] == [(2, 1), (1, 2)]
+
     def test_all_registry_collectives_rendezvous_safe(self):
         for name in verifiable_collectives(8):
             rep = verify_collective(name, 8, nbytes=4096)
@@ -192,15 +220,29 @@ class TestVerifyProgram:
             yield from ctx.send(peer, 256)
             yield from ctx.recv(peer, 256)
 
-        report = verify_program(
-            2,
-            prog_factory(body),
-            rendezvous_factory=prog_factory(body),
-            name="head-to-head",
-        )
+        report = verify_program(2, prog_factory(body), name="head-to-head")
         assert not report.ok
         assert [v.kind for v in report.violations] == ["deadlock"]
         assert "DEADLOCK cycle" in report.violations[0].detail
+
+    def test_foreign_wait_member_reported_as_error(self):
+        shared = {}
+
+        def body(ctx):
+            if ctx.rank == 0:
+                shared["req"] = yield from ctx.isend(1, 8)
+                yield from ctx.recv(1, 8)
+            else:
+                own = yield from ctx.isend(0, 8)
+                yield from ctx.waitall([shared["req"]])  # rank 0's request
+                yield from ctx.recv(0, 8)
+                yield from ctx.waitall([own])
+
+        report = verify_program(2, prog_factory(body))
+        assert report.rendezvous is None
+        assert [v.kind for v in report.violations] == ["error"]
+        assert "MpiError" in report.violations[0].detail
+        assert "not returned by its own isend/irecv" in report.violations[0].detail
 
     def test_buffered_deadlock_reported_as_error(self):
         def body(ctx):

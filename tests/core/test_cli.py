@@ -1,6 +1,5 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
-import dataclasses
 import json
 
 import pytest
@@ -23,9 +22,6 @@ class TestParser:
     def test_machine_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare", "--machine", "summit"])
-
-    def test_cache_migrate_flag(self):
-        assert build_parser().parse_args(["cache", "--migrate"]).migrate
 
 
 class TestCommands:
@@ -73,7 +69,7 @@ class TestCommands:
         assert rc == 0
         assert "improvement" in out
         assert "cache:" not in out
-        assert not (tmp_path / "sweep-records.jsonl").exists()
+        assert not (tmp_path / "shards").exists()
 
     def test_sweep_warm_cache_rerun(self, capsys, tmp_path):
         argv = [
@@ -91,6 +87,25 @@ class TestCommands:
         capsys.readouterr()
         assert main(argv) == 0
         assert "2 hits / 0 misses" in capsys.readouterr().out
+
+    def test_poison_point_ends_in_one_error_line(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.core.executor import CHAOS_CRASH_ENV
+
+        (tmp_path / "scatter_ring_opt-8-65536").write_text("99")
+        monkeypatch.setenv(CHAOS_CRASH_ENV, str(tmp_path))
+        rc = main(
+            [
+                "sweep", "--machine", "ideal", "--nodes", "2", "--nranks", "8",
+                "--sizes", "4KiB,64KiB,256KiB", "--jobs", "2", "--no-cache",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.count("SweepPoint(") == 1
+        assert "PoisonPointError" in err and "65536" in err
 
     def test_figure_output(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -212,20 +227,6 @@ class TestVerifyCommand:
         rc = main(["verify", "--collective", "nope", "--nranks", "8"])
         assert rc == 2
         assert "unknown collective" in capsys.readouterr().err
-
-    def test_no_rendezvous_skips_column(self, capsys):
-        rc = main(
-            [
-                "verify",
-                "--collective",
-                "bcast_opt",
-                "--nranks",
-                "4",
-                "--no-rendezvous",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0 and "safe" not in out
 
     def test_mc_pass_makes_strict_hazards_benign(self, capsys):
         rc = main(
@@ -531,7 +532,7 @@ class TestBenchReportCommand:
 
 
 class TestCacheCommand:
-    def _legacy_record(self):
+    def _record(self):
         return RunRecord(
             algorithm="a", nranks=4, nbytes=1024, root=0, time=1e-5,
             messages=3, bytes_on_wire=2048, intra_messages=3, inter_messages=0,
@@ -539,25 +540,11 @@ class TestCacheCommand:
 
     def test_cache_reports_shards(self, capsys, tmp_path):
         cache = DiskCache(tmp_path)
-        cache.put("ab" + "0" * 62, self._legacy_record())
+        cache.put("ab" + "0" * 62, self._record())
         rc = main(["cache", "--cache-dir", str(tmp_path)])
         out = capsys.readouterr().out
         assert rc == 0
         assert "1 record(s) in 1 shard(s)" in out
-
-    def test_cache_migrate(self, capsys, tmp_path):
-        line = json.dumps(
-            {
-                "key": "cd" + "0" * 62,
-                "record": dataclasses.asdict(self._legacy_record()),
-            }
-        )
-        (tmp_path / "sweep-records.jsonl").write_text(line + "\n")
-        rc = main(["cache", "--cache-dir", str(tmp_path), "--migrate"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "migrated 1 legacy record(s)" in out
-        assert not (tmp_path / "sweep-records.jsonl").exists()
 
 
 class TestBenchReportFlagging:

@@ -104,13 +104,14 @@ class TestDiskCache:
         cache.put("b", sample_record(nbytes=16384))
         assert cache.invalidate() == 2
         assert len(cache) == 0
-        assert not cache.file.exists()
+        assert not cache.shard_dir.exists()
         assert len(DiskCache(tmp_path)) == 0
 
     def test_corrupt_lines_skipped(self, tmp_path):
         cache = DiskCache(tmp_path)
         cache.put("good", sample_record())
-        with open(cache.file, "a", encoding="utf-8") as fh:
+        (shard,) = cache.shard_dir.glob("*.jsonl")
+        with open(shard, "a", encoding="utf-8") as fh:
             fh.write("{truncated\n")
             fh.write(json.dumps({"wrong": "shape"}) + "\n")
         reopened = DiskCache(tmp_path)

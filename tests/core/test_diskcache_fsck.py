@@ -96,7 +96,7 @@ class TestFsck:
         hits = [k for k in keys if fresh.get(k) is not None]
         assert len(hits) == 3
 
-    def test_pre_checksum_lines_still_readable(self, tmp_path):
+    def test_pre_checksum_lines_are_corrupt(self, tmp_path):
         cache = DiskCache(tmp_path)
         (keys,) = [populate(cache, n=1)]
         shard = sorted(cache.shard_dir.glob("*.jsonl"))[0]
@@ -104,7 +104,9 @@ class TestFsck:
         line.pop("sum")  # a line written before checksums existed
         shard.write_text(json.dumps(line) + "\n")
         fresh = DiskCache(tmp_path)
-        assert fresh.get(keys[0]) is not None
+        assert fresh.get(keys[0]) is None  # skipped on read: a miss
         report = fresh.fsck()
-        assert report.ok
-        assert report.unsummed == 1
+        assert not report.ok and report.corrupt == 1
+        assert fresh.fsck(repair=True).repaired == 1
+        assert DiskCache(tmp_path).fsck().ok
+        assert shard.read_text() == ""

@@ -1,17 +1,15 @@
-"""Tests for the sharded DiskCache layout: concurrency + legacy migration.
+"""Tests for the sharded DiskCache layout and its concurrency.
 
-The single-file JSON-lines cache became ``shards/<xx>.jsonl`` so many
-processes (concurrent CLI runs) can share one cache directory.
-These tests cover what the layout promises: flock-protected appends lose
-nothing under multi-process contention, readers pick up other writers'
-records, and pre-sharding caches keep working unchanged.
+Records live in ``shards/<xx>.jsonl`` so many processes (concurrent CLI
+runs) can share one cache directory. These tests cover what the layout
+promises: flock-protected appends lose nothing under multi-process
+contention, and readers pick up other writers' records.
 """
 
-import dataclasses
 import json
 import multiprocessing
 
-from repro.core.diskcache import DiskCache, _LEGACY_FILENAME
+from repro.core.diskcache import DiskCache
 from repro.core.report import RunRecord
 
 
@@ -41,7 +39,6 @@ class TestShardedLayout:
         cache = DiskCache(tmp_path)
         cache.put(make_key(1, "ab"), make_record(1))
         assert (tmp_path / "shards" / "ab.jsonl").exists()
-        assert not (tmp_path / _LEGACY_FILENAME).exists()
 
     def test_round_trip_across_instances(self, tmp_path):
         writer = DiskCache(tmp_path)
@@ -126,54 +123,3 @@ class TestConcurrentWriters:
                 obj = json.loads(line)
                 assert set(obj) == {"key", "record", "sum"}
         assert DiskCache(tmp_path).fsck().ok
-
-
-class TestLegacyMigration:
-    def _write_legacy(self, tmp_path, count: int) -> list:
-        keys = [make_key(i) for i in range(count)]
-        lines = [
-            json.dumps(
-                {"key": key, "record": dataclasses.asdict(make_record(i))},
-                sort_keys=True,
-            )
-            for i, key in enumerate(keys)
-        ]
-        tmp_path.mkdir(parents=True, exist_ok=True)
-        (tmp_path / _LEGACY_FILENAME).write_text(
-            "\n".join(lines) + "\n", encoding="utf-8"
-        )
-        return keys
-
-    def test_legacy_read_through(self, tmp_path):
-        keys = self._write_legacy(tmp_path, 6)
-        cache = DiskCache(tmp_path)
-        assert len(cache) == 6
-        for i, key in enumerate(keys):
-            assert cache.get(key) == make_record(i)
-        # Reading never rewrites the legacy file.
-        assert (tmp_path / _LEGACY_FILENAME).exists()
-
-    def test_put_prefers_shards_but_respects_legacy(self, tmp_path):
-        keys = self._write_legacy(tmp_path, 2)
-        cache = DiskCache(tmp_path)
-        cache.put(keys[0], make_record(0))  # already present: no-op
-        assert cache.stats().stores == 0
-        new_key = make_key(99)
-        cache.put(new_key, make_record(99))
-        assert (tmp_path / "shards").is_dir()
-        assert len(DiskCache(tmp_path)) == 3
-
-    def test_migrate_folds_and_unlinks(self, tmp_path):
-        keys = self._write_legacy(tmp_path, 6)
-        cache = DiskCache(tmp_path)
-        assert cache.migrate() == 6
-        assert not (tmp_path / _LEGACY_FILENAME).exists()
-        fresh = DiskCache(tmp_path)
-        assert len(fresh) == 6
-        for i, key in enumerate(keys):
-            assert fresh.get(key) == make_record(i)
-        # Idempotent: a second migrate has nothing to do.
-        assert fresh.migrate() == 0
-
-    def test_migrate_empty_cache(self, tmp_path):
-        assert DiskCache(tmp_path).migrate() == 0

@@ -142,6 +142,29 @@ class TestReplayEngine:
         finally:
             gc.enable()
 
+    def test_finished_des_run_is_freed_without_the_cycle_collector(self):
+        # The same for the DES: the ARQ transport's pending sends and
+        # their retransmission timers, and the flow network, must not
+        # wait in reference cycles for a full garbage collection.
+        from repro.core.api import simulate_bcast
+        from repro.sim import FaultPlan
+
+        gc.collect()
+        gc.disable()
+        try:
+            simulate_bcast(
+                hornet(nodes=16), 65, 12288, "scatter_ring_opt",
+                faults=FaultPlan.uniform(seed=0, drop_p=0.01),
+            )
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = {type(obj).__name__ for obj in gc.garbage}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert not leaked & {"Request", "_PendingSend", "EventHandle", "FlowNetwork"}
+
     def test_jitter_spec_rejected(self):
         compiled = registry_compiled("bcast_opt", 4, 4096)
         machine = Machine(ideal(jitter_sigma=1e-7), nranks=4)

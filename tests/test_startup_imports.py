@@ -1,5 +1,6 @@
 """Start-up stays lean: the CLI and a sweep never load the analysis
-stack or networkx, which are imported on first use only.
+stack, networkx or the artifact store, which are imported on first use
+only.
 
 Each probe runs in a fresh interpreter, because the test process has
 long since imported both.
@@ -12,7 +13,7 @@ import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-LAZY = ("networkx", "repro.analysis")
+LAZY = ("networkx", "repro.analysis", "repro.artifacts")
 
 SWEEP_PROBE = """
 import json, sys
