@@ -1,4 +1,4 @@
-"""Replay-engine microbenchmark: the numpy fast path vs the coroutine DES.
+"""Replay-engine microbenchmark: the replay fast path vs the coroutine DES.
 
 Times the same fig7-style broadcast cells (``scatter_ring_opt``-shaped
 ``bcast_opt``, message size 12 KiB, non-power-of-two rank counts on

@@ -466,6 +466,7 @@ def cmd_traffic(args) -> int:
 def cmd_validate(args) -> int:
     from .collectives import ALGORITHMS
 
+    _check_nranks(args.nranks)
     spec = _spec(args)
     table = Table(
         ["algorithm", "time (us)", "messages", "data"],

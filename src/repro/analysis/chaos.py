@@ -30,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..collectives.selector import LONG_MSG_SIZE, choose_bcast_name
 from ..errors import DeadlockError, ReproError, TransportExhaustedError
 from ..machine import Machine, MachineSpec, ideal
@@ -163,6 +161,8 @@ def _buffer_sizes(name: str, nranks: int, nbytes: int) -> List[int]:
 
 def _make_buffers(name: str, nranks: int, nbytes: int) -> List[RealBuffer]:
     """Deterministic, rank-distinguishable buffer contents (uint8)."""
+    import numpy as np
+
     bufs = []
     for rank, size in enumerate(_buffer_sizes(name, nranks, nbytes)):
         pattern = (np.arange(size, dtype=np.uint32) * 31 + rank * 131 + 7) % 251
@@ -248,6 +248,8 @@ def run_chaos_point(
         "acks": c.ack_messages,
     }
     # (a) payload integrity at every rank, bit for bit.
+    import numpy as np
+
     for rank, (buf, ref_buf) in enumerate(zip(bufs, ref_bufs)):
         if not np.array_equal(buf.array, ref_buf.array):
             diffs = int(np.count_nonzero(buf.array != ref_buf.array))

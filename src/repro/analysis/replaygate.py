@@ -184,14 +184,12 @@ def _canonical_ops(schedule: ReplaySchedule) -> List[List[Tuple[Any, ...]]]:
     position ``(src, dst, tag, k)``: the k-th send its sender issues on
     that (src, dst, tag) channel. Two schedules of one program agree on
     these names whatever order their sends were numbered in."""
-    src = schedule.send_src.tolist()
-    dst = schedule.send_dst.tolist()
-    tag = schedule.send_tag.tolist()
-    nbytes = schedule.send_nbytes.tolist()
+    src, dst, tag = schedule.send_src, schedule.send_dst, schedule.send_tag
+    nbytes = schedule.send_nbytes
     issued: Dict[Tuple[Any, ...], int] = {}
     name: Dict[int, Tuple[Any, ...]] = {}
     for kinds, args in zip(schedule.op_kinds, schedule.op_args):
-        for kind, arg in zip(kinds.tolist(), args.tolist()):
+        for kind, arg in zip(kinds, args):
             if kind in (OP_SEND, OP_ISEND):
                 channel = (src[arg], dst[arg], tag[arg])
                 k = issued.get(channel, 0)
@@ -200,7 +198,7 @@ def _canonical_ops(schedule: ReplaySchedule) -> List[List[Tuple[Any, ...]]]:
     streams: List[List[Tuple[Any, ...]]] = []
     for r, (kinds, args) in enumerate(zip(schedule.op_kinds, schedule.op_args)):
         ops: List[Tuple[Any, ...]] = []
-        for kind, arg in zip(kinds.tolist(), args.tolist()):
+        for kind, arg in zip(kinds, args):
             if kind == OP_WAIT:
                 ops.append((kind, schedule.wait_members[r][arg]))
             elif kind == OP_COMPUTE:

@@ -7,9 +7,9 @@ per-rank ``(step, flag)`` roles
 the phase list :mod:`repro.collectives.certificates` declares and
 ``repro prove`` proves for every P >= 2, so :func:`emit_schedule` builds
 the :class:`~repro.sim.replay.ReplaySchedule` from it directly, in
-O(sends) numpy, instead of running every rank program through the
-:class:`~repro.collectives.schedule.ScheduleExecutor` and compiling the
-op log it records. The emitted op streams are the ones extraction
+O(sends) list operations, instead of running every rank program through
+the :class:`~repro.collectives.schedule.ScheduleExecutor` and compiling
+the op log it records. The emitted op streams are the ones extraction
 records, op for op:
 
 * a :class:`~repro.collectives.certificates.ScatterPhase` becomes the
@@ -36,8 +36,6 @@ and against the DES.
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
-
-import numpy as np
 
 from ..errors import CollectiveError
 from ..sim.replay import (
@@ -72,49 +70,36 @@ class _Streams:
 
     def __init__(self, nranks: int):
         self.nranks = nranks
-        self.kinds: List[List[np.ndarray]] = [[] for _ in range(nranks)]
-        self.args: List[List[np.ndarray]] = [[] for _ in range(nranks)]
-        self.n_ops = [0] * nranks
+        self.kinds: List[List[int]] = [[] for _ in range(nranks)]
+        self.args: List[List[int]] = [[] for _ in range(nranks)]
         self.waits: List[List[Tuple[int, ...]]] = [[] for _ in range(nranks)]
-        self.columns: List[Tuple[np.ndarray, ...]] = []
-        self.n_sends = 0
+        self.src: List[int] = []
+        self.dst: List[int] = []
+        self.nbytes: List[int] = []
+        self.tag: List[int] = []
 
-    def add_sends(self, src, dst, nbytes, tag: int) -> int:
-        """Append sends in order; returns the order of the first one."""
-        first = self.n_sends
-        src = np.asarray(src, dtype=np.int64)
-        self.columns.append(
-            (
-                src,
-                np.asarray(dst, dtype=np.int64),
-                np.asarray(nbytes, dtype=np.int64),
-                np.full(len(src), tag, dtype=np.int64),
-            )
-        )
-        self.n_sends += len(src)
-        return first
+    @property
+    def n_sends(self) -> int:
+        return len(self.src)
 
-    def add_ops(self, rank: int, kinds: np.ndarray, args: np.ndarray) -> None:
-        self.kinds[rank].append(kinds)
-        self.args[rank].append(args)
-        self.n_ops[rank] += len(kinds)
+    def add_sends(self, src, dst, nbytes, tag: int) -> None:
+        """Append sends in order."""
+        self.src += src
+        self.dst += dst
+        self.nbytes += nbytes
+        self.tag += [tag] * len(src)
 
     def schedule(self) -> ReplaySchedule:
-        """The finished schedule; every phase adds sends and ops."""
-
-        def join(parts: List[np.ndarray]) -> np.ndarray:
-            return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-        src, dst, nbytes, tag = (np.concatenate(col) for col in zip(*self.columns))
+        """The finished schedule."""
         return ReplaySchedule(
             nranks=self.nranks,
             ranks=list(range(self.nranks)),
-            send_src=src,
-            send_dst=dst,
-            send_nbytes=nbytes,
-            send_tag=tag,
-            op_kinds=[join(p) for p in self.kinds],
-            op_args=[join(p) for p in self.args],
+            send_src=self.src,
+            send_dst=self.dst,
+            send_nbytes=self.nbytes,
+            send_tag=self.tag,
+            op_kinds=self.kinds,
+            op_args=self.args,
             wait_members=self.waits,
             compute_seconds=[[] for _ in range(self.nranks)],
         )
@@ -124,8 +109,7 @@ def _emit_scatter(out: _Streams, phase: ScatterPhase, root: int, bounds) -> None
     """The binomial tree: parent-to-child sends of nonempty subtrees."""
     size = out.nranks
     span = [
-        int(bounds[rel + subtree_chunks(rel, size)] - bounds[rel])
-        for rel in range(size)
+        bounds[rel + subtree_chunks(rel, size)] - bounds[rel] for rel in range(size)
     ]
     children: List[List[int]] = []
     for rel in range(size):
@@ -153,63 +137,70 @@ def _emit_scatter(out: _Streams, phase: ScatterPhase, root: int, bounds) -> None
 
     for g in range(size):
         rel = (g - root) % size
-        kinds = [OP_SEND] * len(children[rel])
-        args = [order[child] for child in children[rel]]
+        kinds = out.kinds[g]
+        args = out.args[g]
         if rel and span[rel] > 0:
-            kinds.insert(0, OP_RECV)
-            args.insert(0, order[rel])
-        out.add_ops(g, np.array(kinds, dtype=np.int8), np.array(args, dtype=np.int64))
+            kinds.append(OP_RECV)
+            args.append(order[rel])
+        kinds += [OP_SEND] * len(children[rel])
+        args += [order[child] for child in children[rel]]
 
 
 def _emit_ring(out: _Streams, phase: RingPhase, root: int, bounds) -> None:
     """The (P-1)-step ring: rank r's k-th send carries relative chunk
     ``r - k``; its k-th receive is its left neighbour's k-th send."""
     size = out.nranks
-    ranks = np.arange(size)
-    rels = (ranks - root) % size
+    rels = [(g - root) % size for g in range(size)]
     if phase.tuned:
-        roles = [tuned_ring_role(int(rel), size) for rel in rels]
-        half = np.array([step - 1 for step, _ in roles], dtype=np.int64)
-        recv_only = np.array([flag == 1 for _, flag in roles], dtype=bool)
+        roles = [tuned_ring_role(rel, size) for rel in rels]
+        half = [step - 1 for step, _ in roles]
+        recv_only = [flag == 1 for _, flag in roles]
     else:
-        half = np.zeros(size, dtype=np.int64)
-        recv_only = np.zeros(size, dtype=bool)
-    full = size - 1 - half
-    n_send = np.where(recv_only, full, full + half)
+        half = [0] * size
+        recv_only = [False] * size
 
-    offset = np.cumsum(n_send) - n_send
-    src = np.repeat(ranks, n_send)
-    k = np.arange(len(src)) - np.repeat(offset, n_send)
-    chunk = (rels[src] - k) % size
-    first = out.add_sends(src, (src + 1) % size, np.diff(bounds)[chunk], phase.tag)
-    first_send = (first + offset).tolist()
+    # Chunk sizes in descending relative order, twice over: rank g's
+    # sends carry chunks rels[g], rels[g] - 1, ... (mod size), one slice.
+    desc = [bounds[c + 1] - bounds[c] for c in range(size)][::-1] * 2
+    first_send: List[int] = []
+    src: List[int] = []
+    dst: List[int] = []
+    nbytes: List[int] = []
+    for g in range(size):
+        count = size - 1 - half[g] if recv_only[g] else size - 1
+        first_send.append(out.n_sends + len(src))
+        src += [g] * count
+        dst += [(g + 1) % size] * count
+        start = size - 1 - rels[g]
+        nbytes += desc[start : start + count]
+    out.add_sends(src, dst, nbytes, phase.tag)
 
-    steps = np.arange(size, dtype=np.int64)
     # Waitall members by op offset; ranks at one offset share the tuples.
     triplets: Dict[int, List[Tuple[int, int]]] = {}
     for g in range(size):
-        f, h = int(full[g]), int(half[g])
+        h = half[g]
+        f = size - 1 - h
         mine, left = first_send[g], first_send[(g - 1) % size]
-        kinds = np.empty(3 * f + h, dtype=np.int8)
-        args = np.empty(3 * f + h, dtype=np.int64)
-        kinds[0 : 3 * f : 3] = OP_ISEND
-        args[0 : 3 * f : 3] = mine + steps[:f]
-        kinds[1 : 3 * f : 3] = OP_IRECV
-        args[1 : 3 * f : 3] = left + steps[:f]
-        kinds[2 : 3 * f : 3] = OP_WAIT
-        args[2 : 3 * f : 3] = len(out.waits[g]) + steps[:f]
-        if recv_only[g]:
-            kinds[3 * f :] = OP_RECV
-            args[3 * f :] = left + steps[f : f + h]
-        else:
-            kinds[3 * f :] = OP_SEND
-            args[3 * f :] = mine + steps[f : f + h]
-        base = out.n_ops[g]
+        kinds = out.kinds[g]
+        args = out.args[g]
+        base = len(kinds)
         if base not in triplets:
             ops = range(base, base + 3 * (size - 1), 3)
             triplets[base] = list(zip(ops, range(base + 1, ops.stop, 3)))
-        out.waits[g].extend(triplets[base][:f])
-        out.add_ops(g, kinds, args)
+        waits = out.waits[g]
+        trip = [0] * (3 * f)
+        trip[0::3] = range(mine, mine + f)
+        trip[1::3] = range(left, left + f)
+        trip[2::3] = range(len(waits), len(waits) + f)
+        waits += triplets[base][:f]
+        kinds += [OP_ISEND, OP_IRECV, OP_WAIT] * f
+        args += trip
+        if recv_only[g]:
+            kinds += [OP_RECV] * h
+            args += range(left + f, left + f + h)
+        else:
+            kinds += [OP_SEND] * h
+            args += range(mine + f, mine + f + h)
 
 
 def emit_schedule(
@@ -230,9 +221,8 @@ def emit_schedule(
     relative_rank(root, root, nranks)  # the programs' size and root checks
     out = _Streams(nranks)
     # Chunk c spans bytes [bounds[c], bounds[c + 1]), as in chunk_disp.
-    bounds = np.minimum(
-        np.arange(nranks + 1, dtype=np.int64) * scatter_size(nbytes, nranks), nbytes
-    )
+    chunk = scatter_size(nbytes, nranks)
+    bounds = [min(c * chunk, nbytes) for c in range(nranks + 1)]
     for phase in CERTIFICATES[collective].phases:
         if isinstance(phase, ScatterPhase):
             _emit_scatter(out, phase, root, bounds)

@@ -195,8 +195,10 @@ class ScheduleExecutor:
         self._parked = [None] * self.comm.size
         self._ready = deque()
         self._wake = {}  # global rank -> local index, for wakeups
-        for local in range(self.comm.size):
-            glob = self.comm.to_global(local)
+        # Local index -> global rank, read on every op: the index is
+        # always in range, so skip ``comm.to_global``'s bounds check.
+        self._members = self.comm.members
+        for local, glob in enumerate(self._members):
             buf = buffers[local] if buffers is not None else None
             ctx = RankContext(glob, self.comm, buffer=buf)
             self.contexts.append(ctx)
@@ -239,7 +241,7 @@ class ScheduleExecutor:
 
     def _describe_blocked(self, idx: int) -> str:
         """Name the rank and the exact op an unfinished program is parked on."""
-        glob = self.comm.to_global(idx)
+        glob = self._members[idx]
         parked = self._parked[idx]
         if isinstance(parked, _ParkedRecv):
             return f"rank {glob} blocked in {_describe_request(parked.req)}"
@@ -255,7 +257,7 @@ class ScheduleExecutor:
 
     # -- op execution ------------------------------------------------------
     def _execute(self, idx: int, op):
-        glob = self.comm.to_global(idx)
+        glob = self._members[idx]
         log = self.op_log[glob]
         if isinstance(op, (SendOp, IsendOp)):
             req = Request(

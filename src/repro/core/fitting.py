@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
-import numpy as np
-
 from ..errors import ConfigurationError
 from ..machine import Machine, MachineSpec
 
@@ -51,6 +49,8 @@ def fit_alpha_beta(points: Sequence[Tuple[float, float]]) -> FittedModel:
     pts = [(float(m), float(t)) for m, t in points]
     if len(pts) < 2:
         raise ConfigurationError("fit needs at least two measurements")
+    import numpy as np
+
     sizes = np.array([m for m, _ in pts])
     times = np.array([t for _, t in pts])
     if np.unique(sizes).size < 2:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from ..util import format_size, percent_change, speedup
 
@@ -97,8 +98,11 @@ class ComparisonRecord:
         return speedup(self.native.time, self.opt.time)
 
     @property
-    def bandwidth_improvement_pct(self) -> float:
-        """Percent bandwidth improvement, the paper's headline number."""
+    def bandwidth_improvement_pct(self) -> Optional[float]:
+        """Percent bandwidth improvement, the paper's headline number;
+        None when the native bandwidth is 0 (a 0 B broadcast)."""
+        if self.native.bandwidth == 0:
+            return None
         return percent_change(self.native.bandwidth, self.opt.bandwidth)
 
     @property
@@ -110,10 +114,11 @@ class ComparisonRecord:
         return self.native.bytes_on_wire - self.opt.bytes_on_wire
 
     def describe(self) -> str:
+        pct = self.bandwidth_improvement_pct
         return (
             f"P={self.nranks} size={format_size(self.nbytes)}: "
             f"native {self.native.bandwidth_mib:.1f}MB/s -> "
             f"opt {self.opt.bandwidth_mib:.1f}MB/s "
-            f"(+{self.bandwidth_improvement_pct:.1f}%, "
+            f"({'n/a' if pct is None else f'+{pct:.1f}%'}, "
             f"{self.transfers_saved} transfers saved)"
         )

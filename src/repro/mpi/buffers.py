@@ -13,11 +13,12 @@ count)`` and ``write(disp, payload)``.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from ..errors import MpiError, TruncationError
+
+if TYPE_CHECKING:  # numpy loads with the first real buffer, off the start-up path
+    import numpy as np
 
 __all__ = ["RealBuffer", "PhantomBuffer", "make_buffer"]
 
@@ -44,6 +45,8 @@ class RealBuffer(_BufferBase):
     def __init__(self, nbytes: int, fill: Optional[int] = None):
         if nbytes < 0:
             raise MpiError(f"buffer size must be >= 0, got {nbytes}")
+        import numpy as np
+
         self.nbytes = nbytes
         self.array = np.zeros(nbytes, dtype=np.uint8)
         if fill is not None:
@@ -52,6 +55,8 @@ class RealBuffer(_BufferBase):
     @classmethod
     def from_array(cls, array: np.ndarray) -> "RealBuffer":
         """Wrap an existing array (viewed as bytes, no copy)."""
+        import numpy as np
+
         buf = cls.__new__(cls)
         flat = np.ascontiguousarray(array).view(np.uint8).reshape(-1)
         buf.array = flat

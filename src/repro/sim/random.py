@@ -10,9 +10,12 @@ draw it from named :class:`RngStreams` substreams so that
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..errors import ConfigurationError
+
+if TYPE_CHECKING:  # numpy loads on first draw, off the start-up path
+    import numpy as np
 
 __all__ = ["RngStreams"]
 
@@ -30,6 +33,8 @@ class RngStreams:
         """The substream for *name* (created deterministically on demand)."""
         gen = self._streams.get(name)
         if gen is None:
+            import numpy as np
+
             # Derive a child seed from (seed, name) via SeedSequence spawn
             # keyed on a stable hash of the name.
             digest = np.frombuffer(
@@ -50,5 +55,7 @@ class RngStreams:
             raise ConfigurationError("relative_sigma must be >= 0")
         if relative_sigma == 0.0:
             return 1.0
+        import numpy as np
+
         draw = self.stream(name).normal(0.0, relative_sigma)
         return float(np.exp(draw - relative_sigma**2 / 2.0))

@@ -1,4 +1,4 @@
-"""Vectorized schedule replay: the numpy fast path around the coroutine DES.
+"""Schedule replay: the fast path around the coroutine DES.
 
 Every shipped collective is *static*: :mod:`repro.collectives.schedule`
 can extract the complete message pattern — who sends what to whom, in
@@ -11,7 +11,7 @@ remains to be computed.
 :class:`ReplayEngine` computes exactly that timing. The extracted
 schedule is compiled once (:func:`compile_schedule`; the certified
 broadcasts are emitted directly by :mod:`repro.collectives.emit`) into
-flat numpy arrays — per-message ``(src, dst, nbytes, tag)`` plus one
+flat lists — per-message ``(src, dst, nbytes, tag)`` plus one
 ``(kind, arg)`` op stream per rank — and then executed as a
 dependency-counted frontier over the *same* :class:`~repro.sim.engine.Engine`
 the DES uses. Each rank is a program counter, not a coroutine: ready
@@ -55,8 +55,6 @@ from __future__ import annotations
 
 import os
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from ..errors import DeadlockError, ReplayUnsupportedError, SimulationError
 from .engine import Engine
@@ -150,11 +148,12 @@ def solve_memo_entries() -> int:
 
 
 class ReplaySchedule:
-    """A static schedule compiled to flat arrays, ready to execute.
+    """A static schedule compiled to flat lists, ready to execute.
 
     Machine-independent: the same compiled schedule replays on any
     machine hosting ``nranks`` ranks (protocol split and latencies are
     resolved by the :class:`ReplayEngine` against a concrete machine).
+    Nothing mutates a built schedule: engines read its lists in place.
     """
 
     __slots__ = (
@@ -174,12 +173,12 @@ class ReplaySchedule:
         self,
         nranks: int,
         ranks: List[int],
-        send_src: np.ndarray,
-        send_dst: np.ndarray,
-        send_nbytes: np.ndarray,
-        send_tag: np.ndarray,
-        op_kinds: List[np.ndarray],
-        op_args: List[np.ndarray],
+        send_src: List[int],
+        send_dst: List[int],
+        send_nbytes: List[int],
+        send_tag: List[int],
+        op_kinds: List[List[int]],
+        op_args: List[List[int]],
         wait_members: List[List[Tuple[int, ...]]],
         compute_seconds: List[List[float]],
     ):
@@ -222,24 +221,15 @@ def compile_schedule(result) -> ReplaySchedule:
         )
     op_log = op_log or {}
 
-    n = len(result.sends)
-    send_src = np.fromiter((s.src for s in result.sends), dtype=np.int64, count=n)
-    send_dst = np.fromiter((s.dst for s in result.sends), dtype=np.int64, count=n)
-    send_nbytes = np.fromiter(
-        (s.nbytes for s in result.sends), dtype=np.int64, count=n
-    )
-    send_tag = np.fromiter((s.tag for s in result.sends), dtype=np.int64, count=n)
-
+    sends = result.sends
     ranks: List[int] = []
-    op_kinds: List[np.ndarray] = []
-    op_args: List[np.ndarray] = []
+    op_kinds: List[List[int]] = []
+    op_args: List[List[int]] = []
     wait_members: List[List[Tuple[int, ...]]] = []
     compute_seconds: List[List[float]] = []
     for glob, entries in op_log.items():
         ranks.append(glob)
-        count = len(entries)
-        kinds = np.fromiter((e[0] for e in entries), dtype=np.int8, count=count)
-        args = np.zeros(count, dtype=np.int64)
+        args: List[int] = []
         waits: List[Tuple[int, ...]] = []
         computes: List[float] = []
         for j, entry in enumerate(entries):
@@ -267,10 +257,10 @@ def compile_schedule(result) -> ReplaySchedule:
                             f"rank {glob}: waited receive (op {m}) never "
                             f"matched a send"
                         )
-                args[j] = len(waits)
+                args.append(len(waits))
                 waits.append(members)
             elif kind == OP_COMPUTE:
-                args[j] = len(computes)
+                args.append(len(computes))
                 computes.append(float(arg))
             else:
                 if kind == OP_RECV and arg < 0:
@@ -278,8 +268,8 @@ def compile_schedule(result) -> ReplaySchedule:
                         f"rank {glob}: blocking receive (op {j}) never "
                         f"matched a send"
                     )
-                args[j] = arg
-        op_kinds.append(kinds)
+                args.append(arg)
+        op_kinds.append([e[0] for e in entries])
         op_args.append(args)
         wait_members.append(waits)
         compute_seconds.append(computes)
@@ -292,10 +282,10 @@ def compile_schedule(result) -> ReplaySchedule:
     return ReplaySchedule(
         nranks=result.nranks,
         ranks=ranks,
-        send_src=send_src,
-        send_dst=send_dst,
-        send_nbytes=send_nbytes,
-        send_tag=send_tag,
+        send_src=[s.src for s in sends],
+        send_dst=[s.dst for s in sends],
+        send_nbytes=[s.nbytes for s in sends],
+        send_tag=[s.tag for s in sends],
         op_kinds=op_kinds,
         op_args=op_args,
         wait_members=wait_members,
@@ -368,29 +358,21 @@ class ReplayEngine:
         # One TransferPlan per distinct (src, dst) pair; the per-channel
         # envelope clock is indexed the same way.
         pair_id: Dict[Tuple[int, int], int] = {}
-        plan_idx = np.zeros(n, dtype=np.int64)
+        plan_idx: List[int] = []
         plans: List = []
-        for i in range(n):
-            key = (int(schedule.send_src[i]), int(schedule.send_dst[i]))
+        for key in zip(schedule.send_src, schedule.send_dst):
             pid = pair_id.get(key)
             if pid is None:
-                pid = len(plans)
-                pair_id[key] = pid
-                plans.append(machine.transfer_plan(key[0], key[1]))
-            plan_idx[i] = pid
+                pid = pair_id[key] = len(plans)
+                plans.append(machine.transfer_plan(*key))
+            plan_idx.append(pid)
         self._plan_idx = plan_idx
-        self._plan_idx_l: List[int] = plan_idx.tolist()
         self._latency: List[float] = [float(p.latency) for p in plans]
-        self._plan_intra = np.fromiter(
-            (p.intra_node for p in plans), dtype=bool, count=len(plans)
-        )
+        self._plan_intra: List[bool] = [p.intra_node for p in plans]
         self._env_clock: List[Optional[float]] = [None] * len(plans)
-        self._eager: List[bool] = (
-            schedule.send_nbytes <= spec.eager_threshold
-        ).tolist()
-        # Python ints for the flow starts: keeps the float conversion identical
-        # to the DES transport's ``req.nbytes`` path.
-        self._nbytes: List[int] = [int(b) for b in schedule.send_nbytes]
+        threshold = spec.eager_threshold
+        self._eager: List[bool] = [b <= threshold for b in schedule.send_nbytes]
+        self._nbytes: List[int] = schedule.send_nbytes
 
         # One path class per plan, registered in plan-discovery order, so
         # resource and class ids are dense and deterministic. Pairs whose
@@ -398,15 +380,14 @@ class ReplayEngine:
         # a class: they are interchangeable rows in the kernel.
         self.flownet = net = FlowNetwork(self.engine, on_done=self._flow_complete)
         plan_class = [net.path_class(p.resources, p.rate_cap) for p in plans]
-        self._send_class: List[int] = [plan_class[p] for p in self._plan_idx_l]
+        self._send_class: List[int] = [plan_class[p] for p in plan_idx]
         # Engines whose networks agree on every resource capacity and on
         # each class's (path, rate cap) produce identical kernel outputs
         # for identical class multisets, so they share one cross-run
         # solve memo (warm workers keep it hot across jobs).
         net.memo = shared_solve_memo(net.signature())
 
-        # Per-message protocol state (plain lists: scalar indexing on the
-        # cascade hot path is markedly faster than numpy item access).
+        # Per-message protocol state.
         self._env_arrived: List[bool] = [False] * n
         self._recv_posted: List[bool] = [False] * n
         self._matched: List[bool] = [False] * n
@@ -419,8 +400,8 @@ class ReplayEngine:
 
         # Per-rank execution state.
         nr = schedule.nranks
-        self._op_kinds: List[List[int]] = [k.tolist() for k in schedule.op_kinds]
-        self._op_args: List[List[int]] = [a.tolist() for a in schedule.op_args]
+        self._op_kinds = schedule.op_kinds
+        self._op_args = schedule.op_args
         self._pc = [0] * nr
         self._in_wait = [False] * nr
         self._wait_remaining = [0] * nr
@@ -537,7 +518,7 @@ class ReplayEngine:
 
     # -- transport protocol (mirrors repro.mpi.transport exactly) ------
     def _launch_send(self, order: int) -> None:
-        pid = self._plan_idx_l[order]
+        pid = self._plan_idx[order]
         now = self.engine.now
         # Deterministic latency (jitter/queueing are gated off) plus the
         # per-channel non-overtaking envelope clock.
@@ -562,7 +543,7 @@ class ReplayEngine:
         self._matched[order] = True
         if not self._eager[order]:
             # Clear-to-send travels back, then the payload flow starts.
-            cts = self._rtt * self._latency[self._plan_idx_l[order]]
+            cts = self._rtt * self._latency[self._plan_idx[order]]
             self.engine.post(
                 cts,
                 self.flownet.start,
@@ -598,31 +579,31 @@ class ReplayEngine:
             self._recv_waiter[order] = -1
             self._unblock(waiter)
 
-    # -- wire accounting (vectorized; launch-equivalent totals) --------
+    # -- wire accounting (launch-equivalent totals) ---------------------
     def _build_counters(self):
         from ..mpi.counters import TrafficCounters
 
         sched = self.schedule
         c = TrafficCounters()
-        n = sched.n_sends
-        if n == 0:
-            return c
         nbytes = sched.send_nbytes
-        intra = self._plan_intra[self._plan_idx]
-        c.messages = n
-        c.bytes = int(nbytes.sum())
-        c.intra_messages = int(intra.sum())
-        c.inter_messages = n - c.intra_messages
-        c.intra_bytes = int(nbytes[intra].sum())
+        plan_intra = self._plan_intra
+        intra = [plan_intra[p] for p in self._plan_idx]
+        c.messages = len(nbytes)
+        c.bytes = sum(nbytes)
+        c.intra_messages = sum(intra)
+        c.inter_messages = c.messages - c.intra_messages
+        c.intra_bytes = sum([b for b, i in zip(nbytes, intra) if i])
         c.inter_bytes = c.bytes - c.intra_bytes
         for ranks, count_dict, byte_dict in (
             (sched.send_src, c.sent_by_rank, c.bytes_sent_by_rank),
             (sched.send_dst, c.received_by_rank, c.bytes_received_by_rank),
         ):
-            counts = np.bincount(ranks)
-            sums = np.zeros(len(counts), dtype=np.int64)
-            np.add.at(sums, ranks, nbytes)
-            for r in np.flatnonzero(counts):
-                count_dict[int(r)] = int(counts[r])
-                byte_dict[int(r)] = int(sums[r])
+            counts: Dict[int, int] = {}
+            sums: Dict[int, int] = {}
+            for r, b in zip(ranks, nbytes):
+                counts[r] = counts.get(r, 0) + 1
+                sums[r] = sums.get(r, 0) + b
+            for r in sorted(counts):
+                count_dict[r] = counts[r]
+                byte_dict[r] = sums[r]
         return c

@@ -46,6 +46,7 @@ CONFIG_ERROR_INVOCATIONS = [
     ["audit", "no-such-artifact", "--dir", "/nonexistent-artifact-store"],
     ["sweep", "--nranks", "0"],
     ["compare", "--nranks", "0"],
+    ["validate", "--nranks", "0"],
 ]
 
 

@@ -94,6 +94,18 @@ class TestRandomness:
         assert [v.rule for v in violations] == ["global-random"]
         assert "default_rng" in violations[0].message
 
+    def test_function_local_numpy_import_seen_through(self):
+        # Modules that load numpy lazily import it inside functions.
+        violations = lint(
+            """
+            def draw():
+                import numpy as np
+                return np.random.rand(4)
+            """
+        )
+        assert [v.rule for v in violations] == ["global-random"]
+        assert violations[0].line == 4
+
     def test_unseeded_default_rng_flagged(self):
         violations = lint(
             """

@@ -56,7 +56,7 @@ def test_zero_byte_chunks(name):
     subtrees, the ring still sends them."""
     nranks, nbytes = 8, 3
     sched = emit_schedule(name, nranks, nbytes)
-    tags = sched.send_tag.tolist()
+    tags = sched.send_tag
     scatter = [i for i, t in enumerate(tags) if t == SCATTER_TAG]
     ring = [i for i, t in enumerate(tags) if t != SCATTER_TAG]
     assert 0 < len(scatter) < nranks - 1
@@ -68,7 +68,7 @@ def test_zero_byte_chunks(name):
 def test_native_ring_is_sendrecv_triplets():
     sched = emit_schedule("bcast_native", 4, 4096)
     # Relative rank 3 is a leaf: scatter recv, then three ring triplets.
-    kinds = sched.op_kinds[3].tolist()
+    kinds = sched.op_kinds[3]
     assert kinds[1:] == [OP_ISEND, OP_IRECV, OP_WAIT] * 3
     assert sched.wait_members[3] == [(1, 2), (4, 5), (7, 8)]
 

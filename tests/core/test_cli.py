@@ -88,6 +88,28 @@ class TestCommands:
         assert main(argv) == 0
         assert "2 hits / 0 misses" in capsys.readouterr().out
 
+    def test_zero_byte_sweep_row_has_no_improvement(self, capsys):
+        # A 0 B broadcast is legal but has no bandwidth to improve on:
+        # its row ends in "-", and the other rows are unchanged.
+        argv = [
+            "sweep", "--machine", "ideal", "--nodes", "2", "--nranks", "8",
+            "--no-cache", "--sizes",
+        ]
+        assert main(argv + ["0B,4KiB"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert main(argv + ["4KiB"]) == 0
+        alone = capsys.readouterr().out.splitlines()
+        zero = next(r for r in rows if r.lstrip().startswith("0B "))
+        assert zero.rstrip().endswith("|           -")
+        four = next(r for r in rows if r.lstrip().startswith("4KiB "))
+        assert four in alone
+
+    def test_zero_byte_compare_reports_na(self, capsys):
+        argv = ["compare", "--machine", "ideal", "--nodes", "2", "--nranks", "8"]
+        assert main(argv + ["--nbytes", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "size=0B" in out and "(n/a, " in out
+
     def test_poison_point_ends_in_one_error_line(
         self, capsys, tmp_path, monkeypatch
     ):

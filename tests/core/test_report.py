@@ -65,6 +65,13 @@ class TestComparisonRecord:
             (cmp.speedup - 1) * 100
         )
 
+    def test_zero_byte_improvement_is_undefined(self):
+        native = record(algorithm="scatter_ring_native", nbytes=0, messages=63)
+        opt = record(algorithm="scatter_ring_opt", nbytes=0, messages=51)
+        cmp = ComparisonRecord(nranks=16, nbytes=0, native=native, opt=opt)
+        assert cmp.bandwidth_improvement_pct is None
+        assert "(n/a, 12 transfers saved)" in cmp.describe()
+
     def test_saved_counters(self):
         cmp = self._cmp()
         assert cmp.transfers_saved == 12

@@ -60,7 +60,7 @@ class TestCompile:
         compiled = registry_compiled("bcast_opt", 8, 65536)
         sched = extract_schedule(8, REGISTRY["bcast_opt"].build(8, 65536, 0))
         assert compiled.n_sends == sched.transfers
-        assert int(compiled.send_nbytes.sum()) == sched.total_bytes
+        assert sum(compiled.send_nbytes) == sched.total_bytes
         assert len(compiled.send_src) == compiled.n_sends
 
     def test_wildcard_recv_is_unsupported(self):

@@ -1,6 +1,7 @@
 """Start-up stays lean: the CLI and a sweep never load the analysis
-stack, networkx or the artifact store, which are imported on first use
-only.
+stack, networkx, the artifact store or numpy, which are imported on
+first use only. numpy stays unloaded through the gates that move no
+real bytes and through fault-plan sweeps too.
 
 Each probe runs in a fresh interpreter, because the test process has
 long since imported both.
@@ -13,7 +14,7 @@ import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-LAZY = ("networkx", "repro.analysis", "repro.artifacts")
+LAZY = ("networkx", "numpy", "repro.analysis", "repro.artifacts")
 
 SWEEP_PROBE = """
 import json, sys
@@ -22,6 +23,17 @@ lazy = {lazy!r}
 out = {{"import": [m for m in lazy if m in sys.modules]}}
 out["exit"] = entry.main({argv!r})
 out["sweep"] = [m for m in lazy if m in sys.modules]
+print(json.dumps(out))
+"""
+
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import repro.__main__ as entry
+out = []
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = entry.main(argv)
+    out.append([argv[0], code, "numpy" in sys.modules])
 print(json.dumps(out))
 """
 
@@ -53,10 +65,26 @@ def _probe(code):
 def test_cli_start_and_sweep_leave_analysis_and_networkx_unloaded():
     argv = [
         "sweep", "--machine", "hornet", "--nodes", "2", "--nranks", "8",
-        "--sizes", "4KiB,64KiB", "--jobs", "1",
+        "--sizes", "4KiB,64KiB", "--jobs", "1", "--no-cache",
     ]
     out = _probe(SWEEP_PROBE.format(lazy=LAZY, argv=argv))
     assert out == {"import": [], "exit": 0, "sweep": []}
+
+
+def test_gates_and_fault_sweeps_leave_numpy_unloaded():
+    argvs = [
+        ["verify", "--nranks", "4"],
+        ["cost", "--nranks", "4"],
+        ["replay", "--nranks", "4", "--strict"],
+        ["prove", "--collective", "bcast_opt", "--xval", "2:4"],
+        [
+            "sweep", "--machine", "hornet", "--nodes", "2", "--nranks", "8",
+            "--sizes", "4KiB", "--jobs", "1", "--no-cache",
+            "--fault-drop", "0.01",
+        ],
+    ]
+    out = _probe(NUMPY_PROBE.format(argvs=argvs))
+    assert out == [[argv[0], 0, False] for argv in argvs]
 
 
 def test_analysis_stays_reachable_from_the_package():
