@@ -6,8 +6,8 @@ hornet) on both execution engines:
 
 * **DES** — the coroutine discrete-event runtime (``mpi.Job``);
 * **replay** — the compiled static schedule on
-  :class:`~repro.sim.replay.ReplayEngine` (schedule built once outside
-  the timed region, as the process-wide dispatch memo does in sweeps).
+  :class:`~repro.sim.replay.ReplayEngine` (schedule built outside the
+  timed region; the one-shot build cost is timed separately).
 
 The schedule is built both ways and both are timed: extracted through
 the zero-time executor and compiled (the reference), and emitted from

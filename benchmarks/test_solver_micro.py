@@ -18,6 +18,7 @@ Two kinds of check on the incremental, component-aware solver
 import pytest
 
 from repro.bench import NATIVE, OPT, fig6, fig7, solver_churn
+from repro.core import api
 from repro.mpi import runtime
 
 from conftest import publish
@@ -79,7 +80,7 @@ def test_solver_differential_on_figure_grids(exp_factory, benchmark, monkeypatch
     grids = {}
     for mode in ("production", "reference"):
         if mode == "reference":
-            monkeypatch.setenv("REPRO_ENGINE", "des")
+            monkeypatch.setattr(api, "_is_static", lambda *a: False)
             monkeypatch.setattr(runtime, "FlowNetwork", ReferenceFlowNetwork)
         exp = exp_factory()
         exp.run()  # no disk cache: both modes must really simulate

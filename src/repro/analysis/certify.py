@@ -55,7 +55,7 @@ from ..collectives.certificates import (
     ScatterPhase,
 )
 from ..collectives.relative import relative_rank, subtree_chunks, tuned_ring_role
-from ..collectives.schedule import cached_schedule
+from ..collectives.schedule import extract_schedule
 from ..errors import ConfigurationError
 from ..util import chunk_count, scatter_size
 from ..core.traffic import (
@@ -895,11 +895,7 @@ def crossvalidate_certificate(
         return []
     failures: List[str] = []
 
-    schedule = cached_schedule(
-        ("registry", name, nranks, nbytes, root, None),
-        nranks,
-        spec.build(nranks, nbytes, root),
-    )
+    schedule = extract_schedule(nranks, spec.build(nranks, nbytes, root))
     assert spec.initial_owned is not None and spec.expected_final is not None
     initial = spec.initial_owned(nranks, nbytes, root)
     expected_final = spec.expected_final(nranks, nbytes, root)

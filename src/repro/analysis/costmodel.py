@@ -51,7 +51,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..collectives.schedule import ScheduleResult, cached_schedule
+from ..collectives.schedule import ScheduleResult, extract_schedule
 from ..errors import ConfigurationError, ReproError
 from ..machine import Machine, MachineSpec, TransferPlan, ideal
 from ..mpi.runtime import Job
@@ -351,12 +351,8 @@ def analyze_collective(
         )
     machine = Machine(spec if spec is not None else ideal(), nranks, placement)
     machine.set_working_set(nbytes)
-    node_map = tuple(machine.placement.node_of(r) for r in range(nranks))
-    schedule = cached_schedule(
-        ("registry", name, nranks, nbytes, root, node_map),
-        nranks,
-        collective.build(nranks, nbytes, root),
-        placement=machine.placement,
+    schedule = extract_schedule(
+        nranks, collective.build(nranks, nbytes, root), placement=machine.placement
     )
     return analyze_schedule(
         schedule, machine, collective=name, nbytes=nbytes, root=root
@@ -486,11 +482,7 @@ def differential_gate(
                 cost = analyze_collective(
                     name, nranks, nbytes, spec=machine_spec, placement=placement
                 )
-                check = cached_schedule(
-                    ("registry", name, nranks, nbytes, 0, None),
-                    nranks,
-                    collective.build(nranks, nbytes, 0),
-                )
+                check = extract_schedule(nranks, collective.build(nranks, nbytes, 0))
             except ReproError as exc:
                 report.checks.append(
                     GateCheck("bytes", subject, False, f"{type(exc).__name__}: {exc}")

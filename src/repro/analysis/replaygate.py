@@ -3,9 +3,9 @@
 The replay engine (:mod:`repro.sim.replay`) promises *bitwise* equality
 with the coroutine discrete-event runtime on every static schedule —
 not "close", not "within tolerance": the same floats. That promise is
-what lets ``REPRO_ENGINE=auto`` silently substitute replay for the DES
-in sweeps, figures and the disk cache. This gate enforces it across the
-full registry:
+what lets :mod:`repro.core.api` replay every static run in sweeps,
+figures and the disk cache instead of running the DES. This gate
+enforces it across the full registry:
 
 (a) **makespan** — ``ReplayResult.time`` equals ``JobResult.time``
     exactly (``==`` on floats, no tolerance);
@@ -17,10 +17,9 @@ full registry:
 (d) **flow bookkeeping** — both engines complete the same number of
     payload flows (zero-byte tokens included).
 
-Each cell extracts the collective's schedule once
-(:func:`~repro.collectives.schedule.cached_schedule` memoises it per
-process, sharing work with the cost gate), compiles it, and runs both
-engines on fresh machines so no fluid-solver state leaks between them.
+Each cell extracts the collective's schedule once, compiles it, and
+runs both engines on fresh machines so no fluid-solver state leaks
+between them.
 The grid spans eager and rendezvous sizes so both transport protocols
 are exercised.
 
@@ -32,7 +31,7 @@ cell fails and its detail names the first rank and op that differ.
 
 Schedules the replay compiler rejects (wildcard receives, never-matched
 blocking receives) report ``unsupported`` — an accepted fallback, not a
-failure, because the dispatch layer routes exactly those runs back to
+failure, because :mod:`repro.core.api` runs exactly those points on
 the DES.
 
 Surfaced as ``python -m repro replay --grid`` (``--strict``/``--json``).
@@ -44,7 +43,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..collectives.emit import EMITTED, emit_schedule
-from ..collectives.schedule import cached_schedule
+from ..collectives.schedule import extract_schedule
 from ..errors import ReplayUnsupportedError, ReproError
 from ..machine import Machine, MachineSpec, hornet
 from ..mpi import Job
@@ -273,11 +272,7 @@ def run_replay_point(
     spec = spec if spec is not None else hornet()
     collective = REGISTRY[name]
     try:
-        schedule = cached_schedule(
-            ("registry", name, nranks, nbytes, root, None),
-            nranks,
-            collective.build(nranks, nbytes, root),
-        )
+        schedule = extract_schedule(nranks, collective.build(nranks, nbytes, root))
         compiled = compile_schedule(schedule)
     except ReplayUnsupportedError as exc:
         return ReplayCheck(name, nranks, nbytes, "unsupported", detail=str(exc))

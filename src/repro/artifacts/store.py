@@ -90,11 +90,8 @@ def artifact_digest(obj: Any) -> str:
 
 def env_fingerprint() -> Dict[str, str]:
     """The environment a result is only comparable under."""
-    from ..sim.replay import engine_mode
-
     return {
         "cache_version": CACHE_VERSION,
-        "engine": engine_mode(),
         "python": platform.python_version(),
         "platform": sys.platform,
     }

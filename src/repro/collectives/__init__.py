@@ -63,8 +63,6 @@ from .schedule import (
     RecordedSend,
     ScheduleResult,
     ScheduleExecutor,
-    cached_schedule,
-    clear_schedule_memo,
     extract_schedule,
 )
 
@@ -133,7 +131,5 @@ __all__ = [
     "RecordedSend",
     "ScheduleResult",
     "ScheduleExecutor",
-    "cached_schedule",
-    "clear_schedule_memo",
     "extract_schedule",
 ]

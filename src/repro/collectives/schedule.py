@@ -52,8 +52,6 @@ __all__ = [
     "ScheduleResult",
     "ScheduleExecutor",
     "extract_schedule",
-    "cached_schedule",
-    "clear_schedule_memo",
 ]
 
 
@@ -149,19 +147,26 @@ def _describe_request(req: Request) -> str:
     return f"send(dst={req.peer}, tag={req.tag}, nbytes={req.nbytes})"
 
 
-class _ParkedRecv:
-    __slots__ = ("req",)
+class _Parked:
+    """A parked rank's resume hook, like :class:`repro.mpi.runtime._Waiter`:
+    the completion callback of the blocking receive or the waitall's
+    requests it waits on. It counts their completions down and, at zero,
+    hands itself back to the executor to observe them and requeue the
+    rank."""
 
-    def __init__(self, req):
-        self.req = req
+    __slots__ = ("executor", "idx", "requests", "remaining", "waitall")
 
-
-class _ParkedWait:
-    __slots__ = ("requests", "remaining")
-
-    def __init__(self, requests, remaining):
-        self.requests = requests
+    def __init__(self, executor, idx, requests, remaining, waitall):
+        self.executor = executor
+        self.idx = idx
+        self.requests = requests  # (recv,) for a blocking receive
         self.remaining = remaining
+        self.waitall = waitall
+
+    def __call__(self, _req) -> None:
+        self.remaining -= 1
+        if self.remaining == 0:
+            self.executor._resume(self)
 
 
 class ScheduleExecutor:
@@ -243,79 +248,64 @@ class ScheduleExecutor:
         """Name the rank and the exact op an unfinished program is parked on."""
         glob = self._members[idx]
         parked = self._parked[idx]
-        if isinstance(parked, _ParkedRecv):
-            return f"rank {glob} blocked in {_describe_request(parked.req)}"
-        if isinstance(parked, _ParkedWait):
-            pending = [
-                _describe_request(r) for r in parked.requests if not r.complete
-            ]
-            return (
-                f"rank {glob} blocked in waitall on {parked.remaining} of "
-                f"{len(parked.requests)} request(s): {', '.join(pending)}"
-            )
-        return f"rank {glob} never ran to completion ({self.procs[idx]!r})"
+        if parked is None:
+            return f"rank {glob} never ran to completion ({self.procs[idx]!r})"
+        requests = parked.requests
+        if not parked.waitall:
+            return f"rank {glob} blocked in {_describe_request(requests[0])}"
+        pending = [_describe_request(r) for r in requests if not r.complete]
+        return (
+            f"rank {glob} blocked in waitall on {parked.remaining} of "
+            f"{len(requests)} request(s): {', '.join(pending)}"
+        )
 
     # -- op execution ------------------------------------------------------
     def _execute(self, idx: int, op):
         glob = self._members[idx]
         log = self.op_log[glob]
-        if isinstance(op, (SendOp, IsendOp)):
-            req = Request(
-                "send",
-                owner=glob,
-                peer=op.dst,
-                tag=op.tag,
-                nbytes=op.nbytes,
-                buffer=op.buffer,
-                disp=op.disp,
-                chunks=op.chunks,
-            )
-            entry = [OP_ISEND if isinstance(op, IsendOp) else OP_SEND, -1]
-            if isinstance(op, IsendOp):
+        kind = type(op)
+        if kind is SendOp or kind is IsendOp:
+            dst, nbytes, tag, buffer, disp, chunks = op
+            req = Request("send", glob, dst, tag, nbytes, buffer, disp, chunks)
+            if kind is IsendOp:
                 self._req_op[req] = len(log)
+                entry = [OP_ISEND, -1]
+            else:
+                entry = [OP_SEND, -1]
             log.append(entry)
             self._do_send(req)
             entry[1] = len(self.sends) - 1  # the order _do_send assigned
-            return req if isinstance(op, IsendOp) else None
-        if isinstance(op, (RecvOp, IrecvOp)):
-            req = Request(
-                "recv",
-                owner=glob,
-                peer=op.src,
-                tag=op.tag,
-                nbytes=op.nbytes,
-                buffer=op.buffer,
-                disp=op.disp,
-            )
-            if op.src < 0:
+            return req if kind is IsendOp else None
+        if kind is RecvOp or kind is IrecvOp:
+            src, nbytes, tag, buffer, disp = op
+            req = Request("recv", glob, src, tag, nbytes, buffer, disp)
+            if src < 0:
                 self._blockers.append(
                     f"rank {glob} posts an ANY_SOURCE receive "
                     f"(match order is timing-dependent)"
                 )
-            entry = [OP_IRECV if isinstance(op, IrecvOp) else OP_RECV, -1]
-            if isinstance(op, IrecvOp):
+            if kind is IrecvOp:
                 self._req_op[req] = len(log)
+                entry = [OP_IRECV, -1]
+            else:
+                entry = [OP_RECV, -1]
             log.append(entry)
             self._recv_entry[req] = entry  # filled in when it matches
             env = self.matching[glob].post_recv(req)
             if env is not None:
                 self._complete_recv(req, env)
-            if isinstance(op, IrecvOp):
+            if kind is IrecvOp:
                 return req
             if req.complete:
                 self._observe(glob, req)
                 return req.status
-
-            def recv_done(r, i=idx, g=glob):
-                self._observe(g, r)
-                self._wakeup(i, r.status)
-
-            self._parked[idx] = _ParkedRecv(req)
-            req.on_complete(recv_done)
+            parked = self._parked[idx] = _Parked(self, idx, (req,), 1, False)
+            req.on_complete(parked)
             return BLOCKED
-        if isinstance(op, WaitOp):
+        if kind is WaitOp:
             requests = op.requests
             members = []
+            remaining = 0
             for r in requests:
                 member = self._req_op.get(r, -1) if r.owner == glob else -1
                 if member < 0:
@@ -324,34 +314,37 @@ class ScheduleExecutor:
                         f"its own isend/irecv"
                     )
                 members.append(member)
+                if not r.complete:
+                    remaining += 1
             log.append([OP_WAIT, tuple(members)])
-            remaining = sum(1 for r in requests if not r.complete)
             if remaining == 0:
                 for r in requests:
                     self._observe(glob, r)
                 return [r.status for r in requests]
-            state = _ParkedWait(requests, remaining)
-            self._parked[idx] = state
-
-            def one_done(_req, i=idx, g=glob, state=state):
-                state.remaining -= 1
-                if state.remaining == 0:
-                    for r in state.requests:
-                        self._observe(g, r)
-                    self._wakeup(i, [r.status for r in state.requests])
-
+            parked = _Parked(self, idx, requests, remaining, True)
+            self._parked[idx] = parked
             for r in requests:
                 if not r.complete:
-                    r.on_complete(one_done)
+                    r.on_complete(parked)
             return BLOCKED
-        if isinstance(op, ComputeOp):
+        if kind is ComputeOp:
             log.append([OP_COMPUTE, float(op.seconds)])
             return None  # time is free here
         raise SimulationError(f"schedule executor got unknown op {op!r}")
 
-    def _wakeup(self, idx: int, value) -> None:
-        self._parked[idx] = None
-        self._ready.append((idx, value))
+    def _resume(self, parked: _Parked) -> None:
+        """Observe a parked rank's completed requests, in order, and
+        requeue it with the receive's status or the waitall's list."""
+        glob = self._members[parked.idx]
+        requests = parked.requests
+        for r in requests:
+            self._observe(glob, r)
+        if parked.waitall:
+            value = [r.status for r in requests]
+        else:
+            value = requests[0].status
+        self._parked[parked.idx] = None
+        self._ready.append((parked.idx, value))
 
     def _observe(self, rank: int, req: Request) -> None:
         """Record that *rank*'s program consumed the message behind a
@@ -416,41 +409,3 @@ def extract_schedule(
     return ScheduleExecutor(
         nranks, program_factory, comm=comm, buffers=buffers, placement=placement
     ).run()
-
-
-# Process-wide extraction memo. Schedule extraction is the dominant cost
-# of every static-analysis pass (cost gate, replay gate, certificate
-# cross-validation) and they all revisit the same (collective, P,
-# nbytes, root) points; extracting once per process instead of once per
-# pass keeps the combined CI gates close to the cost of the cheapest
-# one. Entries are treated as immutable by every consumer.
-_SCHEDULE_MEMO: dict = {}
-_SCHEDULE_MEMO_CAP = 1024
-
-
-def cached_schedule(
-    key,
-    nranks: int,
-    program_factory: Callable[[RankContext], object],
-    placement=None,
-) -> ScheduleResult:
-    """Memoised :func:`extract_schedule` under a caller-supplied key.
-
-    *key* must capture every input that shapes the schedule — typically
-    ``(collective, nranks, nbytes, root)``, plus the placement's node
-    map when the program reads it. The caller owns the key discipline
-    because only it knows what its factory closes over.
-    """
-    result = _SCHEDULE_MEMO.get(key)
-    if result is None:
-        result = extract_schedule(nranks, program_factory, placement=placement)
-        if len(_SCHEDULE_MEMO) < _SCHEDULE_MEMO_CAP:
-            _SCHEDULE_MEMO[key] = result
-    return result
-
-
-def clear_schedule_memo() -> int:
-    """Drop every memoised schedule; returns how many were cached."""
-    count = len(_SCHEDULE_MEMO)
-    _SCHEDULE_MEMO.clear()
-    return count

@@ -33,7 +33,7 @@ from ..machine import Machine, MachineSpec
 from ..mpi import Job, RealBuffer
 from ..sim import Trace
 from ..sim.faults import FaultPlan
-from ..sim.replay import ReplayEngine, compile_schedule, engine_mode
+from ..sim.replay import ReplayEngine, compile_schedule
 from ..util import parse_size
 from .report import ComparisonRecord, RunRecord
 
@@ -93,17 +93,6 @@ def _resolve_algorithm(
     return name, get_algorithm(name)
 
 
-# Process-wide memo of compiled replay schedules. Building one costs an
-# extraction (an emission for the certified broadcasts), and sweep,
-# figure and gate commands revisit the same (algorithm, P, size) points
-# many times per process; the compiled form is machine-independent, so
-# one entry serves every spec. The key folds in the placement's exact
-# node map — the only machine input an algorithm can close over
-# (``smp``/``smp_opt``).
-_REPLAY_MEMO: dict = {}
-_REPLAY_MEMO_CAP = 256
-
-
 def _is_static(machine: Machine, faults, reliable, trace, validate: bool) -> bool:
     """True when the run's timing is statically determined (replayable).
 
@@ -120,57 +109,47 @@ def _is_static(machine: Machine, faults, reliable, trace, validate: bool) -> boo
     )
 
 
-def _replay_compiled(kind: str, machine: Machine, factory, key_tail: tuple, emit=None):
-    """*factory*'s compiled schedule, memoised per process: built by
-    *emit* when given, else extracted and compiled."""
-    placement = machine.placement
-    key = (
-        kind,
-        machine.nranks,
-        key_tail,
-        tuple(placement.node_of(r) for r in range(machine.nranks)),
-    )
-    compiled = _REPLAY_MEMO.get(key)
-    if compiled is None:
-        if emit is not None:
-            compiled = emit()
-        else:
-            schedule = extract_schedule(machine.nranks, factory, placement=placement)
-            compiled = compile_schedule(schedule)
-        if len(_REPLAY_MEMO) < _REPLAY_MEMO_CAP:
-            _REPLAY_MEMO[key] = compiled
-    return compiled
+def _run(
+    machine: Machine,
+    factory,
+    working_set: int,
+    emit=None,
+    buffers=None,
+    trace=None,
+    faults=None,
+    reliable=None,
+):
+    """Run *factory* once on *machine*; returns ``(result, engine_name)``.
 
-
-def _dispatch(machine, factory, kind, key_tail, working_set, *, static=True, emit=None):
-    """Run *factory* on the engine ``REPRO_ENGINE`` selects.
-
-    Returns ``(result, engine_name)`` where *result* quacks like a
-    ``JobResult`` (``time``/``rank_finish_times``/``counters``/
-    ``solver_stats``). ``static=False`` marks configurations the replay
-    engine cannot express; ``auto`` then runs the DES and a forced
-    ``replay`` fails loudly instead of silently changing semantics.
-    *emit* builds the replay schedule without extraction.
+    A static run (:func:`_is_static`) replays its schedule: the one
+    *emit* builds when given, else the extracted and compiled one. A
+    schedule replay cannot express (:class:`ReplayUnsupportedError`)
+    and every dynamic run go to the coroutine DES. *result* quacks like
+    a ``JobResult`` (``time``/``counters``/``solver_stats``).
     """
-    mode = engine_mode()
-    if mode != "des" and static:
+    if _is_static(machine, faults, reliable, trace, buffers is not None):
         try:
-            compiled = _replay_compiled(kind, machine, factory, key_tail, emit)
+            if emit is not None:
+                compiled = emit()
+            else:
+                schedule = extract_schedule(
+                    machine.nranks, factory, placement=machine.placement
+                )
+                compiled = compile_schedule(schedule)
             engine = ReplayEngine(machine, compiled, working_set=working_set)
             return engine.run(), "replay"
-        except ReplayUnsupportedError as exc:
-            if mode == "replay":
-                raise ConfigurationError(
-                    f"REPRO_ENGINE=replay but the schedule cannot be "
-                    f"replayed: {exc}"
-                ) from exc
-    elif mode == "replay":
-        raise ConfigurationError(
-            "REPRO_ENGINE=replay requires a static run: no fault plan, "
-            "no reliable transport, no trace, no validation and "
-            "deterministic latencies (jitter_sigma=queueing_kappa=0)"
-        )
-    return None, "des"
+        except ReplayUnsupportedError:
+            pass
+    job = Job(
+        machine,
+        factory,
+        buffers=buffers,
+        trace=trace,
+        working_set=working_set,
+        faults=faults,
+        reliable=reliable,
+    )
+    return job.run(), "des"
 
 
 def _solver_fields(stats) -> dict:
@@ -254,25 +233,16 @@ def simulate_bcast(
     if iterations == 1 and label in BCAST_CERTIFICATES:
         # The certified broadcasts' schedules have a closed form.
         emit = partial(emit_schedule, BCAST_CERTIFICATES[label], nranks, size, root)
-    result, engine = _dispatch(
+    result, engine = _run(
         machine,
         factory,
-        "bcast",
-        (label, size, root, iterations),
         size,
-        static=_is_static(machine, faults, reliable, trace, validate),
         emit=emit,
+        buffers=buffers,
+        trace=trace,
+        faults=faults,
+        reliable=reliable,
     )
-    if result is None:
-        result = Job(
-            machine,
-            factory,
-            buffers=buffers,
-            trace=trace,
-            working_set=size,
-            faults=faults,
-            reliable=reliable,
-        ).run()
 
     if validate:
         for rank, buf in enumerate(buffers):
@@ -375,16 +345,7 @@ def simulate_allgather(
         return program()
 
     total = block * nranks
-    result, engine = _dispatch(
-        machine,
-        factory,
-        "allgather",
-        (algorithm, block),
-        total,
-        static=_is_static(machine, None, None, trace, False),
-    )
-    if result is None:
-        result = Job(machine, factory, trace=trace, working_set=total).run()
+    result, engine = _run(machine, factory, total, trace=trace)
     c = result.counters
     return RunRecord(
         algorithm=f"allgather_{algorithm}",

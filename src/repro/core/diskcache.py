@@ -49,7 +49,6 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from ..machine import MachineSpec
-from ..sim.replay import engine_mode
 from .report import RunRecord
 
 try:  # POSIX advisory locking; appends fall back to bare O_APPEND elsewhere
@@ -114,10 +113,6 @@ def cache_key(
         "point": (point.algorithm, point.nranks, point.nbytes),
         "root": root,
         "placement": str(placement),
-        # DES and replay agree bitwise on times and counters, but the
-        # record names its engine (``engine``, ``solver_mode``), so key
-        # on the execution engine (REPRO_ENGINE).
-        "engine": engine_mode(),
         "faults": faults.digest() if faults is not None else "",
         "reliable": repr(reliable) if reliable else "",
         "salt": salt,

@@ -19,9 +19,8 @@ points out over a crash-surviving process pool
   simulating and populated afterwards, so only cold points cost CPU;
 * **memo-friendly batching** — cold points are grouped by
   ``(algorithm, nranks)`` before fan-out and each group runs start to
-  finish inside one worker, so the process-wide schedule/compile/solve
-  memos hit across the group's size axis instead of being scattered
-  over the pool.
+  finish inside one worker, so the process-wide solve memo hits across
+  the group's size axis instead of being scattered over the pool.
 
 ``jobs=1`` (the default) never spawns processes — it is the exact serial
 path the sweep driver always had, kept as the fallback for environments
@@ -69,10 +68,10 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 
 
 def _warm_worker() -> None:
-    """Pool initializer: pay the heavy imports at worker birth, not on
-    the first submitted batch (under ``spawn`` start methods the child
-    would otherwise re-import numpy + the collectives registry inside
-    the first job's critical path)."""
+    """Pool initializer: pay the imports at worker birth, not on the
+    first submitted batch (under ``spawn`` start methods the child
+    would otherwise import the collectives registry and the replay
+    engine inside the first job's critical path)."""
     from .. import collectives  # noqa: F401
     from ..sim import replay  # noqa: F401
     from . import api  # noqa: F401
@@ -134,12 +133,12 @@ def _simulate_batch(tasks: Sequence[tuple]) -> List[tuple]:
 def group_points(points: Sequence, indices: Sequence[int], workers: int) -> List[List[int]]:
     """Partition *indices* into batches that keep worker memos hot.
 
-    Points sharing ``(algorithm, nranks)`` extract/compile the same
-    schedule family and solve the same contention structures, so they
-    are batched together (in submission order, preserving the size
-    axis). When that yields fewer batches than *workers*, the largest
-    batches are split in half until the pool is saturated — memo
-    coherence is worth nothing if half the workers sit idle.
+    Points sharing ``(algorithm, nranks)`` solve the same contention
+    structures, so they are batched together (in submission order,
+    preserving the size axis). When that yields fewer batches than
+    *workers*, the largest batches are split in half until the pool is
+    saturated — memo coherence is worth nothing if half the workers sit
+    idle.
     Deterministic: depends only on the points, their order and *workers*.
     """
     groups: Dict[tuple, List[int]] = {}

@@ -100,8 +100,9 @@ class ComparisonRecord:
     @property
     def bandwidth_improvement_pct(self) -> Optional[float]:
         """Percent bandwidth improvement, the paper's headline number;
-        None when the native bandwidth is 0 (a 0 B broadcast)."""
-        if self.native.bandwidth == 0:
+        None unless the native bandwidth is finite and positive (a 0 B
+        broadcast has none, a one-rank one takes no time)."""
+        if not 0 < self.native.bandwidth < float("inf"):
             return None
         return percent_change(self.native.bandwidth, self.opt.bandwidth)
 

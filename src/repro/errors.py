@@ -84,8 +84,7 @@ class ReplayUnsupportedError(SimulationError):
     extracted schedule uses features whose timing is not statically
     determined (wildcard ``ANY_SOURCE`` receives, never-matched blocking
     receives) or when the machine spec enables stochastic latencies.
-    The auto-dispatch layer catches this and falls back to the DES;
-    ``REPRO_ENGINE=replay`` surfaces it as a configuration failure.
+    :mod:`repro.core.api` catches this and runs the point on the DES.
     """
 
 

@@ -48,12 +48,10 @@ What replay cannot express falls back to the DES: wildcard
 ``ANY_SOURCE`` receives (match order is timing-dependent), fault
 injection, the ARQ reliability layer, stochastic latencies
 (``jitter_sigma``/``queueing_kappa``) and traced or validating runs.
-``REPRO_ENGINE=des|replay|auto`` overrides the dispatch.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import DeadlockError, ReplayUnsupportedError, SimulationError
@@ -61,9 +59,6 @@ from .engine import Engine
 from .flows import FlowNetwork
 
 __all__ = [
-    "ENGINE_ENV",
-    "ENGINE_MODES",
-    "engine_mode",
     "shared_solve_memo",
     "clear_solve_memo",
     "solve_memo_entries",
@@ -79,10 +74,6 @@ __all__ = [
     "compile_schedule",
 ]
 
-# Environment escape hatch selecting the execution engine.
-ENGINE_ENV = "REPRO_ENGINE"
-ENGINE_MODES = ("auto", "des", "replay")
-
 # Op-stream opcodes recorded by the schedule executor (one
 # ``(kind, arg)`` pair per executed MPI operation, per rank).
 OP_SEND = 0  # arg: send order (blocking: gates the program on send_done)
@@ -91,16 +82,6 @@ OP_RECV = 2  # arg: matched send order (blocking receive)
 OP_IRECV = 3  # arg: matched send order, or -1 if never matched
 OP_WAIT = 4  # arg: index into the rank's wait-member table
 OP_COMPUTE = 5  # arg: index into the rank's compute-seconds table
-
-
-def engine_mode() -> str:
-    """The engine selected by ``REPRO_ENGINE`` (default ``auto``)."""
-    mode = os.environ.get(ENGINE_ENV, "").strip() or "auto"
-    if mode not in ENGINE_MODES:
-        raise SimulationError(
-            f"unknown {ENGINE_ENV} mode {mode!r}; expected one of {ENGINE_MODES}"
-        )
-    return mode
 
 
 # -- cross-run solve-memo store ---------------------------------------

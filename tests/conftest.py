@@ -1,12 +1,11 @@
 """Suite-wide fixtures.
 
-Tests run hermetically: every inherited ``REPRO_*`` knob (engine
-selection, artifact store, worker counts, ...) is unset, so a
-developer's shell cannot change what the suite checks. The sweep
-harness persists results under ``~/.cache/repro`` by default; tests
-must never read or pollute the developer's real cache, so every test
-gets a throwaway cache directory unless it overrides the variable
-itself.
+Tests run hermetically: every inherited ``REPRO_*`` knob (artifact
+store, worker counts, ...) is unset, so a developer's shell cannot
+change what the suite checks. The sweep harness persists results
+under ``~/.cache/repro`` by default; tests must never read or pollute
+the developer's real cache, so every test gets a throwaway cache
+directory unless it overrides the variable itself.
 """
 
 import os

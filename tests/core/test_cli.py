@@ -110,6 +110,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "size=0B" in out and "(n/a, " in out
 
+    def test_one_rank_broadcast_reports_na(self, capsys):
+        # One rank takes no simulated time, so there is no finite
+        # bandwidth to improve on: "n/a" and "-", never "+nan%".
+        assert main(["compare", "--nranks", "1", "--nbytes", "1KiB"]) == 0
+        out = capsys.readouterr().out
+        assert "(n/a, 0 transfers saved)" in out and "nan" not in out
+        argv = [
+            "sweep", "--machine", "ideal", "--nodes", "1", "--nranks", "1",
+            "--sizes", "1KiB,64KiB", "--no-cache",
+        ]
+        assert main(argv) == 0
+        rows = [r for r in capsys.readouterr().out.splitlines() if "KiB |" in r]
+        assert len(rows) == 2
+        assert all(r.rstrip().endswith("|           -") for r in rows)
+
     def test_poison_point_ends_in_one_error_line(
         self, capsys, tmp_path, monkeypatch
     ):

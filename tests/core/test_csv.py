@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.core import Sweep
+from repro.core import Sweep, api
 from repro.errors import ConfigurationError
 from repro.machine import ideal
 
@@ -78,11 +78,8 @@ class TestUniformEngineSchema:
         # Rows produced by different engines must agree column-for-column:
         # same width, same header order, telemetry a given engine does not
         # collect rendered as zeros rather than dropped.
-        from repro.sim.replay import ENGINE_ENV
-
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
         replay_rows = tiny_sweep().to_csv().strip().splitlines()
-        monkeypatch.setenv(ENGINE_ENV, "des")
+        monkeypatch.setattr(api, "_is_static", lambda *a: False)
         des_rows = tiny_sweep().to_csv().strip().splitlines()
         assert replay_rows[0] == des_rows[0]  # identical header
         n_cols = len(replay_rows[0].split(","))

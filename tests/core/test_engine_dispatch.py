@@ -1,20 +1,13 @@
-"""Tests for the engine auto-dispatch layer (core.api + REPRO_ENGINE)."""
+"""Tests for the engine dispatch in core.api: replay for static runs,
+the coroutine DES for everything else."""
 
 import pytest
 
 from repro.core import api, simulate_bcast
-from repro.core.api import _REPLAY_MEMO, simulate_allgather
-from repro.core.diskcache import cache_key
-from repro.core.sweep import SweepPoint
-from repro.errors import ConfigurationError
+from repro.core.api import simulate_allgather
+from repro.errors import ReplayUnsupportedError
 from repro.machine import hornet, ideal
 from repro.sim.faults import FaultPlan
-from repro.sim.replay import ENGINE_ENV
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv(ENGINE_ENV, raising=False)
 
 
 def run(algorithm="scatter_ring_opt", nranks=9, nbytes=12288, **kw):
@@ -27,15 +20,11 @@ class TestDispatch:
         assert rec.engine == "replay"
         assert rec.solver_mode == "replay"
 
-    def test_des_override(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "des")
-        rec = run()
-        assert rec.engine == "des"
-
     def test_engines_agree_bitwise(self, monkeypatch):
         rep = run()
-        monkeypatch.setenv(ENGINE_ENV, "des")
+        monkeypatch.setattr(api, "_is_static", lambda *a: False)
         des = run()
+        assert (rep.engine, des.engine) == ("replay", "des")
         assert rep.time == des.time
         assert (rep.messages, rep.bytes_on_wire) == (des.messages, des.bytes_on_wire)
         assert (rep.intra_messages, rep.inter_messages) == (
@@ -46,8 +35,9 @@ class TestDispatch:
     def test_iterated_run_with_barrier_replays(self, monkeypatch):
         rep = run(iterations=3)
         assert rep.engine == "replay"
-        monkeypatch.setenv(ENGINE_ENV, "des")
+        monkeypatch.setattr(api, "_is_static", lambda *a: False)
         des = run(iterations=3)
+        assert des.engine == "des"
         assert rep.time == des.time and rep.messages == des.messages
 
     def test_faults_fall_back_to_des(self):
@@ -69,29 +59,23 @@ class TestDispatch:
         )
         assert rec.engine == "des"
 
-    def test_forced_replay_on_dynamic_run_raises(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "replay")
-        with pytest.raises(ConfigurationError, match="static"):
-            run(validate=True)
+    def test_unreplayable_schedule_falls_back_to_des(self, monkeypatch):
+        rep = run(algorithm="binomial")
 
-    def test_forced_replay_on_static_run_works(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "replay")
-        assert run().engine == "replay"
+        def refuse(schedule):
+            raise ReplayUnsupportedError("wildcard receive")
+
+        monkeypatch.setattr(api, "compile_schedule", refuse)
+        des = run(algorithm="binomial")
+        assert (rep.engine, des.engine) == ("replay", "des")
+        assert rep.time == des.time
 
     def test_allgather_dispatches(self, monkeypatch):
         rep = simulate_allgather(hornet(), 8, 4096, algorithm="ring")
         assert rep.engine == "replay"
-        monkeypatch.setenv(ENGINE_ENV, "des")
+        monkeypatch.setattr(api, "_is_static", lambda *a: False)
         des = simulate_allgather(hornet(), 8, 4096, algorithm="ring")
         assert des.engine == "des" and rep.time == des.time
-
-    def test_compiled_schedule_memoised(self):
-        _REPLAY_MEMO.clear()
-        run()
-        size_after_first = len(_REPLAY_MEMO)
-        run()
-        assert size_after_first == 1
-        assert len(_REPLAY_MEMO) == 1
 
 
 class TestScheduleSource:
@@ -106,10 +90,8 @@ class TestScheduleSource:
             calls.append(args[0])
             return real(*args, **kwargs)
 
-        _REPLAY_MEMO.clear()
         monkeypatch.setattr(api, "extract_schedule", spy)
-        yield calls
-        _REPLAY_MEMO.clear()
+        return calls
 
     @pytest.mark.parametrize(
         "algorithm", ["scatter_ring_opt", "scatter_ring_native", "auto_tuned"]
@@ -129,19 +111,8 @@ class TestScheduleSource:
 
     def test_emitted_and_extracted_records_equal(self, extractions, monkeypatch):
         emitted = run(root=2)
-        _REPLAY_MEMO.clear()
         monkeypatch.setattr(api, "BCAST_CERTIFICATES", {})
         extracted = run(root=2)
         assert extractions == [9]
         assert emitted == extracted
 
-
-class TestCacheKey:
-    def test_engine_mode_enters_cache_key(self, monkeypatch):
-        point = SweepPoint("scatter_ring_opt", 8, 4096)
-        auto = cache_key(hornet(), point)
-        monkeypatch.setenv(ENGINE_ENV, "des")
-        des = cache_key(hornet(), point)
-        monkeypatch.setenv(ENGINE_ENV, "replay")
-        forced = cache_key(hornet(), point)
-        assert len({auto, des, forced}) == 3

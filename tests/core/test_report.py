@@ -72,6 +72,15 @@ class TestComparisonRecord:
         assert cmp.bandwidth_improvement_pct is None
         assert "(n/a, 12 transfers saved)" in cmp.describe()
 
+    def test_one_rank_improvement_is_undefined(self):
+        # P=1 moves nothing and takes no time: both bandwidths are inf.
+        kw = dict(nranks=1, time=0.0, messages=0, bytes_on_wire=0)
+        native = record(algorithm="scatter_ring_native", nbytes=1024, **kw)
+        opt = record(algorithm="scatter_ring_opt", nbytes=1024, **kw)
+        cmp = ComparisonRecord(nranks=1, nbytes=1024, native=native, opt=opt)
+        assert cmp.bandwidth_improvement_pct is None
+        assert "(n/a, 0 transfers saved)" in cmp.describe()
+
     def test_saved_counters(self):
         cmp = self._cmp()
         assert cmp.transfers_saved == 12

@@ -12,12 +12,7 @@ from repro.errors import ReplayUnsupportedError, SimulationError
 from repro.machine import Machine, hornet, ideal
 from repro.mpi import ANY_SOURCE, Job
 from repro.sim import engine as engine_mod
-from repro.sim.replay import (
-    ENGINE_ENV,
-    ReplayEngine,
-    compile_schedule,
-    engine_mode,
-)
+from repro.sim.replay import ReplayEngine, compile_schedule
 
 
 def registry_compiled(name, nranks, nbytes, root=0):
@@ -38,21 +33,6 @@ def counters_dict(c):
         "bytes_sent_by_rank": dict(c.bytes_sent_by_rank),
         "bytes_received_by_rank": dict(c.bytes_received_by_rank),
     }
-
-
-class TestEngineMode:
-    def test_defaults_to_auto(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        assert engine_mode() == "auto"
-
-    def test_reads_env(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "replay")
-        assert engine_mode() == "replay"
-
-    def test_rejects_unknown(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "warp")
-        with pytest.raises(SimulationError, match="warp"):
-            engine_mode()
 
 
 class TestCompile:

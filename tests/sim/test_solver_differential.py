@@ -312,12 +312,11 @@ class TestDifferential:
             vectorised = _run_script(script)
         assert _bits(scalar) == _bits(vectorised)
 
-    def test_replay_with_numpy_kernel_is_bitwise_identical(self, monkeypatch):
+    def test_replay_with_numpy_kernel_is_bitwise_identical(self):
         """Replay's data plane (solve memo cold) under either kernel."""
         from repro.core import simulate_bcast
         from repro.machine import hornet
 
-        monkeypatch.setenv("REPRO_ENGINE", "replay")
         spec = hornet(nodes=4)
         clear_solve_memo()
         scalar = simulate_bcast(spec, 12, 1 << 20, algorithm="scatter_ring_opt")
@@ -337,13 +336,13 @@ class TestDifferential:
         assert scalar == vectorised
 
     def test_bcast_simulation_is_bitwise_identical(self, monkeypatch):
-        from repro.core import simulate_bcast
+        from repro.core import api, simulate_bcast
         from repro.machine import hornet
         from repro.mpi import runtime
 
         # Force the DES: this differential is about its solver, not the
         # replay engine's memo.
-        monkeypatch.setenv("REPRO_ENGINE", "des")
+        monkeypatch.setattr(api, "_is_static", lambda *a: False)
         spec = hornet(nodes=4)
         inc = simulate_bcast(spec, 8, 65536, algorithm="scatter_ring_opt")
         monkeypatch.setattr(runtime, "FlowNetwork", ReferenceFlowNetwork)
