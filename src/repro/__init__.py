@@ -13,35 +13,22 @@ Quickstart::
 
     cmp = core.compare_bcast(machine.hornet(), nranks=64, nbytes="1MiB")
     print(cmp.describe())
+
+Every package namespace resolves its names on first use (see
+:mod:`repro._lazy`): ``import repro`` loads no submodule, and
+``repro.analysis`` loads the gates' stack only when touched.
 """
 
-from . import collectives, core, machine, mpi, sim, util
-from .errors import ReproError
-from .core import compare_bcast, simulate_bcast, validate_bcast
+from ._lazy import lazy_hub
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "analysis",
-    "collectives",
-    "core",
-    "machine",
-    "mpi",
-    "sim",
-    "util",
-    "ReproError",
-    "compare_bcast",
-    "simulate_bcast",
-    "validate_bcast",
-    "__version__",
-]
-
-
-def __getattr__(name: str):
-    """Import :mod:`repro.analysis` on first access: the gates' stack
-    stays off the start-up path of every other command (PEP 562)."""
-    if name == "analysis":
-        import importlib
-
-        return importlib.import_module(f"{__name__}.analysis")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__, __getattr__ = lazy_hub(
+    __name__,
+    {
+        "errors": ["ReproError"],
+        "core": ["compare_bcast", "simulate_bcast", "validate_bcast"],
+    },
+    modules=["analysis", "collectives", "core", "machine", "mpi", "sim", "util"],
+)
+__all__ += ["__version__"]

@@ -90,24 +90,30 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import (
-    DiskCache,
-    Sweep,
-    compare_bcast,
-    measure_traffic,
-    ring_transfers_native,
-    ring_transfers_tuned,
-    transfers_saved,
-)
 from .machine import hornet, ideal, laki
 from .util import Table
 
 _PRESETS = {"hornet": hornet, "laki": laki, "ideal": ideal}
 
 
-def _spec(args):
+def _spec(args, nranks=None):
+    """The machine preset *args* select. With *nranks*, the machine is
+    built once for that many ranks first, so one the run cannot use is
+    a usage error (exit 2), not a failure mid-run."""
+    from .errors import ConfigurationError, MachineError
+
+    if args.nodes is not None and args.nodes < 1:
+        raise ConfigurationError(f"node count must be >= 1, got {args.nodes}")
     factory = _PRESETS[args.machine]
-    return factory(nodes=args.nodes) if args.nodes else factory()
+    spec = factory() if args.nodes is None else factory(nodes=args.nodes)
+    if nranks is not None:
+        from .machine import Machine
+
+        try:
+            Machine(spec, nranks, getattr(args, "placement", "blocked"))
+        except MachineError as exc:
+            raise ConfigurationError(str(exc)) from None
+    return spec
 
 
 def _parse_ranks(text: str) -> list:
@@ -130,7 +136,7 @@ def _add_machine_args(p: argparse.ArgumentParser) -> None:
         default="hornet",
         help="machine preset (default: hornet)",
     )
-    p.add_argument("--nodes", type=int, default=0, help="override node count")
+    p.add_argument("--nodes", type=int, default=None, help="override node count")
     p.add_argument(
         "--placement",
         choices=["blocked", "round_robin"],
@@ -233,9 +239,11 @@ def _check_nranks(nranks: int) -> None:
 
 
 def cmd_compare(args) -> int:
+    from .core import compare_bcast
+
     _check_nranks(args.nranks)
     cmp = compare_bcast(
-        _spec(args),
+        _spec(args, args.nranks),
         nranks=args.nranks,
         nbytes=args.nbytes,
         placement=args.placement,
@@ -269,6 +277,8 @@ def _add_exec_args(p: argparse.ArgumentParser) -> None:
 
 
 def _exec_cache(args):
+    from .core import DiskCache
+
     return None if args.no_cache else DiskCache(args.cache_dir)
 
 
@@ -348,10 +358,12 @@ def _check_point(
 
 
 def cmd_sweep(args) -> int:
+    from .core import Sweep
+
     _check_nranks(args.nranks)
     sizes = args.sizes.split(",")
     sweep = Sweep(
-        _spec(args),
+        _spec(args, args.nranks),
         sizes=sizes,
         ranks=[args.nranks],
         algorithms=["scatter_ring_native", "scatter_ring_opt"],
@@ -426,6 +438,8 @@ def cmd_figure(args) -> int:
 
 
 def cmd_cache(args) -> int:
+    from .core import DiskCache
+
     cache = DiskCache(args.cache_dir)
     if args.fsck or args.repair:
         report = cache.fsck(repair=args.repair)
@@ -445,6 +459,13 @@ def cmd_cache(args) -> int:
 
 
 def cmd_traffic(args) -> int:
+    from .core import (
+        measure_traffic,
+        ring_transfers_native,
+        ring_transfers_tuned,
+        transfers_saved,
+    )
+
     procs = _parse_ranks(args.procs)
     table = Table(
         ["P", "native", "tuned", "saved", "measured tuned"],
@@ -467,7 +488,7 @@ def cmd_validate(args) -> int:
     from .collectives import ALGORITHMS
 
     _check_nranks(args.nranks)
-    spec = _spec(args)
+    spec = _spec(args, args.nranks)
     table = Table(
         ["algorithm", "time (us)", "messages", "data"],
         formats=[None, ".1f", None, None],
@@ -675,7 +696,6 @@ def cmd_cost(args) -> int:
     # table defaults to hornet like every other simulation command.
     if args.machine is None:
         args.machine = "ideal" if args.grid else "hornet"
-    spec = _spec(args)
     if args.grid:
         from .artifacts.audit import encode_spec
 
@@ -683,7 +703,7 @@ def cmd_cost(args) -> int:
             args,
             "cost",
             {
-                "spec": encode_spec(spec),
+                "spec": encode_spec(_spec(args)),
                 "placement": args.placement,
                 "band": args.band,
             },
@@ -697,6 +717,7 @@ def cmd_cost(args) -> int:
 
     nbytes = parse_size(args.nbytes)
     _check_point(args.collective, args.nranks, args.root, allow_all=True)
+    spec = _spec(args, args.nranks)
     if args.collective == "all":
         names = verifiable_collectives(args.nranks)
     else:
@@ -751,16 +772,16 @@ def cmd_chaos(args) -> int:
     # calibrated against the contention-free ideal preset.
     if args.machine is None:
         args.machine = "ideal"
-    spec = _spec(args)
+    if not args.grid:
+        _check_point(args.collective, args.nranks)
     recipe = {
-        "spec": encode_spec(spec),
+        "spec": encode_spec(_spec(args, None if args.grid else args.nranks)),
         "seed": args.seed,
         "collectives": None,
         "ranks": list(DEFAULT_RANKS),
         "nbytes": parse_size(args.nbytes),
     }
     if not args.grid:
-        _check_point(args.collective, args.nranks)
         recipe.update(collectives=[args.collective], ranks=[args.nranks])
     report = _run_recipe(args, "chaos", recipe)
     if args.json:
@@ -793,14 +814,14 @@ def cmd_replay(args) -> int:
     from .artifacts.audit import encode_spec
     from .util import parse_size
 
-    spec = _spec(args)
+    if not args.grid:
+        _check_point(args.collective, args.nranks)
     recipe = {
-        "spec": encode_spec(spec),
+        "spec": encode_spec(_spec(args, None if args.grid else args.nranks)),
         "ranks": list(DEFAULT_RANKS),
         "sizes": list(DEFAULT_SIZES),
     }
     if not args.grid:
-        _check_point(args.collective, args.nranks)
         recipe.update(
             collectives=[args.collective],
             ranks=[args.nranks],
@@ -1222,7 +1243,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="machine preset (default: hornet for the table, ideal for --grid)",
     )
-    p.add_argument("--nodes", type=int, default=0, help="override node count")
+    p.add_argument("--nodes", type=int, default=None, help="override node count")
     p.add_argument(
         "--placement",
         choices=["blocked", "round_robin"],
@@ -1269,7 +1290,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="machine preset (default: ideal)",
     )
-    p.add_argument("--nodes", type=int, default=0, help="override node count")
+    p.add_argument("--nodes", type=int, default=None, help="override node count")
     p.add_argument(
         "--seed", type=int, default=0, help="fault-plan seed (default: 0)"
     )
@@ -1308,7 +1329,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="hornet",
         help="machine preset (default: hornet)",
     )
-    p.add_argument("--nodes", type=int, default=0, help="override node count")
+    p.add_argument("--nodes", type=int, default=None, help="override node count")
     p.add_argument(
         "--collective",
         default="bcast_opt",

@@ -57,7 +57,7 @@ from ..collectives.certificates import (
 from ..collectives.relative import relative_rank, subtree_chunks, tuned_ring_role
 from ..collectives.schedule import extract_schedule
 from ..errors import ConfigurationError
-from ..util import chunk_count, scatter_size
+from ..util.chunking import chunk_count, scatter_size
 from ..core.traffic import (
     ring_bytes_native,
     ring_bytes_tuned,

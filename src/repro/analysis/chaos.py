@@ -32,12 +32,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..collectives.selector import LONG_MSG_SIZE, choose_bcast_name
 from ..errors import DeadlockError, ReproError, TransportExhaustedError
-from ..machine import Machine, MachineSpec, ideal
-from ..mpi import Job, RealBuffer
+from ..machine.machine import Machine
+from ..machine.presets import ideal
+from ..machine.spec import MachineSpec
+from ..mpi.buffers import RealBuffer
 from ..mpi.counters import TrafficCounters
-from ..mpi.runtime import JobResult
+from ..mpi.runtime import Job, JobResult
 from ..sim.faults import Blackout, FaultPlan, LatencySpike
-from ..util import scatter_size
+from ..util.chunking import scatter_size
 from .verify import REGISTRY
 
 __all__ = [

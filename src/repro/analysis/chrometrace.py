@@ -12,7 +12,7 @@ import json
 from typing import IO, Dict, Union
 
 from ..errors import ConfigurationError
-from ..sim import Trace
+from ..sim.trace import Trace
 from .timeline import message_spans
 
 __all__ = ["to_chrome_trace", "write_chrome_trace"]

@@ -37,7 +37,7 @@ programs: instead of simulating a schedule it *reads* one, and derives
 
 The :func:`differential_gate` cross-checks the static layer against the
 dynamic one for every collective in the verify registry: byte counts
-must equal a fresh :class:`ScheduleExecutor` extraction exactly (and the
+must equal the raw sends of the extracted schedule exactly (and the
 DES :class:`TrafficCounters` at the simulated points), time bounds must
 lower-bound — and track within a band — simulated makespans on the
 ideal machine, and the native-vs-tuned ranking must agree with the
@@ -53,10 +53,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..collectives.schedule import ScheduleResult, extract_schedule
 from ..errors import ConfigurationError, ReproError
-from ..machine import Machine, MachineSpec, TransferPlan, ideal
+from ..machine.machine import Machine, TransferPlan
+from ..machine.presets import ideal
+from ..machine.spec import MachineSpec
 from ..mpi.runtime import Job
-from ..util import KIB, MIB
-from .verify import REGISTRY
+from ..util.sizes import KIB, MIB
+from .verify import REGISTRY, CollectiveSpec
 
 __all__ = [
     "LinkLoad",
@@ -349,14 +351,31 @@ def analyze_collective(
             f"collective {name!r} does not support P={nranks}"
             + (" (power-of-two only)" if collective.pof2_only else "")
         )
-    machine = Machine(spec if spec is not None else ideal(), nranks, placement)
-    machine.set_working_set(nbytes)
-    schedule = extract_schedule(
-        nranks, collective.build(nranks, nbytes, root), placement=machine.placement
+    machine_spec = spec if spec is not None else ideal()
+    schedule, machine = _extract(
+        collective, nranks, nbytes, root, machine_spec, placement
     )
     return analyze_schedule(
         schedule, machine, collective=name, nbytes=nbytes, root=root
     )
+
+
+def _extract(
+    collective: CollectiveSpec,
+    nranks: int,
+    nbytes: int,
+    root: int,
+    spec: MachineSpec,
+    placement: str,
+) -> Tuple[ScheduleResult, Machine]:
+    """One registry point's schedule, and the machine it is costed on
+    (its working set already *nbytes*)."""
+    machine = Machine(spec, nranks, placement)
+    machine.set_working_set(nbytes)
+    schedule = extract_schedule(
+        nranks, collective.build(nranks, nbytes, root), placement=machine.placement
+    )
+    return schedule, machine
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +465,9 @@ def differential_gate(
 
     * **bytes** — for every registry collective at every static grid
       point, the cost report's totals and per-rank byte/message tallies
-      must equal a fresh :class:`ScheduleExecutor` extraction exactly;
-      at the simulated points they must also equal the DES
+      must equal the sends of the :class:`ScheduleExecutor` extraction
+      it was computed from, summed directly (each point is extracted
+      once); at the simulated points they must also equal the DES
       :class:`TrafficCounters`.
     * **time-bound** — at the simulated points, ``t_bound`` must
       lower-bound the simulated makespan and stay within the tolerance
@@ -479,16 +499,18 @@ def differential_gate(
             nbytes = sizes[-1]
             subject = f"{name} P={nranks} nbytes={nbytes}"
             try:
-                cost = analyze_collective(
-                    name, nranks, nbytes, spec=machine_spec, placement=placement
+                schedule, machine = _extract(
+                    collective, nranks, nbytes, 0, machine_spec, placement
                 )
-                check = extract_schedule(nranks, collective.build(nranks, nbytes, 0))
+                cost = analyze_schedule(
+                    schedule, machine, collective=name, nbytes=nbytes
+                )
             except ReproError as exc:
                 report.checks.append(
                     GateCheck("bytes", subject, False, f"{type(exc).__name__}: {exc}")
                 )
                 continue
-            transfers, total, sent, received = _static_totals(check)
+            transfers, total, sent, received = _static_totals(schedule)
             ok = (
                 cost.transfers == transfers
                 and cost.total_bytes == total

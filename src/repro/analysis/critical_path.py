@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..sim import Trace
+from ..sim.trace import Trace
 from .timeline import message_spans
 
 __all__ = ["CriticalPath", "critical_path"]

@@ -89,7 +89,7 @@ from ..mpi.context import RankContext
 from ..mpi.matching import Envelope, MatchingEngine
 from ..mpi.ops import ANY_TAG, ComputeOp, IrecvOp, IsendOp, RecvOp, SendOp, WaitOp
 from ..mpi.request import Request, Status
-from ..sim import Proc
+from ..sim.process import Proc
 from ..sim.faults import FaultPlan, LinkRule
 from .verify import REGISTRY, Violation
 

@@ -45,8 +45,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..collectives.emit import EMITTED, emit_schedule
 from ..collectives.schedule import extract_schedule
 from ..errors import ReplayUnsupportedError, ReproError
-from ..machine import Machine, MachineSpec, hornet
-from ..mpi import Job
+from ..machine.machine import Machine
+from ..machine.presets import hornet
+from ..machine.spec import MachineSpec
+from ..mpi.runtime import Job
 from ..mpi.counters import TrafficCounters
 from ..sim.replay import (
     OP_COMPUTE,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..sim import Trace
+from ..sim.trace import Trace
 
 __all__ = [
     "TAG_NAMES",

@@ -39,40 +39,33 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from ..collectives import (
-    allgather_bruck,
-    allgather_rdbl,
-    allgather_ring,
-    allgatherv_ring,
-    allreduce_rabenseifner,
-    allreduce_reduce_bcast,
-    alltoall_bruck,
-    alltoall_pairwise,
-    barrier,
+from ..collectives.allgather import allgather_bruck, allgather_rdbl, allgather_ring
+from ..collectives.allgatherv import allgatherv_ring
+from ..collectives.allreduce import allreduce_rabenseifner, allreduce_reduce_bcast
+from ..collectives.alltoall import alltoall_bruck, alltoall_pairwise
+from ..collectives.barrier import barrier
+from ..collectives.bcast import (
     bcast_binomial,
-    bcast_chain,
-    bcast_knomial,
     bcast_scatter_rdbl,
     bcast_scatter_ring_native,
     bcast_scatter_ring_opt,
-    binomial_scatter,
-    extract_schedule,
-    gather,
-    reduce,
-    reduce_scatter_halving,
-    reduce_scatter_ring,
-    relative_rank,
-    scan_linear,
-    scan_recursive_doubling,
-    subtree_chunks,
 )
-from ..collectives.schedule import RecordedSend, ScheduleResult
+from ..collectives.chain import bcast_chain
+from ..collectives.gather import gather, reduce
+from ..collectives.knomial import bcast_knomial
+from ..collectives.reduce_scatter import reduce_scatter_halving, reduce_scatter_ring
+from ..collectives.relative import relative_rank, subtree_chunks
+from ..collectives.scan import scan_linear, scan_recursive_doubling
+from ..collectives.scatter import binomial_scatter
+from ..collectives.schedule import RecordedSend, ScheduleResult, extract_schedule
 from ..core.traffic import transfers_saved
 from ..errors import ConfigurationError, MpiError, ReproError
 from ..mpi.comm import Communicator
 from ..mpi.context import RankContext
 from ..sim.replay import OP_IRECV, OP_ISEND, OP_RECV, OP_SEND, OP_WAIT
-from ..util import ChunkSet, chunk_count, is_power_of_two, scatter_size
+from ..util.chunking import chunk_count, scatter_size
+from ..util.intervals import ChunkSet
+from ..util.sizes import is_power_of_two
 
 __all__ = [
     "Violation",

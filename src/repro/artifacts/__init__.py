@@ -5,33 +5,23 @@ layout, and :mod:`repro.artifacts.audit` for re-execution and bitwise
 diffing. ``docs/robustness.md`` documents the workflow.
 """
 
-from .audit import AuditResult, audit_artifact, diff_payload, reexecute
-from .store import (
-    ARTIFACT_VERSION,
-    ARTIFACTS_ENV,
-    VOLATILE_KEYS,
-    ArtifactStore,
-    RunArtifact,
-    artifact_digest,
-    canonical_json,
-    default_store_dir,
-    env_fingerprint,
-    scrub,
-)
+from .._lazy import lazy_hub
 
-__all__ = [
-    "ARTIFACT_VERSION",
-    "ARTIFACTS_ENV",
-    "VOLATILE_KEYS",
-    "ArtifactStore",
-    "RunArtifact",
-    "AuditResult",
-    "artifact_digest",
-    "audit_artifact",
-    "canonical_json",
-    "default_store_dir",
-    "diff_payload",
-    "env_fingerprint",
-    "reexecute",
-    "scrub",
-]
+__all__, __getattr__ = lazy_hub(
+    __name__,
+    {
+        "store": [
+            "ARTIFACT_VERSION",
+            "ARTIFACTS_ENV",
+            "VOLATILE_KEYS",
+            "ArtifactStore",
+            "RunArtifact",
+            "artifact_digest",
+            "canonical_json",
+            "default_store_dir",
+            "env_fingerprint",
+            "scrub",
+        ],
+        "audit": ["AuditResult", "audit_artifact", "diff_payload", "reexecute"],
+    },
+)

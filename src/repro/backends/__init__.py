@@ -1,5 +1,7 @@
 """Alternative executors for the same rank programs."""
 
-from .threads import ThreadBackend, run_threaded
+from .._lazy import lazy_hub
 
-__all__ = ["ThreadBackend", "run_threaded"]
+__all__, __getattr__ = lazy_hub(
+    __name__, {"threads": ["ThreadBackend", "run_threaded"]}
+)

@@ -1,44 +1,31 @@
 """Benchmark harness: figure/table experiment definitions and rendering."""
 
-from .figures import Experiment, fig6, fig7, fig8, NATIVE, OPT, fast_mode
-from .micro import (
-    PingPongPoint,
-    SolverChurnResult,
-    pingpong,
-    solver_churn,
-    streaming_bandwidth,
-)
-from .baseline import BaselineDiff, save_baseline, load_baseline, compare_to_baseline
-from .runner import (
-    get_experiment,
-    bench_jobs,
-    bench_cache,
-    render_bandwidth_table,
-    render_speedup_table,
-    render_plot,
-)
+from .._lazy import lazy_hub
 
-__all__ = [
-    "Experiment",
-    "fig6",
-    "fig7",
-    "fig8",
-    "NATIVE",
-    "OPT",
-    "fast_mode",
-    "PingPongPoint",
-    "SolverChurnResult",
-    "pingpong",
-    "solver_churn",
-    "streaming_bandwidth",
-    "BaselineDiff",
-    "save_baseline",
-    "load_baseline",
-    "compare_to_baseline",
-    "get_experiment",
-    "bench_jobs",
-    "bench_cache",
-    "render_bandwidth_table",
-    "render_speedup_table",
-    "render_plot",
-]
+__all__, __getattr__ = lazy_hub(
+    __name__,
+    {
+        "figures": ["Experiment", "fig6", "fig7", "fig8", "NATIVE", "OPT", "fast_mode"],
+        "micro": [
+            "PingPongPoint",
+            "SolverChurnResult",
+            "pingpong",
+            "solver_churn",
+            "streaming_bandwidth",
+        ],
+        "baseline": [
+            "BaselineDiff",
+            "save_baseline",
+            "load_baseline",
+            "compare_to_baseline",
+        ],
+        "runner": [
+            "get_experiment",
+            "bench_jobs",
+            "bench_cache",
+            "render_bandwidth_table",
+            "render_speedup_table",
+            "render_plot",
+        ],
+    },
+)

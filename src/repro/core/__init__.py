@@ -1,75 +1,41 @@
 """High-level API: simulate, compare, count traffic, predict, sweep."""
 
-from .api import (
-    simulate_bcast,
-    compare_bcast,
-    validate_bcast,
-    simulate_allgather,
-    available_algorithms,
-)
-from .report import RunRecord, ComparisonRecord, MIB_S
-from .traffic import (
-    subtree_sum,
-    ring_transfers_native,
-    ring_transfers_tuned,
-    transfers_saved,
-    scatter_transfers,
-    total_transfers,
-    ring_bytes_native,
-    ring_bytes_tuned,
-    TrafficReport,
-    measure_traffic,
-)
-from .model import (
-    t_binomial_bcast,
-    t_binomial_scatter,
-    t_ring_allgather,
-    t_scatter_ring_bcast,
-    predict,
-)
-from .fitting import FittedModel, fit_alpha_beta, characterize
-from .regimes import RegimeCell, regime_map, selector_agreement
-from .sweep import Sweep, SweepPoint
-from .executor import SweepExecutor, group_points, resolve_jobs
-from .diskcache import DiskCache, CacheStats, cache_key, default_cache_dir
+from .._lazy import lazy_hub
 
-__all__ = [
-    "simulate_bcast",
-    "compare_bcast",
-    "validate_bcast",
-    "simulate_allgather",
-    "available_algorithms",
-    "RunRecord",
-    "ComparisonRecord",
-    "MIB_S",
-    "subtree_sum",
-    "ring_transfers_native",
-    "ring_transfers_tuned",
-    "transfers_saved",
-    "scatter_transfers",
-    "total_transfers",
-    "ring_bytes_native",
-    "ring_bytes_tuned",
-    "TrafficReport",
-    "measure_traffic",
-    "t_binomial_bcast",
-    "t_binomial_scatter",
-    "t_ring_allgather",
-    "t_scatter_ring_bcast",
-    "predict",
-    "FittedModel",
-    "fit_alpha_beta",
-    "characterize",
-    "RegimeCell",
-    "regime_map",
-    "selector_agreement",
-    "Sweep",
-    "SweepPoint",
-    "SweepExecutor",
-    "resolve_jobs",
-    "group_points",
-    "DiskCache",
-    "CacheStats",
-    "cache_key",
-    "default_cache_dir",
-]
+__all__, __getattr__ = lazy_hub(
+    __name__,
+    {
+        "api": [
+            "simulate_bcast",
+            "compare_bcast",
+            "validate_bcast",
+            "simulate_allgather",
+            "available_algorithms",
+        ],
+        "report": ["RunRecord", "ComparisonRecord", "MIB_S"],
+        "traffic": [
+            "subtree_sum",
+            "ring_transfers_native",
+            "ring_transfers_tuned",
+            "transfers_saved",
+            "scatter_transfers",
+            "total_transfers",
+            "ring_bytes_native",
+            "ring_bytes_tuned",
+            "TrafficReport",
+            "measure_traffic",
+        ],
+        "model": [
+            "t_binomial_bcast",
+            "t_binomial_scatter",
+            "t_ring_allgather",
+            "t_scatter_ring_bcast",
+            "predict",
+        ],
+        "fitting": ["FittedModel", "fit_alpha_beta", "characterize"],
+        "regimes": ["RegimeCell", "regime_map", "selector_agreement"],
+        "sweep": ["Sweep", "SweepPoint"],
+        "executor": ["SweepExecutor", "resolve_jobs", "group_points"],
+        "diskcache": ["DiskCache", "CacheStats", "cache_key", "default_cache_dir"],
+    },
+)

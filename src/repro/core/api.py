@@ -16,26 +16,28 @@ This is the façade a downstream user starts from::
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from ..collectives import (
-    ALGORITHMS,
-    ALLGATHER_ALGORITHMS,
-    bcast_smp,
-    choose_bcast_name,
-    get_algorithm,
-)
-from ..collectives.barrier import barrier
+from ..collectives.allgather import ALLGATHER_ALGORITHMS
+from ..collectives.bcast import ALGORITHMS, get_algorithm
 from ..collectives.emit import BCAST_CERTIFICATES, emit_schedule
 from ..collectives.schedule import extract_schedule
+from ..collectives.selector import choose_bcast_name
+from ..collectives.smp import bcast_smp
 from ..errors import ConfigurationError, ReplayUnsupportedError
-from ..machine import Machine, MachineSpec
-from ..mpi import Job, RealBuffer
-from ..sim import Trace
-from ..sim.faults import FaultPlan
+from ..machine.machine import Machine
+from ..machine.spec import MachineSpec
 from ..sim.replay import ReplayEngine, compile_schedule
-from ..util import parse_size
+from ..util.sizes import parse_size
 from .report import ComparisonRecord, RunRecord
+
+if TYPE_CHECKING:
+    from ..sim.faults import FaultPlan
+    from ..sim.trace import Trace
+
+# The coroutine DES (``Job``), real buffers and the barrier are imported
+# where a dynamic, validating or iterated run needs them: a replayed
+# sweep never loads the MPI runtime.
 
 __all__ = [
     "simulate_bcast",
@@ -140,6 +142,8 @@ def _run(
             return engine.run(), "replay"
         except ReplayUnsupportedError:
             pass
+    from ..mpi.runtime import Job
+
     job = Job(
         machine,
         factory,
@@ -214,9 +218,14 @@ def simulate_bcast(
     fill = 0xA5
     buffers = None
     if validate:
+        from ..mpi.buffers import RealBuffer
+
         buffers = [
             RealBuffer(size, fill=(fill if r == root else 0)) for r in range(nranks)
         ]
+
+    if iterations > 1:
+        from ..collectives.barrier import barrier
 
     def factory(ctx):
         def program():

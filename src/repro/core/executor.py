@@ -70,10 +70,9 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 def _warm_worker() -> None:
     """Pool initializer: pay the imports at worker birth, not on the
     first submitted batch (under ``spawn`` start methods the child
-    would otherwise import the collectives registry and the replay
-    engine inside the first job's critical path)."""
-    from .. import collectives  # noqa: F401
-    from ..sim import replay  # noqa: F401
+    would otherwise import the broadcast registry and the replay
+    engine inside the first job's critical path). The package hubs
+    load nothing on their own, so this imports what a worker runs."""
     from . import api  # noqa: F401
 
 

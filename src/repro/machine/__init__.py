@@ -1,35 +1,24 @@
 """Cluster machine model: specs, topologies, placement, cache effects."""
 
-from .spec import MachineSpec
-from .cache import copy_effectiveness, working_set_bytes
-from .placement import Placement, blocked, round_robin, custom, make_placement
-from .topology import Route, Topology, CrossbarTopology
-from .fattree import FatTreeTopology
-from .dragonfly import DragonflyTopology
-from .graphtopo import GraphTopology, node_key
-from .machine import Machine, TransferPlan, build_topology
-from .presets import hornet, laki, ideal
+from .._lazy import lazy_hub
 
-__all__ = [
-    "MachineSpec",
-    "copy_effectiveness",
-    "working_set_bytes",
-    "Placement",
-    "blocked",
-    "round_robin",
-    "custom",
-    "make_placement",
-    "Route",
-    "Topology",
-    "CrossbarTopology",
-    "FatTreeTopology",
-    "DragonflyTopology",
-    "GraphTopology",
-    "node_key",
-    "Machine",
-    "TransferPlan",
-    "build_topology",
-    "hornet",
-    "laki",
-    "ideal",
-]
+__all__, __getattr__ = lazy_hub(
+    __name__,
+    {
+        "spec": ["MachineSpec"],
+        "cache": ["copy_effectiveness", "working_set_bytes"],
+        "placement": [
+            "Placement",
+            "blocked",
+            "round_robin",
+            "custom",
+            "make_placement",
+        ],
+        "topology": ["Route", "Topology", "CrossbarTopology"],
+        "fattree": ["FatTreeTopology"],
+        "dragonfly": ["DragonflyTopology"],
+        "graphtopo": ["GraphTopology", "node_key"],
+        "machine": ["Machine", "TransferPlan", "build_topology"],
+        "presets": ["hornet", "laki", "ideal"],
+    },
+)

@@ -1,70 +1,40 @@
 """Simulated MPI runtime: pt2pt transport, matching, communicators, jobs."""
 
-from .ops import (
-    ANY_SOURCE,
-    ANY_TAG,
-    SendOp,
-    RecvOp,
-    IsendOp,
-    IrecvOp,
-    WaitOp,
-    ComputeOp,
-)
-from .request import Request, Status
-from .datatypes import (
-    Datatype,
-    BYTE,
-    CHAR,
-    INT,
-    LONG,
-    FLOAT,
-    DOUBLE,
-    contiguous,
-    vector,
-    type_size,
-)
-from .buffers import RealBuffer, PhantomBuffer, make_buffer
-from .matching import Envelope, MatchingEngine
-from .counters import TrafficCounters
-from .comm import Communicator
-from .context import RankContext
-from .transport import Transport
-from .reliable import ACK_TAG, ReliableConfig, ReliableTransport
-from .runtime import Job, JobResult
+from .._lazy import lazy_hub
 
-__all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "SendOp",
-    "RecvOp",
-    "IsendOp",
-    "IrecvOp",
-    "WaitOp",
-    "ComputeOp",
-    "Request",
-    "Status",
-    "Datatype",
-    "BYTE",
-    "CHAR",
-    "INT",
-    "LONG",
-    "FLOAT",
-    "DOUBLE",
-    "contiguous",
-    "vector",
-    "type_size",
-    "RealBuffer",
-    "PhantomBuffer",
-    "make_buffer",
-    "Envelope",
-    "MatchingEngine",
-    "TrafficCounters",
-    "Communicator",
-    "RankContext",
-    "Transport",
-    "ACK_TAG",
-    "ReliableConfig",
-    "ReliableTransport",
-    "Job",
-    "JobResult",
-]
+__all__, __getattr__ = lazy_hub(
+    __name__,
+    {
+        "ops": [
+            "ANY_SOURCE",
+            "ANY_TAG",
+            "SendOp",
+            "RecvOp",
+            "IsendOp",
+            "IrecvOp",
+            "WaitOp",
+            "ComputeOp",
+        ],
+        "request": ["Request", "Status"],
+        "datatypes": [
+            "Datatype",
+            "BYTE",
+            "CHAR",
+            "INT",
+            "LONG",
+            "FLOAT",
+            "DOUBLE",
+            "contiguous",
+            "vector",
+            "type_size",
+        ],
+        "buffers": ["RealBuffer", "PhantomBuffer", "make_buffer"],
+        "matching": ["Envelope", "MatchingEngine"],
+        "counters": ["TrafficCounters"],
+        "comm": ["Communicator"],
+        "context": ["RankContext"],
+        "transport": ["Transport"],
+        "reliable": ["ACK_TAG", "ReliableConfig", "ReliableTransport"],
+        "runtime": ["Job", "JobResult"],
+    },
+)

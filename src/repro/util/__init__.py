@@ -1,70 +1,44 @@
 """Shared utilities: size math, chunking, ownership sets, tables, stats."""
 
-from .sizes import (
-    KIB,
-    MIB,
-    GIB,
-    parse_size,
-    format_size,
-    is_power_of_two,
-    next_power_of_two,
-    prev_power_of_two,
-    ceil_log2,
-    floor_log2,
-    pow2_range,
-)
-from .chunking import (
-    Chunk,
-    scatter_size,
-    chunk,
-    chunks,
-    chunk_count,
-    chunk_disp,
-    nonempty_chunks,
-    total_bytes,
-)
-from .intervals import ChunkSet
-from .tables import Table, render_kv
-from .asciiplot import line_plot
-from .stats import (
-    mean,
-    geomean,
-    median,
-    stdev,
-    percent_change,
-    speedup,
-    summarize,
-)
+from .._lazy import lazy_hub
 
-__all__ = [
-    "KIB",
-    "MIB",
-    "GIB",
-    "parse_size",
-    "format_size",
-    "is_power_of_two",
-    "next_power_of_two",
-    "prev_power_of_two",
-    "ceil_log2",
-    "floor_log2",
-    "pow2_range",
-    "Chunk",
-    "scatter_size",
-    "chunk",
-    "chunks",
-    "chunk_count",
-    "chunk_disp",
-    "nonempty_chunks",
-    "total_bytes",
-    "ChunkSet",
-    "Table",
-    "render_kv",
-    "line_plot",
-    "mean",
-    "geomean",
-    "median",
-    "stdev",
-    "percent_change",
-    "speedup",
-    "summarize",
-]
+__all__, __getattr__ = lazy_hub(
+    __name__,
+    {
+        "sizes": [
+            "KIB",
+            "MIB",
+            "GIB",
+            "parse_size",
+            "format_size",
+            "is_power_of_two",
+            "next_power_of_two",
+            "prev_power_of_two",
+            "ceil_log2",
+            "floor_log2",
+            "pow2_range",
+        ],
+        "chunking": [
+            "Chunk",
+            "scatter_size",
+            "chunk",
+            "chunks",
+            "chunk_count",
+            "chunk_disp",
+            "nonempty_chunks",
+            "total_bytes",
+        ],
+        "intervals": ["ChunkSet"],
+        "tables": ["Table", "render_kv"],
+        "asciiplot": ["line_plot"],
+        "stats": [
+            "mean",
+            "geomean",
+            "median",
+            "stdev",
+            "percent_change",
+            "speedup",
+            "summarize",
+        ],
+    },
+)

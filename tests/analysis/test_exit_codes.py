@@ -47,6 +47,20 @@ CONFIG_ERROR_INVOCATIONS = [
     ["sweep", "--nranks", "0"],
     ["compare", "--nranks", "0"],
     ["validate", "--nranks", "0"],
+    # A machine the run cannot be placed on, and node counts below 1.
+    ["sweep", "--nranks", "100", "--nodes", "2", "--sizes", "4KiB", "--no-cache"],
+    ["compare", "--nranks", "100", "--nodes", "2"],
+    ["cost", "--nranks", "100", "--nodes", "2"],
+    ["replay", "--nranks", "100", "--nodes", "2"],
+    ["chaos", "--nranks", "100", "--nodes", "2"],
+    ["validate", "--nranks", "100", "--nodes", "2"],
+    ["sweep", "--nranks", "8", "--nodes", "-1", "--sizes", "4KiB", "--no-cache"],
+    ["sweep", "--nranks", "8", "--nodes", "0", "--sizes", "4KiB", "--no-cache"],
+    ["compare", "--nranks", "8", "--nodes", "0"],
+    ["cost", "--nranks", "8", "--nodes", "0"],
+    ["chaos", "--nranks", "8", "--nodes", "-1"],
+    ["replay", "--nranks", "8", "--nodes", "0"],
+    ["trace", "--nranks", "8", "--nodes", "0"],
 ]
 
 

@@ -1,7 +1,8 @@
 """Start-up stays lean: the CLI and a sweep never load the analysis
 stack, networkx, the artifact store or numpy, which are imported on
 first use only. numpy stays unloaded through the gates that move no
-real bytes and through fault-plan sweeps too.
+real bytes and through fault-plan sweeps too. The package hubs resolve
+names on first use, so each command loads only the modules it runs.
 
 Each probe runs in a fresh interpreter, because the test process has
 long since imported both.
@@ -46,6 +47,22 @@ namespace = {}
 exec("from repro import *", namespace)
 out["star"] = namespace["analysis"].__name__
 print(json.dumps(out))
+"""
+
+LOADED_PROBE = """
+import contextlib, io, json, sys
+import repro.__main__ as entry
+argv = {argv!r}
+watched = {watched!r}
+code = None
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = entry.main(argv)
+loaded = sorted(
+    m for m in sys.modules
+    if any(m == w or m.startswith(w + ".") for w in watched)
+)
+print(json.dumps([code, loaded]))
 """
 
 
@@ -94,3 +111,41 @@ def test_analysis_stays_reachable_from_the_package():
         "attr": "repro.analysis.replaygate",
         "star": "repro.analysis",
     }
+
+
+def _loaded(argv, watched):
+    """Exit code of ``repro argv`` (None for no command) and the
+    *watched* modules, or modules under watched packages, it loaded."""
+    return _probe(LOADED_PROBE.format(argv=argv, watched=watched))
+
+
+def test_cli_import_loads_no_simulation_or_analysis_package():
+    watched = [
+        "repro.core", "repro.sim", "repro.mpi", "repro.collectives",
+        "repro.analysis",
+    ]
+    assert _loaded([], watched) == [None, []]
+
+
+def test_cost_table_loads_no_other_gate():
+    watched = [
+        "repro.analysis.modelcheck", "repro.analysis.certify",
+        "repro.analysis.abstract", "repro.analysis.chaos",
+        "repro.analysis.replaygate",
+    ]
+    assert _loaded(["cost", "--nranks", "4"], watched) == [0, []]
+
+
+def test_model_checker_point_loads_no_cost_model_or_proof():
+    argv = ["mc", "--collective", "bcast_opt", "--nranks", "3", "--nbytes", "1KiB"]
+    watched = ["repro.analysis.costmodel", "repro.analysis.certify"]
+    assert _loaded(argv, watched) == [0, []]
+
+
+def test_replayed_sweep_loads_no_des_transport():
+    argv = [
+        "sweep", "--machine", "hornet", "--nodes", "2", "--nranks", "8",
+        "--sizes", "4KiB,64KiB", "--jobs", "1", "--no-cache",
+    ]
+    watched = ["repro.mpi.runtime", "repro.mpi.transport", "repro.mpi.reliable"]
+    assert _loaded(argv, watched) == [0, []]
