@@ -56,7 +56,6 @@ from ..errors import ConfigurationError, ReproError
 from ..machine.machine import Machine, TransferPlan
 from ..machine.presets import ideal
 from ..machine.spec import MachineSpec
-from ..mpi.runtime import Job
 from ..util.sizes import KIB, MIB
 from .verify import REGISTRY, CollectiveSpec
 
@@ -528,6 +527,8 @@ def differential_gate(
             )
 
     # -- pass 2 + 3: simulated points ----------------------------------------
+    from ..mpi.runtime import Job
+
     say("pass 2/3: time bounds vs simulated makespans")
     makespans: Dict[Tuple[str, int, int], float] = {}
     bounds: Dict[Tuple[str, int, int], float] = {}

@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional
 
-from ..core.sweep import SweepPoint
 from ..errors import ArtifactError, ConfigurationError
 from ..machine import MachineSpec
-from ..mpi.reliable import ReliableConfig
 from ..sim.faults import FaultPlan
 from .store import ArtifactStore, RunArtifact, artifact_digest, scrub
+
+if TYPE_CHECKING:  # the sweep stack loads with a sweep recipe, off the gates' path
+    from ..core.sweep import SweepPoint
 
 __all__ = [
     "AuditResult",
@@ -105,6 +106,8 @@ def encode_points(points: Iterable) -> List[list]:
 
 
 def decode_points(data: Iterable) -> List[SweepPoint]:
+    from ..core.sweep import SweepPoint
+
     return [SweepPoint(str(a), int(p), int(n)) for a, p, n in data]
 
 
@@ -122,6 +125,8 @@ def encode_reliable(reliable) -> Optional[dict]:
         return None
     if isinstance(reliable, bool):
         return {"kind": "bool", "value": reliable}
+    from ..mpi.reliable import ReliableConfig
+
     if isinstance(reliable, ReliableConfig):
         return {"kind": "config", "value": dataclasses.asdict(reliable)}
     raise ConfigurationError(
@@ -136,6 +141,8 @@ def decode_reliable(data: Optional[dict]):
     if data.get("kind") == "bool":
         return bool(data["value"])
     if data.get("kind") == "config":
+        from ..mpi.reliable import ReliableConfig
+
         return ReliableConfig(**data["value"])
     raise ConfigurationError(f"malformed reliable payload: {data!r}")
 

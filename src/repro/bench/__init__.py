@@ -13,12 +13,6 @@ __all__, __getattr__ = lazy_hub(
             "solver_churn",
             "streaming_bandwidth",
         ],
-        "baseline": [
-            "BaselineDiff",
-            "save_baseline",
-            "load_baseline",
-            "compare_to_baseline",
-        ],
         "runner": [
             "get_experiment",
             "bench_jobs",

@@ -34,7 +34,6 @@ __all__ = [
     "bcast_scatter_ring_native",
     "bcast_scatter_ring_opt",
     "bcast_scatter_rdbl",
-    "bcast_degraded",
     "ALGORITHMS",
     "get_algorithm",
 ]
@@ -143,23 +142,6 @@ def bcast_chain_pipelined(ctx, nbytes: int, root: int = 0):
         recvs=res.recvs,
         redundant_recvs=0,
     )
-
-
-def bcast_degraded(ctx, nbytes: int, root: int = 0, faults=None, tuned: bool = True):
-    """Fault-aware broadcast: the MPICH3 selection, degraded by a
-    :class:`~repro.sim.faults.FaultPlan`.
-
-    Picks the tuned (or native) path exactly like the selector, except
-    that a plan with any crashed rank steers the ring regime onto the
-    binomial tree — the ring's circular dependency cannot route around a
-    dead neighbour, the tree only loses the subtree below it (see the
-    degradation matrix in docs/robustness.md).
-    """
-    from .selector import choose_bcast_name
-
-    name = choose_bcast_name(nbytes, ctx.size, tuned=tuned, faults=faults)
-    result = yield from get_algorithm(name)(ctx, nbytes, root)
-    return result
 
 
 ALGORITHMS = {

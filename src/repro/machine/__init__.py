@@ -17,7 +17,6 @@ __all__, __getattr__ = lazy_hub(
         "topology": ["Route", "Topology", "CrossbarTopology"],
         "fattree": ["FatTreeTopology"],
         "dragonfly": ["DragonflyTopology"],
-        "graphtopo": ["GraphTopology", "node_key"],
         "machine": ["Machine", "TransferPlan", "build_topology"],
         "presets": ["hornet", "laki", "ideal"],
     },

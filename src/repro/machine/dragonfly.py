@@ -16,14 +16,11 @@ broadcast study.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import List
 
 from ..errors import MachineError
 from ..sim import Resource
 from .topology import Route, Topology
-
-if TYPE_CHECKING:  # networkx loads on first use, off the start-up path
-    import networkx
 
 __all__ = ["DragonflyTopology"]
 
@@ -90,21 +87,3 @@ class DragonflyTopology(Topology):
         for g in range(self.n_groups):
             out.extend((self.local[g], self.global_out[g], self.global_in[g]))
         return out
-
-    def graph(self) -> "networkx.DiGraph":
-        import networkx as nx
-
-        g = nx.DiGraph()
-        for gi in range(self.n_groups):
-            g.add_node(("router", gi), kind="switch")
-        # All-to-all global links between group routers.
-        for a in range(self.n_groups):
-            for b in range(self.n_groups):
-                if a != b:
-                    g.add_edge(("router", a), ("router", b), resource=self.global_out[a])
-        for n in range(self.nodes):
-            gi = self.group_of(n)
-            g.add_node(("node", n), kind="node")
-            g.add_edge(("node", n), ("router", gi), resource=self.local[gi])
-            g.add_edge(("router", gi), ("node", n), resource=self.local[gi])
-        return g

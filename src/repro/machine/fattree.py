@@ -10,14 +10,11 @@ contention.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import List
 
 from ..errors import MachineError
 from ..sim import Resource
 from .topology import Route, Topology
-
-if TYPE_CHECKING:  # networkx loads on first use, off the start-up path
-    import networkx
 
 __all__ = ["FatTreeTopology"]
 
@@ -73,20 +70,3 @@ class FatTreeTopology(Topology):
             out.append(self.uplinks[l])
             out.append(self.downlinks[l])
         return out
-
-    def graph(self) -> "networkx.DiGraph":
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_node("spine", kind="switch")
-        for l in range(self.n_leaves):
-            leaf = ("leaf", l)
-            g.add_node(leaf, kind="switch")
-            g.add_edge(leaf, "spine", resource=self.uplinks[l])
-            g.add_edge("spine", leaf, resource=self.downlinks[l])
-        for n in range(self.nodes):
-            g.add_node(("node", n), kind="node")
-            leaf = ("leaf", self.leaf_of(n))
-            g.add_edge(("node", n), leaf, resource=None)
-            g.add_edge(leaf, ("node", n), resource=None)
-        return g

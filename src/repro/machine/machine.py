@@ -57,7 +57,6 @@ class Machine:
         spec: MachineSpec,
         nranks: int,
         placement="blocked",
-        topology: Optional[Topology] = None,
         cpu_scale=None,
     ):
         """``cpu_scale`` optionally injects heterogeneity: a mapping
@@ -77,11 +76,7 @@ class Machine:
         self.placement: Placement = make_placement(
             placement, nranks, spec.nodes, spec.cores_per_node
         )
-        self.topology = topology if topology is not None else build_topology(spec)
-        if self.topology.nodes != spec.nodes:
-            raise MachineError(
-                f"topology spans {self.topology.nodes} nodes, spec has {spec.nodes}"
-            )
+        self.topology = build_topology(spec)
 
         # Per-rank copy engines; per-node memory engines and NIC pairs.
         scales = self._resolve_cpu_scale(cpu_scale, nranks)

@@ -5,23 +5,15 @@ resources does a transfer between two nodes cross, and how many hops is
 it?* Per-node NICs and memory engines are owned by
 :class:`~repro.machine.machine.Machine`, so topology resources represent
 only the switching fabric between NICs.
-
-Every concrete topology also exposes itself as a :mod:`networkx` digraph
-(:meth:`Topology.graph`) whose edges carry the backing
-:class:`~repro.sim.resources.Resource`; tests cross-validate the routing
-tables against shortest paths on that graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import MachineError
 from ..sim import Resource
-
-if TYPE_CHECKING:  # networkx loads on first use, off the start-up path
-    import networkx
 
 __all__ = ["Route", "Topology", "CrossbarTopology"]
 
@@ -69,10 +61,6 @@ class Topology:
         """Every fabric resource, deterministically ordered."""
         raise NotImplementedError
 
-    def graph(self) -> "networkx.DiGraph":
-        """The fabric as a digraph; edge attr ``resource`` may be None."""
-        raise NotImplementedError
-
     def _compute_route(self, src_node: int, dst_node: int) -> Route:
         raise NotImplementedError
 
@@ -115,14 +103,3 @@ class CrossbarTopology(Topology):
 
     def all_resources(self) -> List[Resource]:
         return [self.core] if self.core is not None else []
-
-    def graph(self) -> "networkx.DiGraph":
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_node("core", kind="switch")
-        for n in range(self.nodes):
-            g.add_node(("node", n), kind="node")
-            g.add_edge(("node", n), "core", resource=self.core)
-            g.add_edge("core", ("node", n), resource=self.core)
-        return g

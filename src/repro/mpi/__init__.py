@@ -16,18 +16,6 @@ __all__, __getattr__ = lazy_hub(
             "ComputeOp",
         ],
         "request": ["Request", "Status"],
-        "datatypes": [
-            "Datatype",
-            "BYTE",
-            "CHAR",
-            "INT",
-            "LONG",
-            "FLOAT",
-            "DOUBLE",
-            "contiguous",
-            "vector",
-            "type_size",
-        ],
         "buffers": ["RealBuffer", "PhantomBuffer", "make_buffer"],
         "matching": ["Envelope", "MatchingEngine"],
         "counters": ["TrafficCounters"],

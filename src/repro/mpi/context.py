@@ -168,41 +168,6 @@ class RankContext:
         statuses = yield WaitOp(requests=tuple(requests))
         return [self._localize(s) for s in statuses]
 
-    # -- typed verbs ------------------------------------------------------------
-    def send_typed(
-        self,
-        dst: int,
-        count: int,
-        datatype,
-        disp: int = 0,
-        tag: int = 0,
-        pack_bw: Optional[float] = None,
-    ):
-        """Send ``count`` elements of ``datatype`` (see
-        :mod:`repro.mpi.datatypes`). Non-contiguous types are packed
-        first, charged as compute at ``pack_bw`` bytes/s when given."""
-        nbytes = datatype.payload_bytes(count)
-        if datatype.needs_pack() and pack_bw:
-            yield from self.compute(nbytes / pack_bw)
-        yield from self.send(dst, nbytes, disp=disp, tag=tag)
-
-    def recv_typed(
-        self,
-        src: int,
-        count: int,
-        datatype,
-        disp: int = 0,
-        tag: int = ANY_TAG,
-        pack_bw: Optional[float] = None,
-    ):
-        """Receive ``count`` elements of ``datatype``; unpacking a
-        non-contiguous type is charged after delivery."""
-        nbytes = datatype.payload_bytes(count)
-        status = yield from self.recv(src, nbytes, disp=disp, tag=tag)
-        if datatype.needs_pack() and pack_bw:
-            yield from self.compute(nbytes / pack_bw)
-        return status
-
     # -- other -----------------------------------------------------------------
     def compute(self, seconds: float):
         """Occupy this rank with ``seconds`` of simulated computation."""

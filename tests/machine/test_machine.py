@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import MachineError
 from repro.machine import Machine, MachineSpec, hornet, ideal
-from repro.util import MIB, GIB
+from repro.util import MIB
 
 
 def small_machine(**kw):
@@ -35,16 +35,6 @@ class TestConstruction:
     def test_unknown_topology(self):
         with pytest.raises(MachineError):
             Machine(MachineSpec(topology="torus"), nranks=2)
-
-    def test_explicit_topology_node_count_checked(self):
-        from repro.machine import CrossbarTopology
-
-        with pytest.raises(MachineError):
-            Machine(
-                MachineSpec(nodes=4),
-                nranks=2,
-                topology=CrossbarTopology(2, nic_bw=GIB),
-            )
 
     def test_describe_and_repr(self):
         m = small_machine()

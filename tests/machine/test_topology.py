@@ -1,18 +1,46 @@
 """Tests for the fabric topologies."""
 
-import networkx as nx
+from collections import deque
+from itertools import permutations
+
 import pytest
 
 from repro.errors import MachineError
-from repro.machine import (
-    CrossbarTopology,
-    DragonflyTopology,
-    FatTreeTopology,
-    GraphTopology,
-    node_key,
-)
+from repro.machine import CrossbarTopology, DragonflyTopology, FatTreeTopology
 
 GIB = 1 << 30
+
+
+def bfs_path(adjacency, src, dst):
+    """Shortest path from *src* to *dst* in ``{vertex: {neighbour: label}}``."""
+    parent = {src: None}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for v in adjacency[u]:
+            if v not in parent:
+                parent[v] = u
+                queue.append(v)
+    path = [dst]
+    while path[-1] != src:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+def fattree_adjacency(nodes, radix):
+    """A leaf/spine fat tree written out link by link: each edge is
+    labelled with the fabric link it crosses, or None for a node's own
+    port on its leaf switch."""
+    n_leaves = -(-nodes // radix)
+    adjacency = {"spine": {}}
+    for l in range(n_leaves):
+        adjacency[("leaf", l)] = {"spine": f"leaf{l}.up"}
+        adjacency["spine"][("leaf", l)] = f"leaf{l}.down"
+    for n in range(nodes):
+        leaf = ("leaf", n // radix)
+        adjacency[("node", n)] = {leaf: None}
+        adjacency[leaf][("node", n)] = None
+    return adjacency
 
 
 class TestCrossbar:
@@ -51,8 +79,12 @@ class TestCrossbar:
             CrossbarTopology(4, nic_bw=GIB, core_taper=-1)
 
     def test_graph_is_star(self):
-        g = CrossbarTopology(5, nic_bw=GIB).graph()
-        assert g.degree("core") == 10  # 5 in + 5 out
+        """The tapered crossbar is a star: every route crosses its core."""
+        topo = CrossbarTopology(5, nic_bw=GIB, core_taper=0.5)
+        for src, dst in permutations(range(5), 2):
+            route = topo.route(src, dst)
+            assert route.hops == 2
+            assert route.resources == (topo.core,)
 
 
 class TestFatTree:
@@ -85,16 +117,20 @@ class TestFatTree:
             FatTreeTopology(4, nic_bw=GIB, uplink_taper=0)
 
     def test_graph_routes_match_resources(self):
-        """Shortest graph paths traverse exactly the route's resources."""
-        topo = FatTreeTopology(8, nic_bw=GIB, radix=4)
-        g = topo.graph()
-        path = nx.shortest_path(g, ("node", 1), ("node", 6))
-        edge_res = [
-            g.edges[u, v]["resource"]
-            for u, v in zip(path, path[1:])
-            if g.edges[u, v]["resource"] is not None
-        ]
-        assert tuple(edge_res) == topo.route(1, 6).resources
+        """Every route crosses exactly the links of the shortest path
+        through an independently written fat tree, in path order."""
+        topo = FatTreeTopology(9, nic_bw=GIB, radix=4)
+        adjacency = fattree_adjacency(9, radix=4)
+        listed = {id(r) for r in topo.all_resources()}
+        for src, dst in permutations(range(9), 2):
+            path = bfs_path(adjacency, ("node", src), ("node", dst))
+            links = [adjacency[u][v] for u, v in zip(path, path[1:])]
+            route = topo.route(src, dst)
+            assert route.hops == len(path) - 1
+            assert [r.name for r in route.resources] == [
+                link for link in links if link is not None
+            ]
+            assert all(id(r) in listed for r in route.resources)
 
 
 class TestDragonfly:
@@ -139,50 +175,10 @@ class TestDragonfly:
             DragonflyTopology(4, nic_bw=GIB, global_taper=0)
 
     def test_graph_is_connected(self):
-        g = DragonflyTopology(12, nic_bw=GIB, group_size=4).graph()
-        assert nx.is_strongly_connected(g)
-
-
-class TestGraphTopology:
-    def _line_graph(self, caps):
-        """node0 -- sw -- node1 with the given two capacities."""
-        g = nx.DiGraph()
-        g.add_edge(node_key(0), "sw", capacity=caps[0])
-        g.add_edge("sw", node_key(1), capacity=caps[1])
-        g.add_edge(node_key(1), "sw", capacity=caps[1])
-        g.add_edge("sw", node_key(0), capacity=caps[0])
-        return g
-
-    def test_route_collects_capacitated_edges(self):
-        topo = GraphTopology(2, nic_bw=GIB, graph=self._line_graph([GIB, 2 * GIB]))
-        route = topo.route(0, 1)
-        assert route.hops == 2
-        assert len(route.resources) == 2
-
-    def test_none_capacity_edges_are_transparent(self):
-        g = self._line_graph([GIB, GIB])
-        g.add_edge(node_key(0), node_key(1), capacity=None)
-        topo = GraphTopology(2, nic_bw=GIB, graph=g)
-        # Direct edge is shorter and carries no resource.
-        route = topo.route(0, 1)
-        assert route.hops == 1 and route.resources == ()
-
-    def test_missing_vertex_rejected(self):
-        with pytest.raises(MachineError):
-            GraphTopology(3, nic_bw=GIB, graph=self._line_graph([GIB, GIB]))
-
-    def test_no_path_rejected(self):
-        g = nx.DiGraph()
-        g.add_node(node_key(0))
-        g.add_node(node_key(1))
-        topo = GraphTopology(2, nic_bw=GIB, graph=g)
-        with pytest.raises(MachineError):
-            topo.route(0, 1)
-
-    def test_nonpositive_capacity_rejected(self):
-        with pytest.raises(MachineError):
-            GraphTopology(2, nic_bw=GIB, graph=self._line_graph([0, GIB]))
-
-    def test_all_resources_listed(self):
-        topo = GraphTopology(2, nic_bw=GIB, graph=self._line_graph([GIB, GIB]))
-        assert len(topo.all_resources()) == 4
+        """Every node pair has a route, over resources the topology lists."""
+        topo = DragonflyTopology(10, nic_bw=GIB, group_size=4)
+        listed = {id(r) for r in topo.all_resources()}
+        for src, dst in permutations(range(10), 2):
+            route = topo.route(src, dst)
+            assert route.resources
+            assert all(id(r) in listed for r in route.resources)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.machine import Machine, GraphTopology, MachineSpec, ideal, node_key
+from repro.machine import Machine, MachineSpec, ideal
 from repro.mpi import ANY_SOURCE, ANY_TAG, Job, RealBuffer
 
 
@@ -129,18 +129,15 @@ class TestNonOvertaking:
         assert sorted(seen) == list(range(1, n_senders + 1))
 
 
-class TestGraphTopologyIntegration:
+class TestTaperedCoreIntegration:
     def _machine(self):
-        """Two nodes joined by a single 1 GiB/s duplex pipe."""
-        import networkx as nx
-
-        g = nx.DiGraph()
-        for a, b in ((0, 1), (1, 0)):
-            g.add_edge(node_key(a), node_key(b), capacity=float(1 << 30))
+        """Two nodes whose fabric is one shared 1 GiB/s core: a taper of
+        2**-11 on 2 nodes x 2**40 B/s NICs."""
         spec = MachineSpec(
             nodes=2,
             cores_per_node=4,
-            topology="crossbar",  # replaced by the explicit instance
+            topology="crossbar",
+            topology_params={"core_taper": 2**-11},
             cpu_copy_bw=float(1 << 34),
             mem_bw=float(1 << 40),
             nic_bw=float(1 << 40),
@@ -152,11 +149,10 @@ class TestGraphTopologyIntegration:
             rendezvous_rtt=0.0,
             eager_threshold=0,
         )
-        topo = GraphTopology(2, nic_bw=spec.nic_bw, graph=g)
-        return Machine(spec, nranks=8, topology=topo)
+        return Machine(spec, nranks=8)
 
-    def test_pipe_capacity_bounds_cross_traffic(self):
-        """Four concurrent node0->node1 flows share the 1 GiB/s pipe."""
+    def test_core_capacity_bounds_cross_traffic(self):
+        """Four concurrent node0->node1 flows share the 1 GiB/s core."""
         machine = self._machine()
         n = 1 << 28  # 256 MiB each
 
@@ -173,7 +169,7 @@ class TestGraphTopologyIntegration:
         # 4 x 256MiB through 1 GiB/s => ~1 second.
         assert res.time == pytest.approx(1.0, rel=0.02)
 
-    def test_intra_node_traffic_ignores_pipe(self):
+    def test_intra_node_traffic_ignores_core(self):
         machine = self._machine()
         n = 1 << 28
 

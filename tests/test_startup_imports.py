@@ -136,6 +136,19 @@ def test_cost_table_loads_no_other_gate():
     assert _loaded(["cost", "--nranks", "4"], watched) == [0, []]
 
 
+def test_verify_loads_no_sweep_stack_or_des_transport():
+    watched = [
+        "repro.core.sweep", "repro.core.executor", "repro.core.api",
+        "repro.mpi.runtime", "repro.mpi.transport", "repro.mpi.reliable",
+    ]
+    assert _loaded(["verify", "--nranks", "4"], watched) == [0, []]
+
+
+def test_cost_table_loads_no_des_transport():
+    watched = ["repro.mpi.runtime", "repro.mpi.transport", "repro.mpi.reliable"]
+    assert _loaded(["cost", "--nranks", "4"], watched) == [0, []]
+
+
 def test_model_checker_point_loads_no_cost_model_or_proof():
     argv = ["mc", "--collective", "bcast_opt", "--nranks", "3", "--nbytes", "1KiB"]
     watched = ["repro.analysis.costmodel", "repro.analysis.certify"]
