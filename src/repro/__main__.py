@@ -1538,8 +1538,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     except SweepExecutionError as exc:
-        # A failed or quarantined sweep point: its error names the
-        # point, so no traceback of this process is needed (exit 1).
+        # A failed sweep point: its error names the point, so no
+        # traceback of this process is needed (exit 1).
         print(f"error: {exc}", file=sys.stderr)
         code = 1
     if gate_log:

@@ -47,9 +47,6 @@ __all__, __getattr__ = lazy_hub(
             "MessageSpan",
             "message_spans",
             "phase_summary",
-            "rank_activity",
-            "concurrency_profile",
-            "busiest_rank",
             "ascii_timeline",
         ],
         # The function, bound over its namesake module (see repro._lazy).
@@ -96,7 +93,6 @@ __all__, __getattr__ = lazy_hub(
             "VerifyReport",
             "Violation",
             "WaitForEdge",
-            "analyze_rendezvous",
             "check_rendezvous",
             "expected_redundant_native",
             "find_match_hazards",

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Lin",
@@ -144,24 +144,6 @@ class Lin:
 
     def __rmul__(self, factor: int) -> "Lin":
         return self.scale(factor)
-
-    def substitute(self, bindings: Mapping[str, LinLike]) -> "Lin":
-        """Replace symbols by expressions (simultaneous substitution)."""
-        out = Lin.make({}, self.constant)
-        for sym, c in self.coeffs:
-            if sym in bindings:
-                out = out + Lin.of(bindings[sym]).scale(c)
-            else:
-                out = out + Lin.make({sym: c})
-        return out
-
-    def evaluate(self, values: Mapping[str, int]) -> Fraction:
-        total = self.constant
-        for sym, c in self.coeffs:
-            if sym not in values:
-                raise AbstractDomainError(f"unbound symbol {sym!r} in {self}")
-            total += c * values[sym]
-        return total
 
     def has_integer_coeffs(self) -> bool:
         return self.constant.denominator == 1 and all(
@@ -684,18 +666,3 @@ class RingSet:
 
     def __str__(self) -> str:
         return f"{self.points} (mod {self.period})"
-
-
-def concrete_members(
-    intervals: Iterable[Tuple[int, int]], period: int
-) -> List[int]:
-    """Concrete mod-*period* members of closed integer intervals.
-
-    Helper for cross-validating a :class:`RingSet` instantiated at a
-    concrete P against executable ownership sets.
-    """
-    members = set()
-    for lo, hi in intervals:
-        for x in range(lo, hi + 1):
-            members.add(x % period)
-    return sorted(members)

@@ -83,7 +83,7 @@ from typing import (
     Union,
 )
 
-from ..errors import ConfigurationError, DeadlockError, ReproError, TruncationError
+from ..errors import ConfigurationError, ReproError, TruncationError
 from ..mpi.comm import Communicator
 from ..mpi.context import RankContext
 from ..mpi.matching import Envelope, MatchingEngine
@@ -628,12 +628,6 @@ class MCReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def deadlock_error(self) -> Optional[DeadlockError]:
-        """The witness as a raisable, witness-carrying DeadlockError."""
-        if self.witness is None:
-            return None
-        return DeadlockError(list(self.witness.blocked), witness=self.witness)
 
     def summary_dict(self) -> Dict[str, object]:
         return {

@@ -1,9 +1,9 @@
 """Timeline analysis of simulation traces.
 
 Turns the runtime's event trace into message spans (launch -> delivery),
-per-phase summaries (scatter vs ring vs ...), per-rank activity and an
-ASCII timeline — the tooling used to *see* why the tuned ring wins:
-its final steps carry visibly fewer concurrent transfers.
+per-phase summaries (scatter vs ring vs ...) and an ASCII timeline — the
+tooling used to *see* why the tuned ring wins: its final steps carry
+visibly fewer concurrent transfers.
 
 A trace must have been recorded with :class:`repro.sim.Trace` (pass
 ``trace=Trace()`` to the Job or to ``simulate_bcast``); the default
@@ -13,7 +13,7 @@ A trace must have been recorded with :class:`repro.sim.Trace` (pass
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import ConfigurationError
 from ..sim.trace import Trace
@@ -23,9 +23,6 @@ __all__ = [
     "MessageSpan",
     "message_spans",
     "phase_summary",
-    "rank_activity",
-    "concurrency_profile",
-    "busiest_rank",
     "ascii_timeline",
 ]
 
@@ -111,53 +108,6 @@ def phase_summary(trace: Trace) -> Dict[str, dict]:
     for entry in out.values():
         entry["duration"] = entry["end"] - entry["start"]
     return out
-
-
-def rank_activity(trace: Trace, nranks: int) -> List[List[MessageSpan]]:
-    """Spans touching each rank (as sender or receiver), time-ordered."""
-    if nranks < 1:
-        raise ConfigurationError(f"nranks must be >= 1, got {nranks}")
-    per_rank: List[List[MessageSpan]] = [[] for _ in range(nranks)]
-    for span in message_spans(trace):
-        if span.src < nranks:
-            per_rank[span.src].append(span)
-        if span.dst < nranks and span.dst != span.src:
-            per_rank[span.dst].append(span)
-    return per_rank
-
-
-def concurrency_profile(
-    trace: Trace, buckets: int = 50, tag: Optional[int] = None
-) -> Tuple[List[float], List[int]]:
-    """In-flight transfer count over time: ``(times, counts)`` sampled at
-    ``buckets`` uniform points.
-
-    This is the quantity the tuned ring actually reduces — same steps,
-    fewer concurrent transfers in the late ring phase — so plotting it
-    for native vs tuned makes the optimisation visible directly.
-    """
-    if buckets < 1:
-        raise ConfigurationError(f"buckets must be >= 1, got {buckets}")
-    spans = message_spans(trace)
-    if tag is not None:
-        spans = [s for s in spans if s.tag == tag]
-    if not spans:
-        return [], []
-    t0 = min(s.start for s in spans)
-    t1 = max(s.end for s in spans)
-    step = (t1 - t0) / buckets or 1e-12
-    times = [t0 + (i + 0.5) * step for i in range(buckets)]
-    counts = [
-        sum(1 for s in spans if s.start <= t < s.end) for t in times
-    ]
-    return times, counts
-
-
-def busiest_rank(trace: Trace, nranks: int) -> int:
-    """Rank with the largest total span involvement (ties: lowest rank)."""
-    activity = rank_activity(trace, nranks)
-    busy = [sum(s.duration for s in spans) for spans in activity]
-    return busy.index(max(busy))
 
 
 def ascii_timeline(

@@ -60,7 +60,6 @@ from ..collectives.scatter import binomial_scatter
 from ..collectives.schedule import RecordedSend, ScheduleResult, extract_schedule
 from ..core.traffic import transfers_saved
 from ..errors import ConfigurationError, MpiError, ReproError
-from ..mpi.comm import Communicator
 from ..mpi.context import RankContext
 from ..sim.replay import OP_IRECV, OP_ISEND, OP_RECV, OP_SEND, OP_WAIT
 from ..util.chunking import chunk_count, scatter_size
@@ -81,7 +80,6 @@ __all__ = [
     "verify_provenance",
     "find_match_hazards",
     "check_rendezvous",
-    "analyze_rendezvous",
     "verify_program",
     "verify_collective",
 ]
@@ -536,19 +534,6 @@ def _find_cycle(edges: Dict[int, List[WaitForEdge]]) -> List[WaitForEdge]:
                 path.append(edge)
                 stack.append((nxt, 0))
     return []
-
-
-def analyze_rendezvous(
-    nranks: int,
-    program_factory: Callable[[RankContext], object],
-    comm: Optional[Communicator] = None,
-) -> RendezvousReport:
-    """One-call helper: extract the schedule, then :func:`check_rendezvous`.
-
-    A program that deadlocks even with buffered sends raises extraction's
-    :class:`~repro.errors.DeadlockError`.
-    """
-    return check_rendezvous(extract_schedule(nranks, program_factory, comm=comm))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ __all__, __getattr__ = lazy_hub(
             "SolverChurnResult",
             "pingpong",
             "solver_churn",
-            "streaming_bandwidth",
         ],
         "runner": [
             "get_experiment",

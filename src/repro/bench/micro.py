@@ -1,11 +1,11 @@
 """Point-to-point microbenchmarks (OSU-style) on the simulated machine.
 
-Real MPI installations are characterised with ping-pong latency and
-streaming-bandwidth microbenchmarks before anyone trusts collective
-numbers; these are the same probes for the simulator. They drive the
-full transport (matching, protocols, flows), so their results reflect
-every modelled effect — and :mod:`repro.core.fitting` turns them back
-into effective alpha/beta parameters, closing the calibration loop.
+Real MPI installations are characterised with ping-pong latency
+microbenchmarks before anyone trusts collective numbers; :func:`pingpong`
+is the same probe for the simulator. It drives the full transport
+(matching, protocols, flows), so its results reflect every modelled
+effect — and :mod:`repro.core.fitting` turns them back into effective
+alpha/beta parameters, closing the calibration loop.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from ..util import parse_size
 __all__ = [
     "PingPongPoint",
     "pingpong",
-    "streaming_bandwidth",
     "SolverChurnResult",
     "solver_churn",
 ]
@@ -38,10 +37,6 @@ class PingPongPoint:
     nbytes: int
     latency: float  # one-way seconds (round trip / 2)
     bandwidth: float  # bytes/s at this size
-
-    @property
-    def latency_us(self) -> float:
-        return self.latency * 1e6
 
 
 def _machine(spec_or_machine, nranks: int) -> Machine:
@@ -101,42 +96,6 @@ def pingpong(
     return points
 
 
-def streaming_bandwidth(
-    spec_or_machine: Union[MachineSpec, Machine],
-    nbytes: Union[int, str] = "1MiB",
-    window: int = 16,
-    src: int = 0,
-    dst: int = 1,
-) -> float:
-    """Unidirectional streaming bandwidth (bytes/s): ``window`` messages
-    in flight via isend/irecv, like OSU's ``osu_bw``."""
-    if window < 1:
-        raise ConfigurationError(f"window must be >= 1, got {window}")
-    size = parse_size(nbytes)
-    machine = _machine(spec_or_machine, max(src, dst) + 1)
-
-    def factory(ctx):
-        def program():
-            if ctx.rank == src:
-                reqs = []
-                for _ in range(window):
-                    reqs.append((yield from ctx.isend(dst, size, tag=MICRO_TAG)))
-                yield from ctx.waitall(reqs)
-                # Close with a handshake so makespan covers delivery.
-                yield from ctx.recv(dst, 0, tag=MICRO_TAG)
-            elif ctx.rank == dst:
-                reqs = []
-                for _ in range(window):
-                    reqs.append((yield from ctx.irecv(src, size, tag=MICRO_TAG)))
-                yield from ctx.waitall(reqs)
-                yield from ctx.send(src, 0, tag=MICRO_TAG)
-
-        return program()
-
-    result = Job(machine, factory).run()
-    return window * size / result.time if result.time > 0 else float("inf")
-
-
 @dataclass(frozen=True)
 class SolverChurnResult:
     """Outcome of one :func:`solver_churn` run."""
@@ -151,13 +110,6 @@ class SolverChurnResult:
     @property
     def solve_time_s(self) -> float:
         return self.stats.solve_time_s
-
-    @property
-    def solves_per_s(self) -> float:
-        """Solver throughput: re-solves per host second of solver time."""
-        if self.stats.solve_time_s <= 0:
-            return float("inf")
-        return self.stats.solves / self.stats.solve_time_s
 
 
 def solver_churn(

@@ -7,7 +7,6 @@ __all__, __getattr__ = lazy_hub(
     {
         "relative": [
             "relative_rank",
-            "absolute_rank",
             "subtree_chunks",
             "scatter_ownership_extent",
             "tuned_ring_role",
@@ -67,7 +66,6 @@ __all__, __getattr__ = lazy_hub(
             "MIN_PROCS",
             "classify_message",
             "choose_bcast_name",
-            "choose_bcast",
             "is_ring_regime",
         ],
         "schedule": [

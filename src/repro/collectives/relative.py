@@ -17,7 +17,6 @@ from ..util import next_power_of_two
 
 __all__ = [
     "relative_rank",
-    "absolute_rank",
     "subtree_chunks",
     "scatter_ownership_extent",
     "tuned_ring_role",
@@ -37,14 +36,6 @@ def relative_rank(rank: int, root: int, size: int) -> int:
     if not 0 <= rank < size:
         raise CollectiveError(f"rank {rank} outside [0, {size})")
     return (rank - root + size) % size
-
-
-def absolute_rank(rel: int, root: int, size: int) -> int:
-    """Inverse of :func:`relative_rank`."""
-    _check(size, root)
-    if not 0 <= rel < size:
-        raise CollectiveError(f"relative rank {rel} outside [0, {size})")
-    return (rel + root) % size
 
 
 def subtree_chunks(rel: int, size: int) -> int:

@@ -114,12 +114,6 @@ class ScheduleResult:
     def total_bytes(self) -> int:
         return sum(s.nbytes for s in self.sends)
 
-    def message_deps(self, order: int) -> Tuple[int, ...]:
-        """Send orders that happened-before send *order* at its sender
-        (messages the sender's program had consumed before issuing it)."""
-        src = self.sends[order].src
-        return tuple(self.observed.get(src, ())[: self.dep_counts.get(order, 0)])
-
     def transfers_by_level(self) -> Tuple[int, int]:
         """(intra_node, inter_node) transfer counts; needs a placement."""
         if self.placement is None:

@@ -30,7 +30,6 @@ __all__ = [
     "MIN_PROCS",
     "classify_message",
     "choose_bcast_name",
-    "choose_bcast",
     "is_ring_regime",
 ]
 
@@ -81,10 +80,3 @@ def choose_bcast_name(nbytes: int, size: int, tuned: bool = False, faults=None) 
 def is_ring_regime(nbytes: int, size: int) -> bool:
     """True in the lmsg / mmsg-npof2 regime the paper optimises."""
     return choose_bcast_name(nbytes, size).startswith("scatter_ring")
-
-
-def choose_bcast(nbytes: int, size: int, tuned: bool = False, faults=None):
-    """The selected algorithm as a callable ``(ctx, nbytes, root)``."""
-    from .bcast import get_algorithm
-
-    return get_algorithm(choose_bcast_name(nbytes, size, tuned, faults=faults))

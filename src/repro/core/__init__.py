@@ -9,8 +9,6 @@ __all__, __getattr__ = lazy_hub(
             "simulate_bcast",
             "compare_bcast",
             "validate_bcast",
-            "simulate_allgather",
-            "available_algorithms",
         ],
         "report": ["RunRecord", "ComparisonRecord", "MIB_S"],
         "traffic": [
@@ -35,7 +33,7 @@ __all__, __getattr__ = lazy_hub(
         "fitting": ["FittedModel", "fit_alpha_beta", "characterize"],
         "regimes": ["RegimeCell", "regime_map", "selector_agreement"],
         "sweep": ["Sweep", "SweepPoint"],
-        "executor": ["SweepExecutor", "resolve_jobs", "group_points"],
+        "executor": ["SweepExecutor", "resolve_jobs"],
         "diskcache": ["DiskCache", "CacheStats", "cache_key", "default_cache_dir"],
     },
 )

@@ -18,8 +18,7 @@ from __future__ import annotations
 from functools import partial
 from typing import TYPE_CHECKING, Optional, Union
 
-from ..collectives.allgather import ALLGATHER_ALGORITHMS
-from ..collectives.bcast import ALGORITHMS, get_algorithm
+from ..collectives.bcast import get_algorithm
 from ..collectives.emit import BCAST_CERTIFICATES, emit_schedule
 from ..collectives.schedule import extract_schedule
 from ..collectives.selector import choose_bcast_name
@@ -43,14 +42,7 @@ __all__ = [
     "simulate_bcast",
     "compare_bcast",
     "validate_bcast",
-    "simulate_allgather",
-    "available_algorithms",
 ]
-
-
-def available_algorithms() -> list:
-    """Registry names accepted by ``algorithm=`` (plus ``"auto"``/``"smp"``)."""
-    return sorted(ALGORITHMS) + ["auto", "auto_tuned", "smp", "smp_opt"]
 
 
 def _make_machine(spec_or_machine, nranks: int, placement) -> Machine:
@@ -322,51 +314,4 @@ def validate_bcast(
     """Shorthand for a data-validating run (real buffers)."""
     return simulate_bcast(
         spec, nranks, nbytes, algorithm=algorithm, root=root, validate=True
-    )
-
-
-def simulate_allgather(
-    spec_or_machine: Union[MachineSpec, Machine],
-    nranks: int,
-    block_nbytes: Union[int, str],
-    algorithm: str = "ring",
-    placement="blocked",
-    trace: Optional[Trace] = None,
-) -> RunRecord:
-    """Simulate a standalone ``MPI_Allgather`` (the operation the paper
-    tunes inside broadcast), with ``algorithm`` one of
-    ``ring | rdbl | bruck``. Each rank contributes ``block_nbytes``;
-    the record's ``nbytes`` is the gathered total (P x block)."""
-    block = parse_size(block_nbytes)
-    machine = _make_machine(spec_or_machine, nranks, placement)
-    try:
-        algo = ALLGATHER_ALGORITHMS[algorithm]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown allgather algorithm {algorithm!r}; "
-            f"known: {sorted(ALLGATHER_ALGORITHMS)}"
-        ) from None
-
-    def factory(ctx):
-        def program():
-            return (yield from algo(ctx, block))
-
-        return program()
-
-    total = block * nranks
-    result, engine = _run(machine, factory, total, trace=trace)
-    c = result.counters
-    return RunRecord(
-        algorithm=f"allgather_{algorithm}",
-        nranks=nranks,
-        nbytes=total,
-        root=0,
-        time=result.time,
-        messages=c.messages,
-        bytes_on_wire=c.bytes,
-        intra_messages=c.intra_messages,
-        inter_messages=c.inter_messages,
-        machine=machine.spec.name,
-        engine=engine,
-        **_solver_fields(result.solver_stats),
     )

@@ -100,8 +100,9 @@ class Sweep:
         (``1`` = serial in-process, ``0`` = one worker per CPU); results
         are identical and identically ordered regardless. ``cache`` is
         an optional :class:`~repro.core.diskcache.DiskCache` consulted
-        before simulating and populated afterwards, so repeat runs skip
-        already-simulated points across processes.
+        before simulating and filled as each record arrives, so repeat
+        runs (a rerun after a failure too) skip already-simulated
+        points across processes.
         """
         points = self.points()
         todo = [p for p in points if p not in self._cache]
@@ -151,91 +152,6 @@ class Sweep:
         return max(self.series(algorithm, nranks)[1])
 
     # -- rendering -------------------------------------------------------------
-    CSV_FIELDS = (
-        "algorithm",
-        "nranks",
-        "nbytes",
-        "time_s",
-        "bandwidth_mib",
-        "messages",
-        "bytes_on_wire",
-        "intra_messages",
-        "inter_messages",
-        # solver telemetry columns come last so positional consumers of
-        # the original fields keep working
-        "solver_solves",
-        "solver_rounds",
-        "solver_time_s",
-        # chaos / reliability telemetry (appended for the same reason;
-        # all zero unless the sweep carries a fault plan)
-        "retrans_messages",
-        "retrans_bytes",
-        "ack_messages",
-        "ack_bytes",
-        "timeouts",
-        # which execution engine produced the row ("des" or "replay")
-        "engine",
-    )
-
-    @staticmethod
-    def csv_row(rec: RunRecord) -> Dict[str, str]:
-        """One record as a ``{field: text}`` mapping over ``CSV_FIELDS``.
-
-        Every row carries the full schema regardless of which engine
-        produced the record — a mixed-engine sweep (e.g. replay for the
-        clean points, DES for the chaos points) emits uniform CSV, with
-        telemetry a given engine does not collect rendered as zeros.
-        """
-        row = {
-            "algorithm": rec.algorithm,
-            "nranks": rec.nranks,
-            "nbytes": rec.nbytes,
-            # fixed-width scientific notation: stable across platforms,
-            # parses back to <1e-9 relative error, and diffs cleanly
-            # (repr() would vary in length)
-            "time_s": f"{rec.time:.9e}",
-            "bandwidth_mib": f"{rec.bandwidth_mib:.6f}",
-            "messages": rec.messages,
-            "bytes_on_wire": rec.bytes_on_wire,
-            "intra_messages": rec.intra_messages,
-            "inter_messages": rec.inter_messages,
-            "solver_solves": rec.solver_solves,
-            "solver_rounds": rec.solver_rounds,
-            # host wall time: informational, not reproducible
-            "solver_time_s": f"{rec.solver_time_s:.3e}",
-            "retrans_messages": rec.retrans_messages,
-            "retrans_bytes": rec.retrans_bytes,
-            "ack_messages": rec.ack_messages,
-            "ack_bytes": rec.ack_bytes,
-            "timeouts": rec.timeouts,
-            "engine": rec.engine or "des",
-        }
-        missing = set(Sweep.CSV_FIELDS) - set(row)
-        if missing:  # schema drift guard: fail loudly, not with a KeyError
-            raise ConfigurationError(f"csv_row lacks field(s): {sorted(missing)}")
-        return {field: str(row[field]) for field in Sweep.CSV_FIELDS}
-
-    def to_csv(self, target=None, jobs: Optional[int] = 1, cache=None) -> str:
-        """All sweep records as CSV (returned; also written to *target*
-        path or file object when given). Runs any missing points,
-        forwarding ``jobs``/``cache`` to :meth:`run`."""
-        lines = [",".join(self.CSV_FIELDS)]
-        for rec in self.run(jobs=jobs, cache=cache):
-            row = self.csv_row(rec)
-            lines.append(",".join(row[field] for field in self.CSV_FIELDS))
-        text = "\n".join(lines) + "\n"
-        if target is not None:
-            if isinstance(target, str):
-                with open(target, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            elif hasattr(target, "write"):
-                target.write(text)
-            else:
-                raise ConfigurationError(
-                    f"target must be a path or file object, got {type(target).__name__}"
-                )
-        return text
-
     def to_table(
         self, nranks: int, native: str, opt: str, title: str = ""
     ) -> Table:

@@ -22,7 +22,6 @@ __all__ = [
     "CollectiveError",
     "ConfigurationError",
     "SweepExecutionError",
-    "PoisonPointError",
     "ArtifactError",
     "AuditMismatchError",
 ]
@@ -159,7 +158,9 @@ class SweepExecutionError(ReproError):
     the parent, so the executor serialises the failure and re-raises it
     as this type with the offending point attached (``.point``), the
     original exception class name (``.error_type``) and the worker-side
-    traceback text (``.worker_traceback``).
+    traceback text (``.worker_traceback``). A worker killed mid-point
+    breaks the pool; each point it left unfinished fails with
+    ``error_type`` ``"BrokenProcessPool"`` and no traceback.
     """
 
     def __init__(
@@ -172,20 +173,6 @@ class SweepExecutionError(ReproError):
         if worker_traceback:
             detail += f"\n--- worker traceback ---\n{worker_traceback}"
         super().__init__(detail)
-
-
-class PoisonPointError(SweepExecutionError):
-    """A sweep point repeatedly crashed pool workers and was quarantined.
-
-    The fault-tolerant pool (:class:`repro.core.pool.ResilientPool`)
-    respawns crashed worker pools and re-dispatches the in-flight points
-    one by one; a point whose simulation keeps killing its worker — a
-    segfaulting extension, an OOM kill — is quarantined after a bounded
-    number of attempts and surfaces here, naming the offending point
-    instead of sinking the whole sweep. Carries the same payload as
-    :class:`SweepExecutionError` (``.point``, ``.error_type``,
-    ``.worker_traceback``).
-    """
 
 
 class ArtifactError(ReproError):

@@ -160,9 +160,6 @@ class Machine:
     def node_of(self, rank: int) -> int:
         return self.placement.node_of(rank)
 
-    def is_intra(self, src: int, dst: int) -> bool:
-        return self.placement.same_node(src, dst)
-
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.nranks:
             raise MachineError(f"rank {rank} outside [0, {self.nranks})")

@@ -57,16 +57,6 @@ class Placement:
     def same_node(self, rank_a: int, rank_b: int) -> bool:
         return self.node_of(rank_a) == self.node_of(rank_b)
 
-    def max_ranks_per_node(self) -> int:
-        return max(len(v) for v in self._by_node.values())
-
-    def node_leader(self, node: int) -> int:
-        """Lowest rank on *node* (the SMP-aware broadcast's local root)."""
-        ranks = self.ranks_on(node)
-        if not ranks:
-            raise PlacementError(f"node {node} hosts no ranks")
-        return ranks[0]
-
     def __repr__(self) -> str:
         return (
             f"<Placement {self.policy}: {self.nranks} ranks on "

@@ -91,10 +91,6 @@ class TrafficCounters:
         """True when any fault was injected or recovery work was done."""
         return any(getattr(self, name) for name in self.CHAOS_FIELDS)
 
-    def chaos_dict(self) -> dict:
-        """Chaos/reliability tallies alone (all keys, zeros included)."""
-        return {name: getattr(self, name) for name in self.CHAOS_FIELDS}
-
     def merge(self, other: "TrafficCounters") -> None:
         """Accumulate another tally (used when composing phases)."""
         self.messages += other.messages
@@ -115,21 +111,6 @@ class TrafficCounters:
             )
         for name in self.CHAOS_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
-
-    def as_dict(self) -> dict:
-        """Flat summary for reports (chaos tallies only when present,
-        so fault-free reports keep their original shape)."""
-        out = {
-            "messages": self.messages,
-            "bytes": self.bytes,
-            "intra_messages": self.intra_messages,
-            "intra_bytes": self.intra_bytes,
-            "inter_messages": self.inter_messages,
-            "inter_bytes": self.inter_bytes,
-        }
-        if self.has_chaos:
-            out.update(self.chaos_dict())
-        return out
 
     def __repr__(self) -> str:
         return (

@@ -78,14 +78,6 @@ class MatchingEngine:
         self.unexpected.append(env)
         return None
 
-    def cancel_recv(self, req: Request) -> bool:
-        """Remove a pending receive; True when it was still queued."""
-        try:
-            self.posted.remove(req)
-            return True
-        except ValueError:
-            return False
-
     # -- introspection ---------------------------------------------------
     @property
     def pending_recvs(self) -> int:

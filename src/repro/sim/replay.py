@@ -92,7 +92,7 @@ OP_COMPUTE = 5  # arg: index into the rank's compute-seconds table
 # capacities, same (resource path, rate cap) definition per class id.
 # That structural signature is computed once per engine; engines with
 # equal signatures share one memo dict, so a long-running process (a
-# sweep or a ``--jobs N`` worker running a batch of points) pays the
+# sweep or a ``--jobs N`` worker) pays the
 # kernel cost for each contention pattern once, not once per point. Hits replay the exact
 # floats (and round counts) the kernel produced, keeping results and
 # telemetry bitwise-identical to a cold process — asserted by

@@ -68,15 +68,6 @@ class Resource:
         """Number of flow attachments currently crossing this resource."""
         return self._load
 
-    def utilization(self) -> float:
-        """Fraction of capacity allocated to current flow rates."""
-        if not self._flows:
-            return 0.0
-        return (
-            sum(flow.rate * count for flow, count in self._flows.values())
-            / self.capacity
-        )
-
     def __repr__(self) -> str:
         return (
             f"<Resource {self.name} kind={self.kind} "

@@ -71,9 +71,6 @@ class Trace:
             hist[rec.kind] = hist.get(rec.kind, 0) + 1
         return hist
 
-    def last_time(self) -> float:
-        return self.records[-1].time if self.records else 0.0
-
 
 class NullTrace(Trace):
     """Trace sink that drops everything — used by large benchmark runs."""

@@ -16,7 +16,6 @@ __all__, __getattr__ = lazy_hub(
             "prev_power_of_two",
             "ceil_log2",
             "floor_log2",
-            "pow2_range",
         ],
         "chunking": [
             "Chunk",
@@ -25,11 +24,10 @@ __all__, __getattr__ = lazy_hub(
             "chunks",
             "chunk_count",
             "chunk_disp",
-            "nonempty_chunks",
             "total_bytes",
         ],
         "intervals": ["ChunkSet"],
-        "tables": ["Table", "render_kv"],
+        "tables": ["Table"],
         "asciiplot": ["line_plot"],
         "stats": [
             "mean",

@@ -27,7 +27,6 @@ __all__ = [
     "chunk_disp",
     "chunk",
     "chunks",
-    "nonempty_chunks",
     "total_bytes",
 ]
 
@@ -89,11 +88,6 @@ def chunk(nbytes: int, nprocs: int, index: int) -> Chunk:
 def chunks(nbytes: int, nprocs: int) -> list:
     """All ``nprocs`` chunks, in relative-index order."""
     return [chunk(nbytes, nprocs, i) for i in range(nprocs)]
-
-
-def nonempty_chunks(nbytes: int, nprocs: int) -> list:
-    """Chunks that carry at least one byte."""
-    return [c for c in chunks(nbytes, nprocs) if not c.empty]
 
 
 def total_bytes(nbytes: int, nprocs: int) -> int:

@@ -127,23 +127,3 @@ class ChunkSet:
             raise CollectiveError(
                 f"chunk index {idx} outside universe [0, {self._universe})"
             )
-
-    def is_modular_interval(self) -> bool:
-        """True when the owned chunks form one contiguous mod-universe run.
-
-        The binomial scatter always leaves each rank with such a run; the
-        ring allgather preserves the property step by step (each rank
-        extends its run leftwards). An empty set counts as an interval.
-        """
-        n = self._universe
-        if self._bits == 0 or self.is_full:
-            return True
-        # Count 0->1 transitions around the ring; an interval has exactly one.
-        transitions = 0
-        prev = bool(self._bits >> (n - 1) & 1)
-        for i in range(n):
-            cur = bool(self._bits >> i & 1)
-            if cur and not prev:
-                transitions += 1
-            prev = cur
-        return transitions == 1

@@ -8,7 +8,6 @@ follows the same convention: ``KB``/``KiB`` = 1024 bytes, ``MB``/``MiB`` =
 
 from __future__ import annotations
 
-import math
 import re
 
 from ..errors import ConfigurationError
@@ -24,7 +23,6 @@ __all__ = [
     "prev_power_of_two",
     "ceil_log2",
     "floor_log2",
-    "pow2_range",
 ]
 
 KIB = 1024
@@ -116,27 +114,6 @@ def floor_log2(n: int) -> int:
     if n < 1:
         raise ConfigurationError(f"floor_log2 needs n >= 1, got {n}")
     return n.bit_length() - 1
-
-
-def pow2_range(start: int, stop: int) -> list:
-    """Powers of two from *start* to *stop* inclusive (both clamped to powers).
-
-    Mirrors the paper's message-size axes (2**19 ... 2**25).
-    """
-    if start < 1 or stop < start:
-        raise ConfigurationError(f"bad pow2_range({start}, {stop})")
-    out = []
-    v = next_power_of_two(start)
-    while v <= stop:
-        out.append(v)
-        v *= 2
-    return out
-
-
-def _selftest() -> None:  # pragma: no cover - debugging helper
-    assert parse_size("512KB") == 512 * KIB
-    assert format_size(2 * MIB) == "2MiB"
-    assert math.isclose(parse_size("1.5MiB"), 1.5 * MIB)
 
 
 __doctest_skip__ = ["*"]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..errors import ConfigurationError
 
-__all__ = ["Table", "render_kv"]
+__all__ = ["Table"]
 
 
 class Table:
@@ -65,14 +65,3 @@ class Table:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def render_kv(pairs, title: str = "") -> str:
-    """Render ``(key, value)`` pairs as an aligned two-column block."""
-    pairs = [(str(k), str(v)) for k, v in pairs]
-    if not pairs:
-        return title
-    kw = max(len(k) for k, _ in pairs)
-    lines = [title] if title else []
-    lines.extend(f"{k.ljust(kw)} : {v}" for k, v in pairs)
-    return "\n".join(lines)

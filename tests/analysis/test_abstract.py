@@ -16,10 +16,8 @@ from repro.analysis.abstract import (
     AbstractDomainError,
     Env,
     Interval,
-    Lin,
     RingSet,
     SymSet,
-    concrete_members,
     const,
     lin,
     var,
@@ -30,28 +28,33 @@ e = var("e")
 s = var("s")
 
 
+def evaluate(expr, values):
+    """The concrete value of a linear term: the ground truth the
+    entailment soundness checks compare against."""
+    total = expr.constant
+    for sym, c in expr.coeffs:
+        total += c * values[sym]
+    return total
+
+
 class TestLin:
     def test_arithmetic(self):
         expr = 2 * P - e + 3
         assert expr.coeff("P") == 2
         assert expr.coeff("e") == -1
-        assert expr.evaluate({"P": 8, "e": 3}) == Fraction(16)
+        assert evaluate(expr, {"P": 8, "e": 3}) == Fraction(16)
 
     def test_sub_and_neg(self):
         assert ((P - P) + 0).is_constant
-        assert (-(P - 1)).evaluate({"P": 5}) == -4
-        assert (3 - P).evaluate({"P": 1}) == 2
-
-    def test_substitute(self):
-        expr = (P - e).substitute({"e": const(1)})
-        assert expr.evaluate({"P": 10}) == 9
+        assert evaluate(-(P - 1), {"P": 5}) == -4
+        assert evaluate(3 - P, {"P": 1}) == 2
 
     def test_str_roundtrippable_enough(self):
         assert "P" in str(P - 1)
 
     def test_lin_builder(self):
         expr = lin(-1, P=1)
-        assert expr.evaluate({"P": 4}) == 3
+        assert evaluate(expr, {"P": 4}) == 3
 
 
 class TestEntailment:
@@ -95,7 +98,7 @@ class TestEntailment:
             assert env.entails(claim)
             for Pv in range(2, 12):
                 for ev in range(1, Pv + 1):
-                    assert claim.evaluate({"P": Pv, "e": ev}) >= 0
+                    assert evaluate(claim, {"P": Pv, "e": ev}) >= 0
 
 
 class TestDivisibility:
@@ -192,18 +195,6 @@ class TestIntervalsAndSets:
         rs = RingSet.make(env, P, Interval.make(0, 0))
         with pytest.raises(AbstractDomainError):
             rs.contains(env, 2 * P)
-
-    def test_concrete_members_matches_ringset(self):
-        # Spot-check the symbolic ring set against concrete enumeration
-        # at several (P, s, e) instantiations.
-        for Pv in (2, 3, 5, 8, 13):
-            for ev in range(1, Pv + 1):
-                for sv in range(0, Pv):
-                    members = concrete_members([(-sv, ev - 1)], Pv)
-                    expected = sorted(
-                        {x % Pv for x in range(-sv, ev)}
-                    )
-                    assert members == expected
 
 
 class TestRefutations:

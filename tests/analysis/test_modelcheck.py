@@ -137,17 +137,6 @@ class TestDeadlockWitness:
         assert data["witness"]["minimized"] is True
         assert data["witness"]["schedule"] == list(report.witness.schedule)
 
-    def test_deadlock_error_carries_witness(self):
-        report = check_program(3, _deadlock_factory, name="deadlock-fixture")
-        err = report.deadlock_error()
-        assert isinstance(err, DeadlockError)
-        assert err.witness is report.witness
-        assert "deadlock witness" in str(err)
-
-    def test_no_deadlock_no_error(self):
-        report = check_collective("bcast_opt", 4)
-        assert report.deadlock_error() is None
-
 
 class TestDeadlockErrorDedupe:
     def test_repeated_blocked_lines_collapse_with_multiplicity(self):

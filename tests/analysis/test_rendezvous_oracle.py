@@ -17,9 +17,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.analysis.verify import (
     REGISTRY,
-    analyze_rendezvous,
+    check_rendezvous,
     verifiable_collectives,
 )
+from repro.collectives.schedule import extract_schedule
 from repro.errors import DeadlockError
 from repro.machine import Machine, ideal
 from repro.mpi import Job
@@ -40,7 +41,7 @@ def des_deadlocks(nranks, factory):
 def test_registry_agrees_with_rendezvous_des(nranks):
     for name in verifiable_collectives(nranks):
         build = REGISTRY[name].build
-        report = analyze_rendezvous(nranks, build(nranks, 4096, 0))
+        report = check_rendezvous(extract_schedule(nranks, build(nranks, 4096, 0)))
         expect = des_deadlocks(nranks, build(nranks, 4096, 0))
         assert report.deadlocked == expect, (name, report.describe())
 
@@ -112,7 +113,7 @@ def test_random_programs_agree_with_rendezvous_des(data):
     nranks = data.draw(st.integers(min_value=2, max_value=4))
     scripts = draw_scripts(data.draw, nranks)
     try:
-        report = analyze_rendezvous(nranks, script_factory(scripts))
+        report = check_rendezvous(extract_schedule(nranks, script_factory(scripts)))
     except DeadlockError:
         assume(False)  # deadlocks with buffered sends: not this pass's job
     expect = des_deadlocks(nranks, script_factory(scripts))

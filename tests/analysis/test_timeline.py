@@ -5,14 +5,12 @@ import pytest
 from repro.analysis import (
     MessageSpan,
     ascii_timeline,
-    busiest_rank,
     message_spans,
     phase_summary,
-    rank_activity,
 )
 from repro.core import simulate_bcast
 from repro.errors import ConfigurationError
-from repro.machine import hornet, ideal
+from repro.machine import ideal
 from repro.sim import Trace
 
 
@@ -86,29 +84,6 @@ class TestPhaseSummary:
     def test_durations_nonnegative(self):
         for entry in phase_summary(traced_bcast()).values():
             assert entry["duration"] >= 0
-
-
-class TestRankActivity:
-    def test_every_rank_participates(self):
-        trace = traced_bcast(P=8)
-        activity = rank_activity(trace, 8)
-        assert all(len(spans) > 0 for spans in activity)
-
-    def test_root_is_send_heavy(self):
-        trace = traced_bcast(P=8)
-        activity = rank_activity(trace, 8)
-        sends_of_root = sum(1 for s in activity[0] if s.src == 0)
-        recvs_of_root = sum(1 for s in activity[0] if s.dst == 0)
-        assert recvs_of_root == 0  # tuned ring: root never receives
-        assert sends_of_root > 0
-
-    def test_busiest_rank_valid(self):
-        trace = traced_bcast(P=8)
-        assert 0 <= busiest_rank(trace, 8) < 8
-
-    def test_bad_nranks(self):
-        with pytest.raises(ConfigurationError):
-            rank_activity(Trace(), 0)
 
 
 class TestAsciiTimeline:

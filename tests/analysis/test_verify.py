@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis.verify import (
     RendezvousReport,
-    analyze_rendezvous,
+    check_rendezvous,
     expected_redundant_native,
     find_match_hazards,
     verifiable_collectives,
@@ -15,7 +15,7 @@ from repro.analysis.verify import (
     verify_provenance,
 )
 from repro.collectives import subtree_chunks
-from repro.collectives.schedule import RecordedSend, ScheduleResult
+from repro.collectives.schedule import RecordedSend, ScheduleResult, extract_schedule
 from repro.errors import ConfigurationError
 from repro.util import ChunkSet
 
@@ -137,7 +137,7 @@ class TestRendezvous:
             yield from ctx.send(peer, 1024)
             yield from ctx.recv(peer, 1024)
 
-        report = analyze_rendezvous(2, prog_factory(body))
+        report = check_rendezvous(extract_schedule(2, prog_factory(body)))
         assert report.deadlocked
         ranks_in_cycle = {e.rank for e in report.cycle}
         assert ranks_in_cycle == {0, 1}
@@ -153,7 +153,7 @@ class TestRendezvous:
                 yield from ctx.recv(peer, 64)
                 yield from ctx.send(peer, 64)
 
-        report = analyze_rendezvous(2, prog_factory(body))
+        report = check_rendezvous(extract_schedule(2, prog_factory(body)))
         assert not report.deadlocked
         assert report.describe() == "rendezvous-safe"
 
@@ -164,7 +164,7 @@ class TestRendezvous:
             r = yield from ctx.irecv(peer, 64)
             yield from ctx.waitall([s, r])
 
-        report = analyze_rendezvous(2, prog_factory(body))
+        report = check_rendezvous(extract_schedule(2, prog_factory(body)))
         assert not report.deadlocked
 
     def test_three_rank_cycle_reported_in_order(self):
@@ -173,7 +173,7 @@ class TestRendezvous:
             yield from ctx.send(nxt, 32)
             yield from ctx.recv((ctx.rank - 1) % 3, 32)
 
-        report = analyze_rendezvous(3, prog_factory(body))
+        report = check_rendezvous(extract_schedule(3, prog_factory(body)))
         assert report.deadlocked and len(report.cycle) == 3
         # Each edge's target is the next edge's source, cyclically.
         for e, nxt in zip(report.cycle, report.cycle[1:] + report.cycle[:1]):
@@ -184,7 +184,7 @@ class TestRendezvous:
             if ctx.rank == 0:
                 yield from ctx.send(1, 16, tag=3)
 
-        report = analyze_rendezvous(2, prog_factory(body))
+        report = check_rendezvous(extract_schedule(2, prog_factory(body)))
         assert report.deadlocked and report.cycle == []
         assert report.blocked == ["rank 0: send(dst=1, tag=3, nbytes=16)"]
 
@@ -199,7 +199,7 @@ class TestRendezvous:
                 yield from ctx.recv(1, 64)
                 yield from ctx.send(0, 24, tag=5)
 
-        report = analyze_rendezvous(3, prog_factory(body))
+        report = check_rendezvous(extract_schedule(3, prog_factory(body)))
         assert report.blocked == [
             "rank 0: recv(src=2, tag=5, nbytes=24)",
             "rank 1: send(dst=2, tag=1, nbytes=8)",

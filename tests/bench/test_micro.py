@@ -1,11 +1,11 @@
-"""Tests for the ping-pong / streaming microbenchmarks and model fitting."""
+"""Tests for the ping-pong microbenchmark and model fitting."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.bench import pingpong, streaming_bandwidth
+from repro.bench import pingpong
 from repro.core import characterize, fit_alpha_beta
 from repro.errors import ConfigurationError
 from repro.machine import Machine, hornet, ideal
@@ -44,28 +44,6 @@ class TestPingPong:
             pingpong(ideal(), [])
         with pytest.raises(ConfigurationError):
             pingpong("not a machine", [1024])
-
-    def test_latency_us_helper(self):
-        (point,) = pingpong(ideal(), [0])
-        assert point.latency_us == pytest.approx(point.latency * 1e6)
-
-
-class TestStreaming:
-    def test_streaming_at_least_pingpong_bandwidth(self):
-        spec = hornet(nodes=2)
-        (pp,) = pingpong(spec, ["1MiB"])
-        bw = streaming_bandwidth(spec, "1MiB", window=8)
-        assert bw >= pp.bandwidth * 0.8
-
-    def test_window_validated(self):
-        with pytest.raises(ConfigurationError):
-            streaming_bandwidth(ideal(), 1024, window=0)
-
-    def test_intra_node_stream_bound_by_copy_engine(self):
-        spec = ideal(nodes=1, cores_per_node=2)
-        bw = streaming_bandwidth(spec, GIB // 8, window=4)
-        # Single sender copy engine: ~1 GiB/s.
-        assert bw == pytest.approx(GIB, rel=0.05)
 
 
 class TestFitting:

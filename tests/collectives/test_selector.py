@@ -7,11 +7,9 @@ from repro.collectives import (
     LONG_MSG_SIZE,
     MIN_PROCS,
     SHORT_MSG_SIZE,
-    choose_bcast,
     choose_bcast_name,
     classify_message,
     is_ring_regime,
-    bcast_scatter_ring_opt,
 )
 
 
@@ -72,10 +70,6 @@ class TestSelection:
         # ... but 12288 bytes with a pof2 count goes recursive-doubling,
         # which is why the paper only evaluates npof2 there.
         assert not is_ring_regime(12288, 16)
-
-    def test_choose_bcast_returns_callable(self):
-        algo = choose_bcast(2**20, 64, tuned=True)
-        assert algo is bcast_scatter_ring_opt
 
     def test_bad_size(self):
         with pytest.raises(CollectiveError):

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core import (
-    available_algorithms,
-    compare_bcast,
-    simulate_bcast,
-    validate_bcast,
-)
+from repro.core import compare_bcast, simulate_bcast, validate_bcast
 from repro.errors import ConfigurationError
 from repro.machine import Machine, hornet, ideal
 from repro.sim import Trace
@@ -114,18 +109,3 @@ class TestCompare:
         assert cmp.bandwidth_improvement_pct == pytest.approx(
             (cmp.speedup - 1) * 100, rel=1e-6
         )
-
-
-def test_available_algorithms_lists_everything():
-    names = available_algorithms()
-    for expected in (
-        "binomial",
-        "scatter_ring_native",
-        "scatter_ring_opt",
-        "scatter_rdbl",
-        "auto",
-        "auto_tuned",
-        "smp",
-        "smp_opt",
-    ):
-        assert expected in names

@@ -1,12 +1,11 @@
-"""Tests for the measurement-loop, allgather API and jitter extensions."""
+"""Tests for the measurement-loop and jitter extensions."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import compare_bcast, simulate_allgather, simulate_bcast
+from repro.core import simulate_bcast
 from repro.errors import ConfigurationError
-from repro.machine import Machine, hornet, ideal
-from repro.mpi import Job, RealBuffer
+from repro.machine import hornet, ideal
 
 
 class TestIterations:
@@ -40,32 +39,6 @@ class TestIterations:
     def test_bad_iterations(self):
         with pytest.raises(ConfigurationError):
             simulate_bcast(ideal(), 4, 100, iterations=0)
-
-
-class TestSimulateAllgather:
-    @pytest.mark.parametrize("algo", ["ring", "rdbl", "bruck"])
-    def test_algorithms_run(self, algo):
-        rec = simulate_allgather(ideal(), 8, "16KiB", algorithm=algo)
-        assert rec.algorithm == f"allgather_{algo}"
-        assert rec.nbytes == 8 * 16 * 1024
-        assert rec.time > 0
-
-    def test_bruck_handles_npof2(self):
-        rec = simulate_allgather(ideal(), 10, 4096, algorithm="bruck")
-        assert rec.messages > 0
-
-    def test_unknown_algorithm(self):
-        with pytest.raises(ConfigurationError):
-            simulate_allgather(ideal(), 8, 1024, algorithm="hypercube")
-
-    def test_ring_vs_bruck_tradeoff(self):
-        """Bruck: fewer steps (latency); ring: no wrapped double-messages
-        and better per-step bandwidth shape. For tiny blocks at large P,
-        Bruck must win."""
-        spec = ideal(nodes=4, cores_per_node=16)
-        ring = simulate_allgather(spec, 64, 64, algorithm="ring")
-        bruck = simulate_allgather(spec, 64, 64, algorithm="bruck")
-        assert bruck.time < ring.time
 
 
 class TestJitter:

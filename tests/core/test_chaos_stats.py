@@ -1,10 +1,7 @@
 """Chaos telemetry through the user-facing API, sweeps, cache and CLI."""
 
-import csv
-import io
-
 from repro.__main__ import main
-from repro.core import Sweep, simulate_bcast
+from repro.core import simulate_bcast
 from repro.core.diskcache import cache_key
 from repro.core.sweep import SweepPoint
 from repro.machine import ideal
@@ -67,34 +64,6 @@ class TestCacheKeys:
         assert cache_key(spec, self.POINT) != cache_key(
             spec, self.POINT, reliable=True
         )
-
-
-class TestSweepCsv:
-    def test_chaos_columns_are_appended(self):
-        # Append-only CSV policy: new fields go at the end, old readers
-        # keep their column positions ("engine" was appended after).
-        assert Sweep.CSV_FIELDS[-6:] == (
-            "retrans_messages",
-            "retrans_bytes",
-            "ack_messages",
-            "ack_bytes",
-            "timeouts",
-            "engine",
-        )
-
-    def test_to_csv_carries_telemetry(self):
-        sweep = Sweep(
-            ideal(),
-            sizes=[4096],
-            ranks=[5],
-            algorithms=["scatter_ring_opt"],
-            faults=DROPPY,
-        )
-        text = sweep.to_csv()
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == 1
-        assert int(rows[0]["retrans_messages"]) > 0
-        assert int(rows[0]["ack_messages"]) > 0
 
 
 class TestCli:

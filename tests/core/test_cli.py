@@ -1,12 +1,17 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import multiprocessing
+import os
+import signal
 
 import pytest
 
 from repro.__main__ import build_parser, main
-from repro.core.diskcache import DiskCache
+from repro.core import SweepPoint
+from repro.core.diskcache import DiskCache, cache_key
 from repro.core.report import RunRecord
+from repro.machine import ideal
 
 
 class TestParser:
@@ -125,24 +130,60 @@ class TestCommands:
         assert len(rows) == 2
         assert all(r.rstrip().endswith("|           -") for r in rows)
 
-    def test_poison_point_ends_in_one_error_line(
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers must inherit the patched simulate_bcast",
+    )
+    def test_killed_worker_keeps_finished_records(
         self, capsys, tmp_path, monkeypatch
     ):
-        from repro.core.executor import CHAOS_CRASH_ENV
+        import repro.core.executor as executor
 
-        (tmp_path / "scatter_ring_opt-8-65536").write_text("99")
-        monkeypatch.setenv(CHAOS_CRASH_ENV, str(tmp_path))
-        rc = main(
-            [
-                "sweep", "--machine", "ideal", "--nodes", "2", "--nranks", "8",
-                "--sizes", "4KiB,64KiB,256KiB", "--jobs", "2", "--no-cache",
-            ]
-        )
-        err = capsys.readouterr().err
-        assert rc == 1
+        argv = [
+            "sweep", "--machine", "ideal", "--nodes", "2", "--nranks", "8",
+            "--sizes", "4KiB,64KiB,256KiB",
+        ]
+        assert main(argv + ["--jobs", "1", "--no-cache"]) == 0
+        reference = capsys.readouterr().out
+
+        real = executor.simulate_bcast
+        parent = os.getpid()
+
+        def kill_at_victim(spec, **kw):
+            victim = (kw["algorithm"], kw["nranks"], kw["nbytes"])
+            if victim == ("scatter_ring_opt", 8, 65536) and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(spec, **kw)
+
+        monkeypatch.setattr(executor, "simulate_bcast", kill_at_victim)
+        cached = argv + ["--jobs", "2", "--cache-dir", str(tmp_path)]
+        assert main(cached) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert err.count("SweepPoint(") == 1
-        assert "PoisonPointError" in err and "65536" in err
+        assert err.count("SweepPoint(") == 1 and "BrokenProcessPool" in err
+        # The worker that picked up the victim had finished a point
+        # before it; that record, and any other that arrived, is kept,
+        # and the error names the earliest point left unfinished.
+        store = DiskCache(tmp_path)
+        points = [
+            SweepPoint(a, 8, n)
+            for a in ("scatter_ring_native", "scatter_ring_opt")
+            for n in (4096, 65536, 262144)
+        ]
+        spec = ideal(nodes=2)
+        unfinished = [p for p in points if cache_key(spec, p) not in store]
+        finished = len(store)
+        assert 1 <= finished == 6 - len(unfinished) < 6
+        assert f"{unfinished[0]} failed: BrokenProcessPool" in err
+
+        monkeypatch.undo()
+        assert main(cached) == 0
+        out = capsys.readouterr().out
+        table, stats = out.rsplit("cache: ", 1)
+        assert table == reference
+        assert f"{finished} hits / {6 - finished} misses" in stats
 
     def test_figure_output(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

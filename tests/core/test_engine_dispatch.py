@@ -4,7 +4,6 @@ the coroutine DES for everything else."""
 import pytest
 
 from repro.core import api, simulate_bcast
-from repro.core.api import simulate_allgather
 from repro.errors import ReplayUnsupportedError
 from repro.machine import hornet, ideal
 from repro.sim.faults import FaultPlan
@@ -69,13 +68,6 @@ class TestDispatch:
         des = run(algorithm="binomial")
         assert (rep.engine, des.engine) == ("replay", "des")
         assert rep.time == des.time
-
-    def test_allgather_dispatches(self, monkeypatch):
-        rep = simulate_allgather(hornet(), 8, 4096, algorithm="ring")
-        assert rep.engine == "replay"
-        monkeypatch.setattr(api, "_is_static", lambda *a: False)
-        des = simulate_allgather(hornet(), 8, 4096, algorithm="ring")
-        assert des.engine == "des" and rep.time == des.time
 
 
 class TestScheduleSource:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import Sweep, SweepExecutor, SweepPoint, resolve_jobs
+from repro.core.diskcache import DiskCache, cache_key
 from repro.errors import SweepExecutionError
 from repro.machine import ideal
 
@@ -81,6 +82,21 @@ class TestFailurePropagation:
         assert err.value.error_type  # original class name preserved
         assert err.value.worker_traceback  # worker-side traceback attached
 
+    def test_serial_failure_keeps_the_points_before_it(self, tmp_path):
+        points = small_points()
+        bad = SweepPoint("no_such_algorithm", 4, 1024)
+        cache = DiskCache(tmp_path)
+        with pytest.raises(SweepExecutionError) as err:
+            SweepExecutor(jobs=1, cache=cache).run(
+                small_spec(), points[:2] + [bad] + points[2:]
+            )
+        assert err.value.point == bad
+        # The two records before the bad point were cached as they
+        # arrived; the serial path stopped at the failure.
+        assert len(cache) == 2
+        for point in points[:2]:
+            assert cache_key(small_spec(), point) in cache
+
     def test_earliest_failure_wins(self):
         bad1 = SweepPoint("bogus_one", 4, 1024)
         bad2 = SweepPoint("bogus_two", 4, 1024)
@@ -90,41 +106,7 @@ class TestFailurePropagation:
 
 
 class TestGrouping:
-    """Memo-friendly batching: group_points is deterministic and total."""
-
-    def test_groups_by_algorithm_and_ranks(self):
-        from repro.core import group_points
-
-        points = small_points()
-        batches = group_points(points, list(range(len(points))), workers=1)
-        assert sorted(i for b in batches for i in b) == list(range(len(points)))
-        for batch in batches:
-            keys = {(points[i].algorithm, points[i].nranks) for i in batch}
-            assert len(keys) == 1  # one schedule family per batch
-
-    def test_splits_to_saturate_workers(self):
-        from repro.core import group_points
-
-        points = [SweepPoint("a", 4, n) for n in range(1, 9)]
-        batches = group_points(points, list(range(8)), workers=4)
-        assert len(batches) == 4
-        assert sorted(i for b in batches for i in b) == list(range(8))
-        for batch in batches:
-            assert batch == sorted(batch)  # size axis order preserved
-
-    def test_never_splits_below_one(self):
-        from repro.core import group_points
-
-        points = [SweepPoint("a", 4, 1024)]
-        batches = group_points(points, [0], workers=8)
-        assert batches == [[0]]
-
-    def test_deterministic(self):
-        from repro.core import group_points
-
-        points = small_points()
-        indices = list(range(len(points)))
-        assert group_points(points, indices, 3) == group_points(points, indices, 3)
+    """Points of several (algorithm, P) families share one pool."""
 
     def test_batched_parallel_matches_serial_with_mixed_families(self):
         points = [

@@ -69,20 +69,6 @@ class TestCustom:
 
 
 class TestQueries:
-    def test_node_leader(self):
-        p = custom([1, 1, 0], nodes=2)
-        assert p.node_leader(1) == 0
-        assert p.node_leader(0) == 2
-
-    def test_node_leader_empty_node(self):
-        p = custom([0], nodes=2)
-        with pytest.raises(PlacementError):
-            p.node_leader(1)
-
-    def test_max_ranks_per_node(self):
-        p = custom([0, 0, 0, 1], nodes=2)
-        assert p.max_ranks_per_node() == 3
-
     def test_bad_rank_and_node_queries(self):
         p = blocked(4, nodes=2, cores_per_node=2)
         with pytest.raises(PlacementError):

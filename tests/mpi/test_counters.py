@@ -23,12 +23,6 @@ class TestRecord:
         assert (c.intra_messages, c.inter_messages) == (1, 1)
         assert (c.intra_bytes, c.inter_bytes) == (10, 20)
 
-    def test_as_dict(self):
-        c = TrafficCounters()
-        c.record(0, 1, 10, intra=False)
-        d = c.as_dict()
-        assert d["messages"] == 1 and d["inter_bytes"] == 10
-
     def test_repr(self):
         c = TrafficCounters()
         c.record(3, 4, 7, intra=True)
@@ -74,10 +68,7 @@ class TestMerge:
             whole.record(src, dst, nbytes, intra)
             (left if i % 2 == 0 else right).record(src, dst, nbytes, intra)
         left.merge(right)
-        assert left.as_dict() == whole.as_dict()
-        assert left.sent_by_rank == whole.sent_by_rank
-        assert left.received_by_rank == whole.received_by_rank
-        assert left.bytes_sent_by_rank == whole.bytes_sent_by_rank
+        assert left == whole  # every counter field, per-rank maps included
 
     @given(
         events=st.lists(

@@ -96,16 +96,6 @@ class TestOrdering:
 
 
 class TestCancelAndErrors:
-    def test_cancel_pending(self):
-        eng = MatchingEngine(0)
-        r = recv()
-        eng.post_recv(r)
-        assert eng.cancel_recv(r) is True
-        assert eng.arrive(env()) is None
-
-    def test_cancel_unknown_is_false(self):
-        assert MatchingEngine(0).cancel_recv(recv()) is False
-
     def test_rejects_send_request(self):
         eng = MatchingEngine(0)
         send = Request("send", owner=0, peer=1, tag=0, nbytes=4)

@@ -196,15 +196,6 @@ class TestAccounting:
         eng.run()
         assert seen == [("rank", 3)]
 
-    def test_utilization_reporting(self):
-        eng, net = make_net()
-        link = Resource("link", 100.0)
-        net.add_flow(1000.0, [link])
-        net.flush()
-        assert math.isclose(link.utilization(), 1.0)
-        eng.run()
-        assert link.utilization() == 0.0
-
 
 @settings(deadline=None, max_examples=60)
 @given(

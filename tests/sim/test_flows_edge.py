@@ -113,7 +113,6 @@ class TestCapsAndMixtures:
         net.flush()
         for f in flows:
             assert f.rate == pytest.approx(20.0)
-        assert link.utilization() == pytest.approx(0.6)
         eng.run()
 
     def test_eta_of_stalled_flow_is_inf(self):

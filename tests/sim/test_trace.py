@@ -39,12 +39,6 @@ class TestTrace:
         tr.emit(0.0, "b")
         assert tr.kinds() == {"a": 3, "b": 1}
 
-    def test_last_time(self):
-        tr = Trace()
-        assert tr.last_time() == 0.0
-        tr.emit(4.0, "x")
-        assert tr.last_time() == 4.0
-
     def test_iteration(self):
         tr = Trace()
         tr.emit(0.0, "a")

@@ -162,3 +162,12 @@ def test_replayed_sweep_loads_no_des_transport():
     ]
     watched = ["repro.mpi.runtime", "repro.mpi.transport", "repro.mpi.reliable"]
     assert _loaded(argv, watched) == [0, []]
+
+
+def test_serial_sweep_loads_no_process_pool():
+    argv = [
+        "sweep", "--machine", "hornet", "--nodes", "2", "--nranks", "8",
+        "--sizes", "4KiB,64KiB", "--jobs", "1", "--no-cache",
+    ]
+    watched = ["concurrent.futures", "multiprocessing"]
+    assert _loaded(argv, watched) == [0, []]

@@ -12,7 +12,6 @@ from repro.util.chunking import (
     chunks,
     chunk_count,
     chunk_disp,
-    nonempty_chunks,
     total_bytes,
 )
 
@@ -60,10 +59,6 @@ class TestChunkShapes:
             chunk_count(10, 3, 3)
         with pytest.raises(CollectiveError):
             chunk_disp(10, 3, -1)
-
-    def test_nonempty_filter(self):
-        assert len(nonempty_chunks(9, 8)) == 5
-        assert nonempty_chunks(0, 4) == []
 
 
 _chunk_args = given(

@@ -81,19 +81,6 @@ class TestBasics:
 
 
 class TestModularInterval:
-    def test_empty_and_full_are_intervals(self):
-        assert ChunkSet(6).is_modular_interval()
-        assert ChunkSet.full(6).is_modular_interval()
-
-    def test_plain_run(self):
-        assert ChunkSet(8, [2, 3, 4]).is_modular_interval()
-
-    def test_wrapping_run(self):
-        assert ChunkSet(8, [7, 0, 1]).is_modular_interval()
-
-    def test_gap_is_not_interval(self):
-        assert not ChunkSet(8, [1, 3]).is_modular_interval()
-
     @given(
         universe=st.integers(min_value=1, max_value=64),
         data=st.data(),
@@ -103,7 +90,7 @@ class TestModularInterval:
         length = data.draw(st.integers(min_value=0, max_value=universe))
         cs = ChunkSet.interval(universe, start, length)
         assert len(cs) == length
-        assert cs.is_modular_interval()
+        assert set(cs) == {(start + k) % universe for k in range(length)}
 
 
 @given(

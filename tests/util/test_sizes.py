@@ -15,7 +15,6 @@ from repro.util import (
     prev_power_of_two,
     ceil_log2,
     floor_log2,
-    pow2_range,
 )
 
 
@@ -119,16 +118,7 @@ class TestPow2Helpers:
         assert ceil_log2(10) == 4
         assert ceil_log2(8) == 3
 
-    def test_pow2_range_matches_paper_axis(self):
-        # Fig. 6 x-axis: 2^19 .. 2^25.
-        assert pow2_range(2**19, 2**25) == [2**k for k in range(19, 26)]
-
-    def test_pow2_range_rounds_start_up(self):
-        assert pow2_range(3, 16) == [4, 8, 16]
-
     def test_rejects_bad_inputs(self):
         for fn in (next_power_of_two, prev_power_of_two, ceil_log2, floor_log2):
             with pytest.raises(ConfigurationError):
                 fn(0)
-        with pytest.raises(ConfigurationError):
-            pow2_range(8, 4)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.util import Table, render_kv
+from repro.util import Table
 
 
 class TestTable:
@@ -66,17 +66,3 @@ class TestTable:
     def test_empty_table_renders_header_only(self):
         text = Table(["col"]).render()
         assert "col" in text
-
-
-class TestRenderKv:
-    def test_alignment(self):
-        text = render_kv([("short", 1), ("much longer key", 2)])
-        lines = text.splitlines()
-        assert lines[0].index(":") == lines[1].index(":")
-
-    def test_title(self):
-        text = render_kv([("k", "v")], title="Setup")
-        assert text.splitlines()[0] == "Setup"
-
-    def test_empty_pairs(self):
-        assert render_kv([], title="t") == "t"
