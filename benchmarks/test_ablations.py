@@ -13,8 +13,6 @@ Not in the paper — these isolate the design choices DESIGN.md calls out:
   flip who wins.
 """
 
-import pytest
-
 from repro.core import compare_bcast
 from repro.machine import hornet
 from repro.util import GIB, Table

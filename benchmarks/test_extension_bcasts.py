@@ -9,8 +9,6 @@ radix and chain segment size, and measure how much of the tuned ring's
 win survives composition into allreduce.
 """
 
-import pytest
-
 from repro.collectives import (
     allreduce_reduce_bcast,
     bcast_chain,

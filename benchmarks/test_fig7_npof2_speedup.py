@@ -7,8 +7,6 @@ npof2 point, and the 12288-byte curve shows the largest speedups at
 small process counts (the paper's strongest case).
 """
 
-import pytest
-
 from repro.bench import OPT, fig7, get_experiment, render_speedup_table
 from repro.core import simulate_bcast
 from repro.util import line_plot

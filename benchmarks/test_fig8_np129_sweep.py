@@ -6,8 +6,6 @@ knees inside this range), and MPI_Bcast_opt tracks above
 MPI_Bcast_native throughout (paper: up to ~30% better).
 """
 
-import pytest
-
 from repro.bench import NATIVE, OPT, fig8, get_experiment, render_bandwidth_table, render_plot
 from repro.core import simulate_bcast
 

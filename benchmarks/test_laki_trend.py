@@ -7,8 +7,6 @@ and asserts the trend transfers: the tuned design is at least as fast at
 every point and strictly ahead somewhere.
 """
 
-import pytest
-
 from repro.bench import NATIVE, OPT
 from repro.core import Sweep, simulate_bcast
 from repro.machine import laki

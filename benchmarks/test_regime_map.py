@@ -8,8 +8,6 @@ both the selector and the machine model; the disagreement cells mark
 where a paper like this one finds its opening.
 """
 
-import pytest
-
 from repro.core import regime_map, selector_agreement, simulate_bcast
 from repro.machine import hornet
 from repro.util import Table, format_size

@@ -6,9 +6,6 @@ earlier benchmark modules in this session — and assembles
 full run.
 """
 
-import datetime
-import pathlib
-
 from conftest import RESULTS_DIR
 
 SECTION_ORDER = [

@@ -13,7 +13,7 @@ Run:  python examples/cluster_comparison.py
 
 from repro.core import Sweep
 from repro.machine import hornet, laki
-from repro.util import Table, format_size
+from repro.util import Table
 
 SIZES = ["512KiB", "1MiB", "2MiB", "4MiB"]
 NRANKS = 32

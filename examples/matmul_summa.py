@@ -18,7 +18,7 @@ Run:  python examples/matmul_summa.py
 
 from repro.collectives import bcast_scatter_ring_native, bcast_scatter_ring_opt
 from repro.machine import Machine, hornet
-from repro.mpi import Communicator, Job
+from repro.mpi import Job
 from repro.util import Table, format_size
 
 GRID = 6  # 6x6 = 36 ranks (non-power-of-two: the paper's npof2 case)

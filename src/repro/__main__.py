@@ -8,8 +8,9 @@ Commands cover the common workflows without writing a script:
 * ``traffic`` — Section IV transfer-count arithmetic for a grid of P;
 * ``validate``— data-checked run of every broadcast algorithm;
 * ``verify``  — static schedule verification: chunk provenance,
-  redundancy counts (``S - P``), rendezvous deadlock, match hazards,
-  plus a cost-model consistency pass (``--no-cost`` to skip);
+  redundancy counts (``S - P``), rendezvous deadlock, and the premise
+  that the one extracted match order is the only one (no
+  ``ANY_SOURCE`` receive);
 * ``cost``    — static α-β/LogGP cost table per collective; ``--grid``
   runs the full sim-differential gate (``--strict`` for nonzero exit);
 * ``chaos``   — fault-injection differential gate: collectives run on
@@ -535,78 +536,34 @@ def cmd_verify(args) -> int:
         "nbytes": nbytes,
         "root": args.root,
     }
-    if args.mc:
-        recipe.update(modelcheck=True, mc_max_states=args.mc_max_states)
     reports = _run_recipe(args, "verify", recipe)
-    failed = sum(
-        0 if (r.ok_strict() if args.strict else r.ok) else 1 for r in reports
-    )
-    cost_failures = []
-    if not args.no_cost:
-        # Extra pass: the static cost model must reproduce the verifier's
-        # transfer counts from its own independent schedule extraction.
-        from .analysis.costmodel import analyze_collective
-        from .machine import ideal as _ideal
-
-        for r in reports:
-            try:
-                cost = analyze_collective(
-                    r.collective, r.nranks, r.nbytes, root=r.root, spec=_ideal()
-                )
-            except Exception as exc:  # noqa: BLE001 - report, don't crash
-                cost_failures.append(
-                    f"{r.collective} P={r.nranks}: cost model raised "
-                    f"{type(exc).__name__}: {exc}"
-                )
-                continue
-            if cost.transfers != r.transfers:
-                cost_failures.append(
-                    f"{r.collective} P={r.nranks}: cost model counted "
-                    f"{cost.transfers} transfer(s), verifier {r.transfers}"
-                )
-            elif cost.transfers > 0 and cost.t_bound <= 0:
-                cost_failures.append(
-                    f"{r.collective} P={r.nranks}: {cost.transfers} "
-                    f"transfer(s) but a zero time bound"
-                )
+    failed = sum(0 if r.ok else 1 for r in reports)
     if args.json:
         print(_json.dumps([r.to_dict() for r in reports], indent=2))
-        for line in cost_failures:
-            print(f"cost pass: {line}", file=sys.stderr)
-        return 1 if failed or cost_failures else 0
+        return 1 if failed else 0
     table = Table(
-        ["collective", "P", "transfers", "redundant", "expected", "hazards",
+        ["collective", "P", "transfers", "redundant", "expected",
          "rendezvous", "verdict"],
         title=f"static schedule verification (nbytes={nbytes}, root={args.root})",
     )
     for r in reports:
-        ok = r.ok_strict() if args.strict else r.ok
         table.add_row(
             r.collective,
             r.nranks,
             r.transfers,
             r.redundant_count if r.tracked else "-",
             r.expected_redundant if r.expected_redundant is not None else "-",
-            len(r.hazards),
             "-" if r.rendezvous is None
             else ("DEADLOCK" if r.rendezvous.deadlocked else "safe"),
-            "OK" if ok else "FAIL",
+            "OK" if r.ok else "FAIL",
         )
     print(table)
     for r in reports:
-        ok = r.ok_strict() if args.strict else r.ok
-        if not ok:
+        if not r.ok:
             print()
             print(r.describe())
-    if not args.no_cost:
-        if cost_failures:
-            print("\ncost-model consistency pass:")
-            for line in cost_failures:
-                print(f"  FAIL {line}")
-        else:
-            print(f"\ncost-model consistency pass: {len(reports)} report(s) OK")
     print(f"\n{len(reports) - failed}/{len(reports)} schedule(s) verified")
-    return 1 if failed or cost_failures else 0
+    return 1 if failed else 0
 
 
 def cmd_mc(args) -> int:
@@ -1132,7 +1089,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify",
-        help="static schedule verification (provenance, redundancy, deadlock)",
+        help=(
+            "static schedule verification (provenance, redundancy, deadlock, "
+            "match order)"
+        ),
     )
     p.add_argument(
         "--collective",
@@ -1146,30 +1106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", type=int, default=0, help="root rank (default: 0)")
     p.add_argument(
         "--json", action="store_true", help="machine-readable JSON output"
-    )
-    p.add_argument(
-        "--strict",
-        action="store_true",
-        help="match-order hazards also fail the verdict",
-    )
-    p.add_argument(
-        "--no-cost",
-        action="store_true",
-        help="skip the cost-model consistency pass",
-    )
-    p.add_argument(
-        "--mc",
-        action="store_true",
-        help=(
-            "confirm hazard pairs by exhaustive match-order model checking "
-            "(downgrades provably-benign hazards for --strict)"
-        ),
-    )
-    p.add_argument(
-        "--mc-max-states",
-        type=int,
-        default=20000,
-        help="model-checker state budget per point (default: 20000)",
     )
     _add_artifact_arg(p)
     p.set_defaults(func=cmd_verify)

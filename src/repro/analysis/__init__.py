@@ -87,7 +87,6 @@ __all__, __getattr__ = lazy_hub(
         ],
         "verify": [
             "CollectiveSpec",
-            "HazardPair",
             "RedundantTransfer",
             "RendezvousReport",
             "VerifyReport",
@@ -95,7 +94,6 @@ __all__, __getattr__ = lazy_hub(
             "WaitForEdge",
             "check_rendezvous",
             "expected_redundant_native",
-            "find_match_hazards",
             "verifiable_collectives",
             "verify_collective",
             "verify_program",

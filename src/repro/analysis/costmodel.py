@@ -47,7 +47,6 @@ broadcast certificates of :mod:`repro.analysis.certify`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -187,9 +186,6 @@ class CostReport:
                 l.to_dict() for l in self.link_loads if l.messages > 0
             ],
         }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 # ---------------------------------------------------------------------------

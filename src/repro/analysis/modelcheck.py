@@ -1,12 +1,11 @@
 """Exhaustive match-order model checking with dynamic partial-order reduction.
 
-``repro verify`` (PR 3) flags *match-order hazard pairs* on one observed
-trace, but a hazard is only a warning: it says two messages relied on
-MPI's non-overtaking rule, not whether any alternative match order
-actually deadlocks or corrupts a payload. This module closes that gap
-the way ISP/MOPPER-style verifiers do for real MPI programs: it
-*explores every distinguishable match order* of a rank program at small
-P and proves, per interleaving,
+``repro verify`` reads the one match order schedule extraction records.
+MPI's non-overtaking rule allows no other unless a rank posts an
+``ANY_SOURCE`` receive, and verify flags every rank that does. This
+module covers those programs the way ISP/MOPPER-style verifiers do for
+real MPI programs: it *explores every distinguishable match order* of a
+rank program at small P and proves, per interleaving,
 
 1. **deadlock-freedom** — with a replayable, greedily *minimized*
    witness schedule when a deadlock exists;
@@ -61,15 +60,12 @@ exists purely to measure the reduction and to cross-check the explored
 terminal set on wildcard fixtures.
 
 Surfaced as ``repro mc`` (``--collective/--nranks/--grid/--strict/
---json/--max-states``, exit != 0 on violation) and fed back into
-``repro verify --mc``, which confirms pass-3 hazard pairs as real
-divergences or auto-downgrades them to benign.
+--json/--max-states``, exit != 0 on violation).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -629,8 +625,12 @@ class MCReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def summary_dict(self) -> Dict[str, object]:
+    def to_dict(self) -> Dict[str, object]:
         return {
+            "collective": self.collective,
+            "nranks": self.nranks,
+            "nbytes": self.nbytes,
+            "root": self.root,
             "mode": self.mode,
             "plan": self.plan,
             "states": self.states,
@@ -640,15 +640,6 @@ class MCReport:
             "complete": self.complete,
             "ok": self.ok,
             "violations": [str(v) for v in self.violations],
-        }
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "collective": self.collective,
-            "nranks": self.nranks,
-            "nbytes": self.nbytes,
-            "root": self.root,
-            **self.summary_dict(),
             "outcomes": dict(sorted(self.outcomes.items())),
             "payload_digest": (
                 list(self.payload_digest) if self.payload_digest else None
@@ -657,9 +648,6 @@ class MCReport:
             "injected": dict(sorted(self.injected.items())),
             "witness": self.witness.to_dict() if self.witness else None,
         }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def describe(self) -> str:
         plan = f", plan={self.plan}" if self.plan else ""

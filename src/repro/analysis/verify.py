@@ -1,4 +1,4 @@
-"""Static schedule verification: provenance, redundancy, deadlock, ordering.
+"""Static schedule verification: provenance, redundancy, deadlock, match order.
 
 The paper's entire claim is a *static* property of the broadcast
 schedule: the tuned ring allgather ships strictly fewer messages because
@@ -21,12 +21,12 @@ running the timing simulation:
    extracted op log is walked under *synchronous-send* semantics —
    stricter than the schedule executor's buffered sends — and, on a
    stall, the wait-for graph is reported with the blocked rank/op cycle.
-4. **Match-order hazards** (:func:`find_match_hazards`): pairs of
-   same-``(src, dst, tag)`` messages that were concurrently in flight
-   with different chunk sets or sizes. MPI's non-overtaking rule is the
-   only thing keeping their routing correct; the verifier surfaces that
-   reliance (rings and pipelined chains depend on it by design, so
-   hazards are warnings, not violations, unless ``strict``).
+4. **The match-order premise**: passes 1–3 read the one match order
+   extraction recorded. Without an ``ANY_SOURCE`` receive, MPI's
+   non-overtaking rule leaves no other, so they cover every execution.
+   Each rank that posts one is a ``match-order`` violation: the other
+   orders are :func:`repro.analysis.modelcheck.check_program`'s to
+   explore.
 
 Entry points: :func:`verify_collective` (registry name), and
 :func:`verify_program` for arbitrary rank programs. The ``repro
@@ -35,8 +35,7 @@ verify`` CLI subcommand wraps them with table/JSON output.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..collectives.allgather import allgather_bruck, allgather_rdbl, allgather_ring
@@ -69,7 +68,6 @@ from ..util.sizes import is_power_of_two
 __all__ = [
     "Violation",
     "RedundantTransfer",
-    "HazardPair",
     "WaitForEdge",
     "RendezvousReport",
     "VerifyReport",
@@ -78,7 +76,6 @@ __all__ = [
     "verifiable_collectives",
     "expected_redundant_native",
     "verify_provenance",
-    "find_match_hazards",
     "check_rendezvous",
     "verify_program",
     "verify_collective",
@@ -94,7 +91,9 @@ __all__ = [
 class Violation:
     """One verifier finding that makes the schedule incorrect."""
 
-    kind: str  # "provenance" | "completeness" | "redundancy" | "deadlock" | "error"
+    # "provenance" | "completeness" | "redundancy" | "deadlock"
+    # | "match-order" | "error"
+    kind: str
     detail: str
     send_order: Optional[int] = None
     rank: Optional[int] = None
@@ -118,27 +117,6 @@ class RedundantTransfer:
     dst: int
     tag: int
     chunks: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class HazardPair:
-    """Two same-(src, dst, tag) messages concurrently in flight whose
-    reordering would change chunk routing.
-
-    ``verdict`` is filled by the model-checker feedback pass
-    (``verify_collective(..., modelcheck=True)``): ``"benign"`` when
-    exhaustive match-order exploration proved every interleaving
-    equivalent, ``"confirmed"`` when some interleaving actually diverges
-    (or the exploration could not finish), ``None`` when unchecked.
-    """
-
-    src: int
-    dst: int
-    tag: int
-    first_order: int
-    second_order: int
-    detail: str
-    verdict: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -183,9 +161,7 @@ class VerifyReport:
     redundant: List[RedundantTransfer] = field(default_factory=list)
     expected_redundant: Optional[int] = None
     violations: List[Violation] = field(default_factory=list)
-    hazards: List[HazardPair] = field(default_factory=list)
     rendezvous: Optional[RendezvousReport] = None
-    modelcheck: Optional[dict] = None
 
     @property
     def redundant_count(self) -> int:
@@ -194,11 +170,6 @@ class VerifyReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def ok_strict(self) -> bool:
-        """Like :attr:`ok` but match-order hazards also count as failures
-        — unless the model checker proved them benign."""
-        return self.ok and all(h.verdict == "benign" for h in self.hazards)
 
     def describe(self) -> str:
         lines = [
@@ -213,20 +184,6 @@ class VerifyReport:
             lines.append(f"  redundant transfers: {self.redundant_count}{expect}")
         else:
             lines.append("  chunk provenance: untracked for this collective")
-        benign = sum(1 for h in self.hazards if h.verdict == "benign")
-        confirmed = sum(1 for h in self.hazards if h.verdict == "confirmed")
-        hazard_note = ""
-        if benign or confirmed:
-            hazard_note = f" ({benign} benign, {confirmed} confirmed)"
-        lines.append(f"  match-order hazards: {len(self.hazards)}{hazard_note}")
-        if self.modelcheck is not None:
-            mc = self.modelcheck
-            lines.append(
-                f"  model check: {mc['states']} state(s), "
-                f"{mc['executions']} interleaving(s), "
-                f"{'complete' if mc['complete'] else 'INCOMPLETE'}, "
-                f"{'OK' if mc['ok'] else 'FAIL'}"
-            )
         if self.rendezvous is not None:
             lines.append(f"  rendezvous: {self.rendezvous.describe()}")
         for v in self.violations:
@@ -254,19 +211,6 @@ class VerifyReport:
                 }
                 for r in self.redundant
             ],
-            "hazards": [
-                {
-                    "src": h.src,
-                    "dst": h.dst,
-                    "tag": h.tag,
-                    "first_order": h.first_order,
-                    "second_order": h.second_order,
-                    "detail": h.detail,
-                    "verdict": h.verdict,
-                }
-                for h in self.hazards
-            ],
-            "modelcheck": self.modelcheck,
             "rendezvous_deadlock": (
                 None if self.rendezvous is None else self.rendezvous.deadlocked
             ),
@@ -281,9 +225,6 @@ class VerifyReport:
             "violations": [str(v) for v in self.violations],
             "ok": self.ok,
         }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 # ---------------------------------------------------------------------------
@@ -362,52 +303,7 @@ def verify_provenance(
 
 
 # ---------------------------------------------------------------------------
-# Pass 3: match-order hazards
-# ---------------------------------------------------------------------------
-
-
-def find_match_hazards(schedule: ScheduleResult) -> List[HazardPair]:
-    """Same-(src, dst, tag) message pairs concurrently in flight with
-    different payloads.
-
-    Two sends overlap when the second was issued before the first's
-    receive matched (on the executor's shared logical clock). Without
-    clock data every same-key pair is conservatively treated as
-    overlapping. MPI's non-overtaking rule fixes their match order; the
-    hazard records that reordering them would change chunk routing.
-    """
-    groups: Dict[Tuple[int, int, int], List[RecordedSend]] = {}
-    for s in schedule.sends:
-        groups.setdefault((s.src, s.dst, s.tag), []).append(s)
-    hazards: List[HazardPair] = []
-    for (src, dst, tag), sends in groups.items():
-        for i, a in enumerate(sends):
-            a_matched = schedule.match_clock.get(a.order)
-            for b in sends[i + 1 :]:
-                b_issued = schedule.issue_clock.get(b.order, -1)
-                if a_matched is not None and b_issued >= a_matched:
-                    break  # non-overtaking: later sends overlap even less
-                if a.chunks != b.chunks or a.nbytes != b.nbytes:
-                    hazards.append(
-                        HazardPair(
-                            src=src,
-                            dst=dst,
-                            tag=tag,
-                            first_order=a.order,
-                            second_order=b.order,
-                            detail=(
-                                f"sends #{a.order} (chunks {a.chunks}, "
-                                f"{a.nbytes} B) and #{b.order} (chunks "
-                                f"{b.chunks}, {b.nbytes} B) rely on "
-                                f"non-overtaking matching"
-                            ),
-                        )
-                    )
-    return hazards
-
-
-# ---------------------------------------------------------------------------
-# Pass 4: rendezvous-mode deadlock analysis
+# Pass 3: rendezvous-mode deadlock analysis
 # ---------------------------------------------------------------------------
 
 
@@ -428,7 +324,7 @@ def check_rendezvous(schedule: ScheduleResult) -> RendezvousReport:
     are reported with their wait-for edges and the first cycle among
     them. The pairing is the one extraction recorded, which is MPI's for
     programs without wildcard sources; an ``ANY_SOURCE`` receive is
-    checked in the match order extraction saw.
+    checked in the match order extraction saw (pass 4 flags it).
     """
     log, sends = schedule.op_log, schedule.sends
     issued_at = [0] * len(sends)  # send order -> op index at its sender
@@ -549,7 +445,7 @@ class CollectiveSpec:
     executors. ``initial_owned``/``expected_final`` (per *global* rank,
     relative chunk ids) enable the provenance pass; ``None`` marks the
     collective untracked (no chunk metadata on its sends), in which case
-    only deadlock and hazard analysis run. ``expected_redundant`` turns
+    only the deadlock and match-order passes run. ``expected_redundant`` turns
     the redundancy count into an assertion.
     """
 
@@ -933,8 +829,8 @@ def verify_program(
 
     Runs the buffered schedule extraction once, then reads that one
     schedule in every pass: provenance / redundancy (when
-    ``initial_owned`` is given), match-order hazards and the rendezvous
-    deadlock analysis.
+    ``initial_owned`` is given), the rendezvous deadlock analysis and
+    the match-order premise.
     """
     report = VerifyReport(
         collective=name,
@@ -968,7 +864,6 @@ def verify_program(
                     ),
                 )
             )
-    report.hazards = find_match_hazards(schedule)
     try:
         report.rendezvous = check_rendezvous(schedule)
     except MpiError as exc:
@@ -986,16 +881,25 @@ def verify_program(
                     detail=f"rendezvous analysis: {report.rendezvous.describe()}",
                 )
             )
+    for rank in schedule.any_source_ranks:
+        report.violations.append(
+            Violation(
+                kind="match-order",
+                detail=(
+                    "posts an ANY_SOURCE receive: only the match order "
+                    "extraction saw was verified; "
+                    "repro.analysis.modelcheck.check_program explores them all"
+                ),
+                rank=rank,
+            )
+        )
     _stabilize(report)
     return report
 
 
 def _stabilize(report: VerifyReport) -> None:
-    """Sort hazards and violations by stable keys so ``--json`` output is
+    """Sort violations by stable keys so ``--json`` output is
     byte-identical across runs regardless of discovery order."""
-    report.hazards.sort(
-        key=lambda h: (h.src, h.dst, h.tag, h.first_order, h.second_order)
-    )
     report.violations.sort(
         key=lambda v: (
             v.kind,
@@ -1011,19 +915,8 @@ def verify_collective(
     nranks: int,
     nbytes: int = 65536,
     root: int = 0,
-    modelcheck: bool = False,
-    mc_max_states: int = 20000,
 ) -> VerifyReport:
-    """Run the full verification pass for one registry collective.
-
-    With ``modelcheck=True``, the exhaustive match-order explorer
-    (:mod:`repro.analysis.modelcheck`) runs as a confirmation pass:
-    hazard pairs from pass 3 are downgraded to ``verdict="benign"`` when
-    every interleaving provably terminates with identical payloads and
-    wire counters, or upgraded to ``verdict="confirmed"`` when a real
-    divergence (or an unfinished exploration) leaves them standing; any
-    model-checker violation is appended to the report's violations.
-    """
+    """Run the full verification pass for one registry collective."""
     try:
         spec = REGISTRY[name]
     except KeyError:
@@ -1035,7 +928,7 @@ def verify_collective(
             f"collective {name!r} does not support P={nranks}"
             + (" (power-of-two only)" if spec.pof2_only else "")
         )
-    report = verify_program(
+    return verify_program(
         nranks,
         spec.build(nranks, nbytes, root),
         initial_owned=(
@@ -1053,30 +946,3 @@ def verify_collective(
         nbytes=nbytes,
         root=root,
     )
-    if modelcheck:
-        _apply_modelcheck(report, name, nranks, nbytes, root, mc_max_states)
-    return report
-
-
-def _apply_modelcheck(
-    report: VerifyReport,
-    name: str,
-    nranks: int,
-    nbytes: int,
-    root: int,
-    mc_max_states: int,
-) -> None:
-    # Imported lazily: modelcheck imports this module at top level.
-    from .modelcheck import check_collective
-
-    mc = check_collective(
-        name, nranks, nbytes=nbytes, root=root, max_states=mc_max_states
-    )
-    report.modelcheck = mc.summary_dict()
-    verdict = "benign" if (mc.ok and mc.complete) else "confirmed"
-    report.hazards = [replace(h, verdict=verdict) for h in report.hazards]
-    for v in mc.violations:
-        report.violations.append(
-            Violation(kind="modelcheck", detail=f"[{v.kind}] {v.detail}")
-        )
-    _stabilize(report)

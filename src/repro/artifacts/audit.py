@@ -174,8 +174,6 @@ def _run_verify(config: dict, progress: Progress = None) -> Any:
             nranks,
             nbytes=int(config.get("nbytes", 65536)),
             root=int(config.get("root", 0)),
-            modelcheck=bool(config.get("modelcheck", False)),
-            mc_max_states=int(config.get("mc_max_states", 20000)),
         )
         for nranks in [int(p) for p in config.get("ranks", [8])]
         for name in (

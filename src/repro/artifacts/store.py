@@ -36,7 +36,7 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Union
 
 from ..core.diskcache import CACHE_VERSION, default_cache_dir
 from ..errors import ArtifactError

@@ -19,9 +19,9 @@ the exact ``(kind, arg)`` sequence of MPI operations the program
 executed, with every receive annotated with the send order it matched
 and every waitall with the rank-local op indices it covered. That log
 is what :func:`repro.sim.replay.compile_schedule` turns into the
-vectorized replay engine's program-counter streams; schedules that use
-timing-dependent features (``ANY_SOURCE``) carry ``replay_blockers``
-naming why they must run on the DES instead.
+vectorized replay engine's program-counter streams. The ranks that
+posted an ``ANY_SOURCE`` receive are recorded too: without one, MPI's
+non-overtaking rule leaves exactly one match order, the one recorded.
 """
 
 from __future__ import annotations
@@ -71,14 +71,6 @@ class RecordedSend:
 class ScheduleResult:
     """Everything the counting run observed.
 
-    ``issue_clock`` and ``match_clock`` place each transfer on a single
-    logical clock shared by send issues and receive completions:
-    ``issue_clock[order]`` is when send *order* was issued and
-    ``match_clock[order]`` when its receive matched (absent while the
-    message is still unreceived at program end). The static verifier
-    uses these to decide which same-``(src, dst, tag)`` messages were
-    ever concurrently in flight.
-
     ``observed`` and ``dep_counts`` record the happens-before structure
     the cost model's round decomposition needs: ``observed[rank]`` lists
     the send orders whose payloads *rank*'s program had consumed (a
@@ -95,15 +87,16 @@ class ScheduleResult:
     rank_results: List
     nranks: int
     placement: Optional[object] = None
-    issue_clock: Dict[int, int] = field(default_factory=dict)
-    match_clock: Dict[int, int] = field(default_factory=dict)
     observed: Dict[int, List[int]] = field(default_factory=dict)
     dep_counts: Dict[int, int] = field(default_factory=dict)
     # Per-rank executed-op streams (``[kind, arg]`` pairs, see
     # repro.sim.replay's OP_* opcodes) keyed by global rank in kick
-    # order, plus the reasons — if any — the schedule cannot be replayed
-    # without the DES (wildcard sources, foreign wait requests).
+    # order; the global ranks that posted an ``ANY_SOURCE`` receive, in
+    # first-post order (their match order is timing-dependent); and any
+    # other reason the schedule cannot be replayed without the DES
+    # (foreign wait requests).
     op_log: Dict[int, List[List]] = field(default_factory=dict)
+    any_source_ranks: Tuple[int, ...] = ()
     replay_blockers: Tuple[str, ...] = ()
 
     @property
@@ -177,9 +170,6 @@ class ScheduleExecutor:
         self.comm = comm if comm is not None else Communicator.world(nranks)
         self.placement = placement
         self.sends: List[RecordedSend] = []
-        self.issue_clock: Dict[int, int] = {}
-        self.match_clock: Dict[int, int] = {}
-        self._clock = 0
         self._env_order: Dict[int, int] = {}  # envelope seq -> send order
         self.observed: Dict[int, List[int]] = {}  # rank -> consumed send orders
         self.dep_counts: Dict[int, int] = {}  # send order -> observed prefix len
@@ -187,7 +177,8 @@ class ScheduleExecutor:
         self.op_log: Dict[int, List[List]] = {}  # rank -> [kind, arg] stream
         self._req_op: Dict[Request, int] = {}  # isend/irecv req -> op index
         self._recv_entry: Dict[Request, List] = {}  # recv req -> log entry
-        self._blockers: List[str] = []  # reasons replay must fall back
+        self._any_source: Dict[int, None] = {}  # ranks posting wildcards
+        self._blockers: List[str] = []  # other reasons replay must fall back
         self.matching = [MatchingEngine(r) for r in range(nranks)]
         self.procs: List[Proc] = []
         self.contexts: List[RankContext] = []
@@ -230,11 +221,10 @@ class ScheduleExecutor:
             rank_results=[p.result for p in self.procs],
             nranks=self.comm.size,
             placement=self.placement,
-            issue_clock=self.issue_clock,
-            match_clock=self.match_clock,
             observed=self.observed,
             dep_counts=self.dep_counts,
             op_log=self.op_log,
+            any_source_ranks=tuple(self._any_source),
             replay_blockers=tuple(dict.fromkeys(self._blockers)),
         )
 
@@ -274,10 +264,7 @@ class ScheduleExecutor:
             src, nbytes, tag, buffer, disp = op
             req = Request("recv", glob, src, tag, nbytes, buffer, disp)
             if src < 0:
-                self._blockers.append(
-                    f"rank {glob} posts an ANY_SOURCE receive "
-                    f"(match order is timing-dependent)"
-                )
+                self._any_source[glob] = None
             if kind is IrecvOp:
                 self._req_op[req] = len(log)
                 entry = [OP_IRECV, -1]
@@ -364,8 +351,6 @@ class ScheduleExecutor:
         )
         order = len(self.sends) - 1
         self.dep_counts[order] = len(self.observed[req.owner])
-        self.issue_clock[order] = self._clock
-        self._clock += 1
         env = Envelope(req.owner, req.tag, req.nbytes, (req, payload), len(self.sends))
         self._env_order[env.seq] = order
         req.finish()  # buffered: sends always complete immediately
@@ -375,12 +360,10 @@ class ScheduleExecutor:
 
     def _complete_recv(self, recv_req: Request, env: Envelope) -> None:
         order = self._env_order[env.seq]
-        self.match_clock[order] = self._clock
         self._recv_order[recv_req] = order
         entry = self._recv_entry.get(recv_req)
         if entry is not None:
             entry[1] = order  # annotate the op log with the matched send
-        self._clock += 1
         send_req, payload = env.send_req
         if env.nbytes > recv_req.nbytes:
             raise TruncationError(

@@ -86,11 +86,6 @@ class TrafficCounters:
         self.ack_messages += 1
         self.ack_bytes += nbytes
 
-    @property
-    def has_chaos(self) -> bool:
-        """True when any fault was injected or recovery work was done."""
-        return any(getattr(self, name) for name in self.CHAOS_FIELDS)
-
     def merge(self, other: "TrafficCounters") -> None:
         """Accumulate another tally (used when composing phases)."""
         self.messages += other.messages

@@ -192,15 +192,18 @@ def compile_schedule(result) -> ReplaySchedule:
     schedule is not statically replayable (wildcard sources, receives
     that never matched but gate progress, or a pre-op-log extraction).
     """
-    blockers = list(getattr(result, "replay_blockers", ()) or ())
-    op_log = getattr(result, "op_log", None)
+    blockers = [
+        f"rank {r} posts an ANY_SOURCE receive (match order is timing-dependent)"
+        for r in result.any_source_ranks
+    ]
+    blockers.extend(result.replay_blockers)
+    op_log = result.op_log
     if not op_log and result.nranks and result.sends:
         blockers.append("schedule carries no per-rank op log")
     if blockers:
         raise ReplayUnsupportedError(
             "schedule is not replayable: " + "; ".join(sorted(set(blockers)))
         )
-    op_log = op_log or {}
 
     sends = result.sends
     ranks: List[int] = []

@@ -174,8 +174,6 @@ class TestCli:
         store = str(tmp_path / "arts")
         runs = [
             ("verify", ["verify", "--nranks", "4"]),
-            ("verify", ["verify", "--collective", "bcast_opt", "--nranks", "4",
-                        "--mc"]),
             ("cost", ["cost", "--grid"]),
             ("chaos", ["chaos", "--nranks", "4", "--nbytes", "1KiB"]),
             ("replay", ["replay", "--nranks", "4"]),

@@ -1,7 +1,5 @@
 """Smoke tests for the benchmark harness (fast axes, small grids)."""
 
-import pytest
-
 from repro.bench import (
     NATIVE,
     OPT,

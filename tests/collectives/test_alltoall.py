@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.collectives import (
-    ALLTOALL_ALGORITHMS,
     alltoall_bruck,
     alltoall_pairwise,
 )

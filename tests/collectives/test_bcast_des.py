@@ -7,7 +7,6 @@ from repro.collectives import (
     bcast_binomial,
     bcast_scatter_ring_native,
     bcast_scatter_ring_opt,
-    bcast_scatter_rdbl,
     get_algorithm,
 )
 from repro.errors import CollectiveError

@@ -9,7 +9,6 @@ tags plus communicator translation must keep adjacent collectives from
 cross-matching, whatever the order.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.collectives import (

@@ -7,7 +7,6 @@ from repro.errors import CollectiveError
 from repro.collectives import (
     allgather_recursive_doubling,
     bcast_scatter_rdbl,
-    binomial_scatter,
 )
 from repro.collectives.schedule import extract_schedule
 from repro.mpi import RealBuffer

@@ -8,7 +8,7 @@ from repro.collectives import binomial_scatter, span_bytes, span_disp, subtree_c
 from repro.collectives.scatter import chunk_table
 from repro.collectives.schedule import extract_schedule
 from repro.mpi import RealBuffer
-from repro.util import ChunkSet, chunk_count, chunk_disp
+from repro.util import ChunkSet
 
 
 def run_scatter(P, nbytes, root=0, real=True):

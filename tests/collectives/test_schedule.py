@@ -275,27 +275,22 @@ class TestTruncationAndTags:
         res = extract_schedule(2, prog_factory(body))
         assert res.rank_results[1] == ((1,), (0,))
 
-    def test_clocks_cover_all_matched_sends(self):
+    def test_any_source_ranks_recorded_once_in_post_order(self):
+        from repro.mpi.ops import ANY_SOURCE
+
         def body(ctx):
             if ctx.rank == 0:
-                yield from ctx.send(1, 4, tag=1)
-                yield from ctx.send(1, 4, tag=2)
+                for dst in (2, 2, 1, 1):
+                    yield from ctx.send(dst, 4)
+            elif ctx.rank == 1:
+                yield from ctx.recv(2, 4)  # rank 2 sends after its wildcards
+                yield from ctx.recv(ANY_SOURCE, 4)
+                yield from ctx.recv(ANY_SOURCE, 4)
             else:
-                yield from ctx.recv(0, 4, tag=1)
-                yield from ctx.recv(0, 4, tag=2)
+                yield from ctx.recv(ANY_SOURCE, 4)
+                yield from ctx.recv(ANY_SOURCE, 4)
+                yield from ctx.send(1, 4)
 
-        res = extract_schedule(2, prog_factory(body))
-        assert sorted(res.issue_clock) == [0, 1]
-        assert sorted(res.match_clock) == [0, 1]
-        for order in (0, 1):
-            assert res.issue_clock[order] < res.match_clock[order]
-
-    def test_unmatched_send_has_no_match_clock(self):
-        def body(ctx):
-            if ctx.rank == 0:
-                yield from ctx.isend(1, 4, tag=1)
-            return
-            yield
-
-        res = extract_schedule(2, prog_factory(body))
-        assert 0 in res.issue_clock and 0 not in res.match_clock
+        res = extract_schedule(3, prog_factory(body))
+        assert res.any_source_ranks == (2, 1)
+        assert res.replay_blockers == ()

@@ -293,34 +293,26 @@ class TestVerifyCommand:
         assert data[0]["collective"] == "bcast_opt"
         assert data[0]["redundant_count"] == 0 and data[0]["ok"] is True
 
-    def test_strict_mode_fails_on_hazards(self, capsys):
-        rc = main(
-            ["verify", "--collective", "bcast_native", "--nranks", "8", "--strict"]
-        )
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "FAIL" in out
-
     def test_unknown_collective_exits_two(self, capsys):
         rc = main(["verify", "--collective", "nope", "--nranks", "8"])
         assert rc == 2
         assert "unknown collective" in capsys.readouterr().err
 
-    def test_mc_pass_makes_strict_hazards_benign(self, capsys):
-        rc = main(
-            [
-                "verify",
-                "--collective",
-                "bcast_native",
-                "--nranks",
-                "8",
-                "--strict",
-                "--mc",
-            ]
+    def test_options_are_exactly_the_point_and_output(self):
+        import argparse
+
+        subcommands = next(
+            action.choices
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
         )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "OK" in out
+        assert set(subcommands["verify"]._option_string_actions) == {
+            "-h", "--help", "--collective", "--nranks", "--nbytes", "--root",
+            "--json", "--artifact",
+        }
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["verify", "--strict"])
+        assert exc.value.code == 2
 
 
 class TestMcCommand:
@@ -513,20 +505,6 @@ class TestTraceCommand:
 
 
 class TestVerifyCostPass:
-    def test_cost_pass_reported(self, capsys):
-        rc = main(["verify", "--collective", "bcast_opt", "--nranks", "8"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "cost-model consistency pass" in out and "OK" in out
-
-    def test_no_cost_suppresses_pass(self, capsys):
-        rc = main(
-            ["verify", "--collective", "bcast_opt", "--nranks", "8", "--no-cost"]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "cost-model" not in out
-
     def test_json_schema_unchanged_by_cost_pass(self, capsys):
         import json
 

@@ -12,7 +12,7 @@ from repro.core import (
     t_scatter_ring_bcast,
 )
 from repro.errors import ConfigurationError
-from repro.machine import Machine, hornet, ideal
+from repro.machine import hornet, ideal
 
 GIB = 1 << 30
 SPEC = ideal(nodes=8, cores_per_node=8)

@@ -2,7 +2,7 @@
 extracted schedules and the paper's numbers."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.core import (
     measure_traffic,

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.errors import PlacementError
 from repro.machine import blocked, round_robin, custom, make_placement
-from repro.machine.placement import Placement
 
 
 class TestBlocked:

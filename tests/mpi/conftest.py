@@ -3,7 +3,7 @@
 import pytest
 
 from repro.machine import Machine, ideal
-from repro.mpi import Job, RealBuffer
+from repro.mpi import Job
 from repro.sim import Trace
 
 GIB = 1 << 30

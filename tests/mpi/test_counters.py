@@ -1,6 +1,5 @@
 """Unit tests for the traffic counters."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.mpi import TrafficCounters

@@ -1,8 +1,6 @@
 """Protocol-boundary tests: exactly-at-threshold behaviour and protocol
 interaction with collective chunk sizes."""
 
-import pytest
-
 from repro.collectives import SHORT_MSG_SIZE
 from repro.machine import Machine, ideal
 from repro.mpi import Job, RealBuffer

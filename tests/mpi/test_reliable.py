@@ -53,7 +53,7 @@ class TestCleanPath:
         plain = Job(make_machine(2), ping_factory()).run().counters
         arq = Job(make_machine(2), ping_factory(), reliable=True).run().counters
         assert (arq.messages, arq.bytes) == (plain.messages, plain.bytes)
-        assert not plain.has_chaos
+        assert all(getattr(plain, name) == 0 for name in plain.CHAOS_FIELDS)
 
 
 class TestRecovery:

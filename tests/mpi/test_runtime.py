@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import DeadlockError, SimulationError, TruncationError
 from repro.machine import Machine, ideal
-from repro.mpi import Job, RealBuffer, Status
+from repro.mpi import Job, RealBuffer
 from repro.sim import Trace
 
 from .conftest import GIB, make_ideal_machine, run_job

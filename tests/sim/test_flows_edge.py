@@ -1,7 +1,5 @@
 """Edge-case tests for the flow network: batching, caps, registry reuse."""
 
-import math
-
 import pytest
 
 from repro.sim import Engine, FlowNetwork, Resource

@@ -16,7 +16,6 @@ certificate equals the extracted one and replays the same way.
 
 from collections import Counter
 
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.backends import ThreadBackend

@@ -140,6 +140,7 @@ def test_verify_loads_no_sweep_stack_or_des_transport():
     watched = [
         "repro.core.sweep", "repro.core.executor", "repro.core.api",
         "repro.mpi.runtime", "repro.mpi.transport", "repro.mpi.reliable",
+        "repro.analysis.costmodel", "repro.analysis.modelcheck",
     ]
     assert _loaded(["verify", "--nranks", "4"], watched) == [0, []]
 
