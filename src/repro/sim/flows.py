@@ -170,28 +170,6 @@ class SolverStats:
     flows_advanced: int  # flow-progress updates applied by _advance
     solve_time_s: float  # wall time spent inside the solver
 
-    @property
-    def rounds_per_solve(self) -> float:
-        return self.rounds / self.solves if self.solves else 0.0
-
-    @property
-    def mean_component(self) -> float:
-        return (
-            self.flows_solved / self.components_solved
-            if self.components_solved
-            else 0.0
-        )
-
-    def describe(self) -> str:
-        return (
-            f"solver[{self.mode}]: {self.solves} solves "
-            f"({self.rounds_per_solve:.2f} rounds/solve), "
-            f"{self.components_solved} components "
-            f"(mean {self.mean_component:.1f}, max {self.max_component} flows), "
-            f"{self.flows_advanced} flow advances, "
-            f"{self.solve_time_s * 1e3:.2f}ms solve time"
-        )
-
 
 class Flow:
     """One in-flight DES transfer across a path of resources.
@@ -248,30 +226,12 @@ class Flow:
             return net._rem[self.fid]
         return self._remaining
 
-    @remaining.setter
-    def remaining(self, value: float) -> None:
-        net = self._net
-        if net is not None:
-            net._rem[self.fid] = float(value)
-        else:
-            self._remaining = float(value)
-
     @property
     def rate(self) -> float:
         net = self._net
         if net is not None:
             return net._rate[self.fid]
         return self._rate
-
-    def eta(self) -> float:
-        """Seconds until completion at the current rate (inf when stalled)."""
-        remaining = self.remaining
-        if remaining <= _EPSILON_BYTES:
-            return 0.0
-        rate = self.rate
-        if rate <= 0.0:
-            return float("inf")
-        return remaining / rate
 
     def __repr__(self) -> str:
         return (
@@ -393,17 +353,30 @@ class FlowNetwork:
         re-entrancy); its handle is returned. Active flows return None.
         """
         fid = self._next_fid
-        self._next_fid += 1
+        self._next_fid = fid + 1
+        engine = self.engine
         if nbytes <= _EPSILON_BYTES:
-            return self.engine.schedule(0.0, self._finish, token)
+            return engine.schedule(0.0, self._finish, token)
         if not self._class_paths[path_class] and self._class_caps[path_class] == _INF:
             raise SimulationError("flow has no resources and no rate cap")
-        self._advance()
-        self._rem[fid] = float(nbytes)
-        self._rate[fid] = 0.0
+        # _advance() and the deferred re-solve, inlined: this runs once
+        # per flow.
+        now = engine.now
+        rem = self._rem
+        rate = self._rate
+        elapsed = now - self._last_update
+        if elapsed > 0.0 and rem:
+            for f, r in rem.items():
+                p = r - rate[f] * elapsed
+                rem[f] = p if p > 0.0 else 0.0
+            self._stat_flows_advanced += len(rem)
+        self._last_update = now
+        rem[fid] = float(nbytes)
+        rate[fid] = 0.0
         self._token[fid] = token
         self._comp_add(fid, path_class)
-        self._schedule_resolve()
+        if self._resolve_event is None:
+            self._resolve_event = engine.schedule_at(now, self._resolve)
         return None
 
     def add_flow(
@@ -454,7 +427,9 @@ class FlowNetwork:
             return
         self._advance()
         self._remove(flow.fid)
-        self._schedule_resolve()
+        if self._resolve_event is None:
+            engine = self.engine
+            self._resolve_event = engine.schedule_at(engine.now, self._resolve)
 
     def flush(self) -> None:
         """Force any deferred rate re-solve to run now.
@@ -492,14 +467,6 @@ class FlowNetwork:
         return [self._token[fid] for fid in sorted(self._rem)]
 
     # -- internals ---------------------------------------------------------
-    def _schedule_resolve(self) -> None:
-        if self._resolve_event is None:
-            self._resolve_event = self.engine.schedule(0.0, self._deferred_resolve)
-
-    def _deferred_resolve(self) -> None:
-        self._resolve_event = None
-        self._resolve()
-
     def _remove(self, fid: int):
         """Take an active flow out of the data plane; returns its token."""
         self._comp_remove(fid)
@@ -529,7 +496,12 @@ class FlowNetwork:
         self._last_update = now
 
     def _resolve(self) -> None:
-        """Re-solve rates and reschedule the next completion event."""
+        """Re-solve rates and reschedule the next completion event.
+
+        The deferred re-solve event runs this directly, so it first
+        forgets that event's handle.
+        """
+        self._resolve_event = None
         self._solve_rates()
         if self._completion_event is not None:
             self._completion_event.cancel()
@@ -552,8 +524,9 @@ class FlowNetwork:
             raise SimulationError(
                 f"{len(rem)} active flow(s) are stalled at zero rate"
             )
-        self._completion_event = self.engine.schedule(
-            next_eta, self._on_completion_event
+        engine = self.engine
+        self._completion_event = engine.schedule_at(
+            engine.now + next_eta, self._on_completion_event
         )
 
     def _on_completion_event(self) -> None:
@@ -561,7 +534,6 @@ class FlowNetwork:
         if self._resolve_event is not None:
             # The direct resolve below covers any deferred one.
             self._resolve_event.cancel()
-            self._resolve_event = None
         # _advance() and the drained-flow scan in one pass; _rem iterates
         # in fid order (fids only grow, updates keep their slot).
         now = self.engine.now
@@ -579,11 +551,14 @@ class FlowNetwork:
                 finished.append(fid)
         if elapsed > 0.0:
             self._stat_flows_advanced += len(rem)
-        if not finished:
-            # Rates changed since the event was scheduled; just re-arm.
+        if len(finished) == 1:  # the common case: no token list
+            token = self._remove(finished[0])
             self._resolve()
+            self._finish(token)
             return
         tokens = [self._remove(fid) for fid in finished]
+        # With none finished, rates changed since the event was
+        # scheduled: this just re-arms it.
         self._resolve()
         for token in tokens:  # fid order
             self._finish(token)
@@ -603,42 +578,49 @@ class FlowNetwork:
 
     # -- component tracking ------------------------------------------------
     def _comp_add(self, fid: int, cid: int) -> None:
-        comp_flows = self._comp_flows
         res_comp = self._res_comp
         path = self._class_paths[cid]
-        found: list = []
+        found = None  # the components the path touches, in path order
         for rid in path:
             c = res_comp.get(rid)
-            if c is not None and c not in found:
-                found.append(c)
-        if not found:
+            if c is not None:
+                if found is None:
+                    found = [c]
+                elif c not in found:
+                    found.append(c)
+        if found is None:  # touches no active resource: a new one-flow component
             target = self._next_comp
-            self._next_comp += 1
-            comp_flows[target] = {}
-            self._comp_res[target] = set()
-        else:
-            target = found[0]
-            for c in found[1:]:
-                if len(comp_flows[c]) > len(comp_flows[target]):
-                    target = c
-            for c in found:
-                if c == target:
-                    continue
-                moved = comp_flows.pop(c)
-                comp_flows[target].update(moved)
-                for f in moved:
-                    self._flow_comp[f] = target
-                res = self._comp_res.pop(c)
-                self._comp_res[target] |= res
-                for rid in res:
-                    res_comp[rid] = target
-                self._dirty_comps.discard(c)
-                if c in self._split_comps:
-                    self._split_comps.discard(c)
-                    self._split_comps.add(target)
-                self._comp_removals[target] = self._comp_removals.pop(
-                    target, 0
-                ) + self._comp_removals.pop(c, 0)
+            self._next_comp = target + 1
+            self._comp_flows[target] = {fid: cid}
+            self._comp_res[target] = set(path)
+            for rid in path:
+                res_comp[rid] = target
+            self._flow_comp[fid] = target
+            self._dirty_comps.add(target)
+            return
+        comp_flows = self._comp_flows
+        target = found[0]
+        for c in found[1:]:
+            if len(comp_flows[c]) > len(comp_flows[target]):
+                target = c
+        for c in found:
+            if c == target:
+                continue
+            moved = comp_flows.pop(c)
+            comp_flows[target].update(moved)
+            for f in moved:
+                self._flow_comp[f] = target
+            res = self._comp_res.pop(c)
+            self._comp_res[target] |= res
+            for rid in res:
+                res_comp[rid] = target
+            self._dirty_comps.discard(c)
+            if c in self._split_comps:
+                self._split_comps.discard(c)
+                self._split_comps.add(target)
+            self._comp_removals[target] = self._comp_removals.pop(
+                target, 0
+            ) + self._comp_removals.pop(c, 0)
         for rid in path:
             res_comp[rid] = target
             self._comp_res[target].add(rid)
@@ -649,16 +631,17 @@ class FlowNetwork:
     def _comp_remove(self, fid: int) -> None:
         c = self._flow_comp.pop(fid)
         flows = self._comp_flows[c]
-        del flows[fid]
-        if not flows:
+        if len(flows) == 1:  # its last flow: the component goes
             del self._comp_flows[c]
+            res_comp = self._res_comp
             for rid in self._comp_res.pop(c):
-                if self._res_comp.get(rid) == c:
-                    del self._res_comp[rid]
+                if res_comp.get(rid) == c:
+                    del res_comp[rid]
             self._dirty_comps.discard(c)
             self._split_comps.discard(c)
             self._comp_removals.pop(c, None)
             return
+        del flows[fid]
         self._dirty_comps.add(c)
         removed = self._comp_removals.get(c, 0) + 1
         # Repartition once removals rival the component's size: keeps
@@ -739,17 +722,42 @@ class FlowNetwork:
     # -- rate solving ------------------------------------------------------
     def _solve_rates(self) -> None:
         """Re-run progressive filling for the components that changed."""
-        if not self._dirty_comps and not self._split_comps:
+        dirty = self._dirty_comps
+        if not dirty and not self._split_comps:
             return
         start = perf_counter()  # det: allow — telemetry, not sim state
+        comp_flows = self._comp_flows
         if self._split_comps:
             for c in sorted(self._split_comps):
-                if c in self._comp_flows:
+                if c in comp_flows:
                     self._repartition_comp(c)
             self._split_comps.clear()
-        for c in sorted(self._dirty_comps):
-            self._solve_component(self._comp_flows[c])
-        self._dirty_comps.clear()
+        if len(dirty) != 1:
+            for c in sorted(dirty):
+                self._solve_component(comp_flows[c])
+            dirty.clear()
+        else:
+            flows = comp_flows[dirty.pop()]
+            if len(flows) != 1:
+                self._solve_component(flows)
+            else:
+                # One dirty component of one flow, the common case at
+                # eager sizes: the steps of _solve_component without
+                # its sorts and lists.
+                (fid,) = flows
+                cls = flows[fid]
+                memo = self.memo
+                key = (cls,)
+                hit = None if memo is None else memo.get(key)
+                if hit is None:
+                    hit = self._kernel([cls], key)
+                stored, rounds = hit
+                self._rate[fid] = stored[cls]
+                self._stat_rounds += rounds
+                self._stat_components += 1
+                self._stat_flows_solved += 1
+                if self._stat_max_component < 1:
+                    self._stat_max_component = 1
         self._stat_solves += 1
         self._stat_solve_time += perf_counter() - start  # det: allow
 
@@ -759,23 +767,12 @@ class FlowNetwork:
         fids = sorted(flows)
         classes = [flows[f] for f in fids]
         memo = self.memo
-        hit = None
+        key = hit = None
         if memo is not None:
             key = tuple(sorted(classes))
             hit = memo.get(key)
         if hit is None:
-            paths = self._class_paths
-            caps = self._class_caps
-            rates, rounds = water_fill(
-                [paths[c] for c in classes],
-                self._capacities,
-                [caps[c] for c in classes],
-            )
-            # Same-class flows are interchangeable rows, so they get
-            # bitwise-equal rates and one entry per class suffices.
-            hit = (dict(zip(classes, rates)), rounds)
-            if memo is not None and len(memo) < _MEMO_CAP:
-                memo[key] = hit
+            hit = self._kernel(classes, key)
         stored, rounds = hit
         rate = self._rate
         for f, c in zip(fids, classes):
@@ -786,3 +783,21 @@ class FlowNetwork:
         self._stat_flows_solved += n
         if n > self._stat_max_component:
             self._stat_max_component = n
+
+    def _kernel(self, classes: List[int], key: Optional[tuple]):
+        """Run :func:`water_fill` on one component's classes (in fid
+        order) and remember the result under *key* when memoising."""
+        paths = self._class_paths
+        caps = self._class_caps
+        rates, rounds = water_fill(
+            [paths[c] for c in classes],
+            self._capacities,
+            [caps[c] for c in classes],
+        )
+        # Same-class flows are interchangeable rows, so they get
+        # bitwise-equal rates and one entry per class suffices.
+        hit = (dict(zip(classes, rates)), rounds)
+        memo = self.memo
+        if memo is not None and len(memo) < _MEMO_CAP:
+            memo[key] = hit
+        return hit

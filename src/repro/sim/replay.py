@@ -52,6 +52,8 @@ injection, the ARQ reliability layer, stochastic latencies
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import DeadlockError, ReplayUnsupportedError, SimulationError
@@ -375,7 +377,7 @@ class ReplayEngine:
         self._env_arrived: List[bool] = [False] * n
         self._recv_posted: List[bool] = [False] * n
         self._matched: List[bool] = [False] * n
-        self._flow_done: List[bool] = [False] * n
+        # A send completes when its payload flow drains.
         self._send_done: List[bool] = [False] * n
         self._recv_done: List[bool] = [False] * n
         # Which rank (local index) is parked on this message, -1 if none.
@@ -387,7 +389,8 @@ class ReplayEngine:
         self._op_kinds = schedule.op_kinds
         self._op_args = schedule.op_args
         self._pc = [0] * nr
-        self._in_wait = [False] * nr
+        # Completions a parked rank still waits for: 1 for a blocking
+        # send or receive, the outstanding members for a wait.
         self._wait_remaining = [0] * nr
         self._finish: List[Optional[float]] = [None] * nr
         self._ran = False
@@ -455,7 +458,7 @@ class ReplayEngine:
                     launch(arg)
                 if kind == OP_SEND and not send_done[arg]:
                     self._send_waiter[arg] = rank
-                    self._in_wait[rank] = False
+                    self._wait_remaining[rank] = 1
                     self._pc[rank] = pc
                     return
             elif kind == OP_IRECV or kind == OP_RECV:
@@ -465,7 +468,7 @@ class ReplayEngine:
                         self._match(arg)
                 if kind == OP_RECV and not recv_done[arg]:
                     self._recv_waiter[arg] = rank
-                    self._in_wait[rank] = False
+                    self._wait_remaining[rank] = 1
                     self._pc[rank] = pc
                     return
             elif kind == OP_WAIT:
@@ -481,7 +484,6 @@ class ReplayEngine:
                         remaining += 1
                 if remaining:
                     self._wait_remaining[rank] = remaining
-                    self._in_wait[rank] = True
                     self._pc[rank] = pc
                     return
             else:  # OP_COMPUTE
@@ -490,15 +492,6 @@ class ReplayEngine:
                 return
         self._pc[rank] = pc
         self._finish[rank] = self.engine.now
-
-    def _unblock(self, rank: int) -> None:
-        """A message the rank was parked on completed; maybe resume."""
-        if self._in_wait[rank]:
-            self._wait_remaining[rank] -= 1
-            if self._wait_remaining[rank] > 0:
-                return
-            self._in_wait[rank] = False
-        self._run_rank(rank)
 
     # -- transport protocol (mirrors repro.mpi.transport exactly) ------
     def _launch_send(self, order: int) -> None:
@@ -535,18 +528,21 @@ class ReplayEngine:
                 self._send_class[order],
                 order,
             )
-        elif self._flow_done[order]:
+        elif self._send_done[order]:
             self._deliver(order)
         # else: eager flow still draining; _flow_complete will deliver.
 
     def _flow_complete(self, order: int) -> None:
-        self._flow_done[order] = True
         # Sender completes first, then delivery — the DES cascade order.
         self._send_done[order] = True
         waiter = self._send_waiter[order]
         if waiter >= 0:
+            # The parked rank resumes once this was its last completion.
             self._send_waiter[order] = -1
-            self._unblock(waiter)
+            left = self._wait_remaining[waiter] - 1
+            self._wait_remaining[waiter] = left
+            if not left:
+                self._run_rank(waiter)
         if self._matched[order]:
             self._deliver(order)
 
@@ -561,7 +557,10 @@ class ReplayEngine:
         waiter = self._recv_waiter[order]
         if waiter >= 0:
             self._recv_waiter[order] = -1
-            self._unblock(waiter)
+            left = self._wait_remaining[waiter] - 1
+            self._wait_remaining[waiter] = left
+            if not left:
+                self._run_rank(waiter)
 
     # -- wire accounting (launch-equivalent totals) ---------------------
     def _build_counters(self):
@@ -576,17 +575,16 @@ class ReplayEngine:
         c.bytes = sum(nbytes)
         c.intra_messages = sum(intra)
         c.inter_messages = c.messages - c.intra_messages
-        c.intra_bytes = sum([b for b, i in zip(nbytes, intra) if i])
+        c.intra_bytes = sum(compress(nbytes, intra))
         c.inter_bytes = c.bytes - c.intra_bytes
         for ranks, count_dict, byte_dict in (
             (sched.send_src, c.sent_by_rank, c.bytes_sent_by_rank),
             (sched.send_dst, c.received_by_rank, c.bytes_received_by_rank),
         ):
-            counts: Dict[int, int] = {}
-            sums: Dict[int, int] = {}
+            counts = Counter(ranks)
+            sums = dict.fromkeys(counts, 0)
             for r, b in zip(ranks, nbytes):
-                counts[r] = counts.get(r, 0) + 1
-                sums[r] = sums.get(r, 0) + b
+                sums[r] += b
             for r in sorted(counts):
                 count_dict[r] = counts[r]
                 byte_dict[r] = sums[r]

@@ -351,7 +351,6 @@ class TestReporting:
         assert first == second
 
     def test_violations_sorted_by_stable_keys(self):
-        rep = verify_collective("bcast_native", 8, nbytes=65536)
         # Force a redundancy-assertion violation alongside provenance data
         # by lying about the expected count via verify_program.
         from repro.analysis.verify import REGISTRY, verify_program

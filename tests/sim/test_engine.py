@@ -127,9 +127,9 @@ class TestCancellation:
         eng.schedule(1.0, lambda: None)
         eng.schedule(2.0, lambda: None)
         assert eng.pending == 2
-        eng.step()
+        eng.run(until=1.0)
         assert eng.pending == 1
-        eng.step()
+        eng.run(until=2.0)
         assert eng.pending == 0
 
 
@@ -171,17 +171,6 @@ class TestRun:
         eng.run()
         assert len(errors) == 1
 
-    def test_step_returns_false_when_empty(self):
-        assert Engine().step() is False
-
-    def test_step_fires_one(self):
-        eng = Engine()
-        fired = []
-        eng.schedule(1.0, fired.append, 1)
-        eng.schedule(2.0, fired.append, 2)
-        assert eng.step() is True
-        assert fired == [1]
-
 
 @given(
     events=st.lists(
@@ -197,8 +186,8 @@ class TestRun:
 )
 def test_property_fire_order_sorted_and_clock_monotone(events, cut):
     """Both event kinds fire in (time, insertion) order and cancelled
-    handles never fire; pending/empty count both kinds; step() and
-    run(until=) agree whichever kind is at the top of the heap."""
+    handles never fire; pending/empty count both kinds; run(until=)
+    stops correctly whichever kind is at the top of the heap."""
     live = sorted(
         (delay, i)
         for i, (delay, method, cancel) in enumerate(events)
@@ -226,14 +215,6 @@ def test_property_fire_order_sorted_and_clock_monotone(events, cut):
 
     eng, fired = build()
     assert eng.pending == len(live) and eng.empty == (not live)
-    steps = 0
-    while eng.step():
-        steps += 1
-        assert eng.pending == len(live) - steps
-    assert fired == live  # sorted times: the clock is monotone
-    assert eng.empty and eng.now == (live[-1][0] if live else 0.0)
-
-    eng, fired = build()
     before = [e for e in live if e[0] <= cut]
     final = eng.run(until=cut)
     assert fired == before

@@ -112,11 +112,3 @@ class TestCapsAndMixtures:
         for f in flows:
             assert f.rate == pytest.approx(20.0)
         eng.run()
-
-    def test_eta_of_stalled_flow_is_inf(self):
-        from repro.sim.flows import Flow
-
-        f = Flow(0, 100.0, (), None, None, None, None, 0.0)
-        assert f.eta() == float("inf")
-        f.remaining = 0.0
-        assert f.eta() == 0.0

@@ -101,6 +101,54 @@ class TestReplayEngine:
             ).run()
             assert rep.time == des.time
 
+    # The paper's two rings on hornet(nodes=16): one eager point and the
+    # two ends of the rendezvous sweep. (nranks, nbytes, algorithm) ->
+    # (time.hex(), messages, solver_solves, solver_rounds,
+    # solver_components, solver_max_component, solver_flows_advanced).
+    # The solver counts are record fields, so a frontier change that
+    # re-batches re-solves or regroups components fails here even when
+    # every timestamp holds.
+    PINNED_RECORDS = {
+        (65, 12288, "scatter_ring_native"): (
+            "0x1.5f885d66e362ap-14", 4224, 5619, 6012, 5625, 4, 12250
+        ),
+        (65, 12288, "scatter_ring_opt"): (
+            "0x1.3f5aec0e52013p-14", 4031, 6078, 6417, 6088, 8, 17696
+        ),
+        (32, 1 << 19, "scatter_ring_native"): (
+            "0x1.2a29f7a2f022fp-12", 1023, 1925, 3336, 1938, 23, 13985
+        ),
+        (32, 1 << 19, "scatter_ring_opt"): (
+            "0x1.157edb916fd6ap-12", 943, 1758, 3208, 1773, 24, 17796
+        ),
+        (32, 1 << 25, "scatter_ring_native"): (
+            "0x1.ccf388fb1de94p-7", 1023, 1880, 3697, 1887, 32, 45610
+        ),
+        (32, 1 << 25, "scatter_ring_opt"): (
+            "0x1.afb69d308c016p-7", 943, 1716, 3485, 1722, 31, 41122
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "point", list(PINNED_RECORDS), ids=lambda p: f"P{p[0]}-{p[1]}B-{p[2]}"
+    )
+    def test_record_and_solver_telemetry_pinned(self, point):
+        from repro.core.api import simulate_bcast
+
+        nranks, nbytes, algorithm = point
+        rec = simulate_bcast(hornet(nodes=16), nranks, nbytes, algorithm=algorithm)
+        assert rec.solver_mode == "replay"
+        got = (
+            rec.time.hex(),
+            rec.messages,
+            rec.solver_solves,
+            rec.solver_rounds,
+            rec.solver_components,
+            rec.solver_max_component,
+            rec.solver_flows_advanced,
+        )
+        assert got == self.PINNED_RECORDS[point]
+
     def test_solver_stats_reported(self):
         compiled = registry_compiled("bcast_opt", 8, 65536)
         rep = ReplayEngine(Machine(hornet(), nranks=8), compiled).run()

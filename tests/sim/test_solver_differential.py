@@ -458,8 +458,6 @@ class TestComponentTracking:
         assert stats.rounds >= stats.solves
         assert stats.flows_advanced >= 0
         assert stats.solve_time_s >= 0.0
-        assert stats.rounds_per_solve == stats.rounds / stats.solves
-        assert "solver[" in stats.describe()
         with pytest.raises(AttributeError):
             stats.solves = 0
 
