@@ -400,7 +400,6 @@ def cmd_sweep(args) -> int:
             "root": sweep.root,
             "placement": sweep.placement,
             "faults": _recipe.encode_faults(sweep.faults),
-            "reliable": _recipe.encode_reliable(sweep.reliable),
         },
         records,
     )
@@ -1456,7 +1455,12 @@ def main(argv=None) -> int:
     import os
     from time import perf_counter
 
-    from .errors import ArtifactError, ConfigurationError, SweepExecutionError
+    from .errors import (
+        ArtifactError,
+        ConfigurationError,
+        MachineError,
+        SweepExecutionError,
+    )
 
     args = build_parser().parse_args(argv)
     gate_log = os.environ.get("REPRO_GATE_TIMES")
@@ -1468,9 +1472,10 @@ def main(argv=None) -> int:
         # a *failed* audit (records no longer reproduce) exits 1.
         print(f"error: {exc}", file=sys.stderr)
         code = 2
-    except ConfigurationError as exc:
+    except (ConfigurationError, MachineError) as exc:
         # Uniform CLI convention: configuration/usage errors exit 2
-        # (violations exit 1, clean runs 0) across every subcommand.
+        # (violations exit 1, clean runs 0) across every subcommand; a
+        # machine spec the model rejects (an artifact's, say) is one.
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     except SweepExecutionError as exc:

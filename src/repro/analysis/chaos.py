@@ -190,13 +190,12 @@ def _run(
     nranks: int,
     nbytes: int,
     faults: Optional[FaultPlan] = None,
-    reliable: Optional[bool] = None,
 ) -> Tuple[JobResult, List[RealBuffer]]:
     """One job of registry collective *name* over fresh real buffers."""
     machine = Machine(spec, nranks)
     bufs = _make_buffers(name, nranks, nbytes)
     factory = REGISTRY[name].build(nranks, nbytes, 0)
-    job = Job(machine, factory, buffers=bufs, faults=faults, reliable=reliable)
+    job = Job(machine, factory, buffers=bufs, faults=faults)
     result = job.run()
     return result, bufs
 
@@ -211,13 +210,10 @@ def run_chaos_point(
     """Judge one (collective, P, plan) cell against its clean reference."""
     spec = spec if spec is not None else ideal()
     ref, ref_bufs = _run(spec, name, nranks, nbytes)
-    # The all-zero plan exercises the plain transport's injection fast
-    # path; everything else runs the ARQ layer.
-    reliable = not plan.is_zero
+    # The all-zero plan runs the plain transport; everything else runs
+    # the ARQ layer.
     try:
-        res, bufs = _run(
-            spec, name, nranks, nbytes, faults=plan, reliable=reliable
-        )
+        res, bufs = _run(spec, name, nranks, nbytes, faults=plan)
     except TransportExhaustedError as exc:
         if plan.lossy:
             return ChaosCheck(

@@ -27,9 +27,8 @@ programs: instead of simulating a schedule it *reads* one, and derives
      every flow crossing a link must drain through it.
    * ``t_bound = max(t_chain, t_link)``.
 
-   Both are sound lower bounds of the simulated makespan whenever the
-   spec is deterministic (``jitter_sigma == 0``): the DP only counts
-   costs the transport provably pays before the consuming rank can
+   Both are sound lower bounds of the simulated makespan: the DP only
+   counts costs the transport provably pays before the consuming rank can
    finish, and restricts itself to messages some program actually
    consumed. Per-round link loads are *diagnostics* — summing per-round
    maxima would not be a valid bound (later rounds need not wait for the
@@ -471,14 +470,9 @@ def differential_gate(
       that the tuned broadcast is never slower than the native one.
 
     ``spec`` defaults to the ideal machine — the only preset whose
-    makespans the α-β bound is guaranteed to track tightly; the gate is
-    meaningful on any deterministic (zero-jitter) spec.
+    makespans the α-β bound is guaranteed to track tightly.
     """
     machine_spec = spec if spec is not None else ideal()
-    if machine_spec.jitter_sigma > 0:
-        raise ConfigurationError(
-            "differential gate needs a deterministic spec (jitter_sigma == 0)"
-        )
     if not 0 < band <= 1:
         raise ConfigurationError(f"band must be in (0, 1], got {band}")
     report = GateReport()

@@ -28,7 +28,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional
 
-from ..errors import ArtifactError, ConfigurationError
+from ..errors import ArtifactError
 from ..machine import MachineSpec
 from ..sim.faults import FaultPlan
 from .store import ArtifactStore, RunArtifact, artifact_digest, scrub
@@ -41,12 +41,10 @@ __all__ = [
     "audit_artifact",
     "decode_faults",
     "decode_points",
-    "decode_reliable",
     "decode_spec",
     "diff_payload",
     "encode_faults",
     "encode_points",
-    "encode_reliable",
     "encode_spec",
     "payload",
     "reexecute",
@@ -98,6 +96,15 @@ def encode_spec(spec: MachineSpec) -> dict:
 
 
 def decode_spec(data: dict) -> MachineSpec:
+    """The recorded spec as a :class:`MachineSpec`. A field this code's
+    spec lacks is an :class:`~repro.errors.ArtifactError`; a value it
+    rejects, the spec's own :class:`~repro.errors.MachineError`."""
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(MachineSpec)})
+    if unknown:
+        raise ArtifactError(
+            f"recorded machine spec has fields MachineSpec lacks: "
+            f"{', '.join(unknown)}"
+        )
     return MachineSpec(**data)
 
 
@@ -119,34 +126,6 @@ def decode_faults(data: Optional[dict]) -> Optional[FaultPlan]:
     return None if data is None else FaultPlan.from_dict(data)
 
 
-def encode_reliable(reliable) -> Optional[dict]:
-    """``None``/bool/:class:`ReliableConfig` → recipe form."""
-    if reliable is None:
-        return None
-    if isinstance(reliable, bool):
-        return {"kind": "bool", "value": reliable}
-    from ..mpi.reliable import ReliableConfig
-
-    if isinstance(reliable, ReliableConfig):
-        return {"kind": "config", "value": dataclasses.asdict(reliable)}
-    raise ConfigurationError(
-        f"reliable must be None, bool or ReliableConfig in a recipe, "
-        f"got {type(reliable).__name__}"
-    )
-
-
-def decode_reliable(data: Optional[dict]):
-    if data is None:
-        return None
-    if data.get("kind") == "bool":
-        return bool(data["value"])
-    if data.get("kind") == "config":
-        from ..mpi.reliable import ReliableConfig
-
-        return ReliableConfig(**data["value"])
-    raise ConfigurationError(f"malformed reliable payload: {data!r}")
-
-
 # -- recipes: the one place a gate's parameters become a call ---------
 Progress = Optional[Callable[[str], None]]
 
@@ -160,7 +139,6 @@ def _run_sweep(config: dict, progress: Progress = None) -> Any:
         root=int(config.get("root", 0)),
         placement=config.get("placement", "blocked"),
         faults=decode_faults(config.get("faults")),
-        reliable=decode_reliable(config.get("reliable")),
     )
 
 

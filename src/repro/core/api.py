@@ -87,20 +87,13 @@ def _resolve_algorithm(
     return name, get_algorithm(name)
 
 
-def _is_static(machine: Machine, faults, reliable, trace, validate: bool) -> bool:
+def _is_static(faults, trace, validate: bool) -> bool:
     """True when the run's timing is statically determined (replayable).
 
-    Fault injection, the ARQ transport, tracing, data validation and
-    stochastic latencies all need the coroutine DES.
+    Fault injection (and with it the ARQ transport), tracing and data
+    validation need the coroutine DES.
     """
-    return (
-        (faults is None or faults.is_zero)
-        and not reliable
-        and trace is None
-        and not validate
-        and machine.spec.jitter_sigma == 0.0
-        and machine.spec.queueing_kappa == 0.0
-    )
+    return (faults is None or faults.is_zero) and trace is None and not validate
 
 
 def _run(
@@ -111,7 +104,6 @@ def _run(
     buffers=None,
     trace=None,
     faults=None,
-    reliable=None,
 ):
     """Run *factory* once on *machine*; returns ``(result, engine_name)``.
 
@@ -121,7 +113,7 @@ def _run(
     and every dynamic run go to the coroutine DES. *result* quacks like
     a ``JobResult`` (``time``/``counters``/``solver_stats``).
     """
-    if _is_static(machine, faults, reliable, trace, buffers is not None):
+    if _is_static(faults, trace, buffers is not None):
         try:
             if emit is not None:
                 compiled = emit()
@@ -143,7 +135,6 @@ def _run(
         trace=trace,
         working_set=working_set,
         faults=faults,
-        reliable=reliable,
     )
     return job.run(), "des"
 
@@ -175,7 +166,6 @@ def simulate_bcast(
     trace: Optional[Trace] = None,
     iterations: int = 1,
     faults: Optional[FaultPlan] = None,
-    reliable=None,
 ) -> RunRecord:
     """Simulate one broadcast and return its :class:`RunRecord`.
 
@@ -190,19 +180,14 @@ def simulate_bcast(
     counts are per iteration (barrier tokens excluded from bytes but
     counted as messages / iterations rounding down).
 
-    ``faults`` attaches a :class:`~repro.sim.faults.FaultPlan`;
-    ``reliable`` opts into the ARQ transport (``True`` or a
-    :class:`~repro.mpi.reliable.ReliableConfig`). When ``reliable`` is
-    left ``None`` it defaults to on exactly when a non-zero fault plan
-    is given — injecting faults without a recovery protocol is a recipe
-    for a deadlock, which stays available explicitly via
-    ``reliable=False``. Chaos telemetry lands in the record as
-    whole-run totals (not divided by ``iterations``).
+    ``faults`` attaches a :class:`~repro.sim.faults.FaultPlan`; a
+    non-zero plan runs on the ARQ transport
+    (:class:`~repro.mpi.reliable.ReliableTransport`), which injects the
+    plan's faults and recovers from them. Chaos telemetry lands in the
+    record as whole-run totals (not divided by ``iterations``).
     """
     if iterations < 1:
         raise ConfigurationError(f"iterations must be >= 1, got {iterations}")
-    if reliable is None:
-        reliable = faults is not None and not faults.is_zero
     size = parse_size(nbytes)
     machine = _make_machine(spec_or_machine, nranks, placement)
     label, algo = _resolve_algorithm(algorithm, size, nranks, machine, faults=faults)
@@ -242,7 +227,6 @@ def simulate_bcast(
         buffers=buffers,
         trace=trace,
         faults=faults,
-        reliable=reliable,
     )
 
     if validate:
@@ -284,22 +268,21 @@ def compare_bcast(
     native: str = "scatter_ring_native",
     opt: str = "scatter_ring_opt",
     faults: Optional[FaultPlan] = None,
-    reliable=None,
 ) -> ComparisonRecord:
     """Run the native and tuned designs at one point (paper-style A/B).
 
     Fresh machines are built per run so no fluid-resource state leaks
-    between the two measurements. ``faults``/``reliable`` apply to both
-    runs (see :func:`simulate_bcast`).
+    between the two measurements. ``faults`` applies to both runs (see
+    :func:`simulate_bcast`).
     """
     size = parse_size(nbytes)
     rec_native = simulate_bcast(
         spec, nranks, size, algorithm=native, root=root, placement=placement,
-        faults=faults, reliable=reliable,
+        faults=faults,
     )
     rec_opt = simulate_bcast(
         spec, nranks, size, algorithm=opt, root=root, placement=placement,
-        faults=faults, reliable=reliable,
+        faults=faults,
     )
     return ComparisonRecord(nranks=nranks, nbytes=size, native=rec_native, opt=rec_opt)
 

@@ -96,7 +96,6 @@ def cache_key(
     placement="blocked",
     salt: str = CACHE_VERSION,
     faults=None,
-    reliable=None,
 ) -> str:
     """Content hash identifying one simulated point.
 
@@ -104,9 +103,9 @@ def cache_key(
     attributes (a :class:`~repro.core.sweep.SweepPoint`). Placement
     policies are keyed by ``str()`` so explicit rank lists and named
     policies both participate. ``faults`` (a
-    :class:`~repro.sim.faults.FaultPlan`) enters via its content digest
-    and ``reliable`` via its repr, so chaos records never collide with
-    clean-run entries for the same point.
+    :class:`~repro.sim.faults.FaultPlan`) enters via its content digest,
+    so chaos records never collide with clean-run entries for the same
+    point.
     """
     payload = {
         "spec": dataclasses.asdict(spec),
@@ -114,7 +113,6 @@ def cache_key(
         "root": root,
         "placement": str(placement),
         "faults": faults.digest() if faults is not None else "",
-        "reliable": repr(reliable) if reliable else "",
         "salt": salt,
     }
     blob = json.dumps(payload, sort_keys=True, default=str, separators=(",", ":"))

@@ -57,7 +57,7 @@ def _simulate_point(task):
     failures cross the process boundary even when the original exception
     type does not pickle.
     """
-    spec, point, root, placement, faults, reliable = task
+    spec, point, root, placement, faults = task
     try:
         rec = simulate_bcast(
             spec,
@@ -67,7 +67,6 @@ def _simulate_point(task):
             root=root,
             placement=placement,
             faults=faults,
-            reliable=reliable,
         )
         return ("ok", rec)
     except Exception as exc:  # noqa: BLE001 - serialised and re-raised in parent
@@ -109,13 +108,12 @@ class SweepExecutor:
         placement="blocked",
         progress: Optional[Callable] = None,
         faults=None,
-        reliable=None,
     ) -> List[RunRecord]:
         """Simulate every point; results align index-for-index with
         *points*. ``progress(point)`` fires once per point (cache hits
         included) in point order, before any simulation output is used.
-        ``faults``/``reliable`` apply to every point and participate in
-        the cache key (a chaos run never collides with a clean one).
+        ``faults`` applies to every point and participates in the cache
+        key (a chaos run never collides with a clean one).
         Each fresh record is cached as it arrives; a failure raises
         :class:`~repro.errors.SweepExecutionError` for the earliest
         failed point once the pool has drained (the serial path stops
@@ -136,11 +134,10 @@ class SweepExecutor:
                     root=root,
                     placement=placement,
                     faults=faults,
-                    reliable=reliable,
                 )
                 results[i] = self.cache.get(keys[i])
             if results[i] is None:
-                tasks[i] = (spec, point, root, placement, faults, reliable)
+                tasks[i] = (spec, point, root, placement, faults)
 
         # Simulate the cold points: pool fan-out or serial.
         serial = self.jobs == 1 or len(tasks) <= 1

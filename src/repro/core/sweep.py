@@ -46,9 +46,8 @@ class Sweep:
         root: int = 0,
         placement="blocked",
         faults=None,
-        reliable=None,
     ):
-        """``faults``/``reliable`` apply to every point (see
+        """``faults`` applies to every point (see
         :func:`~repro.core.api.simulate_bcast`) — a chaos sweep is the
         same grid with a :class:`~repro.sim.faults.FaultPlan` attached."""
         self.spec = spec
@@ -58,7 +57,6 @@ class Sweep:
         self.root = root
         self.placement = placement
         self.faults = faults
-        self.reliable = reliable
         if not self.sizes or not self.ranks or not self.algorithms:
             raise ConfigurationError("sweep needs sizes, ranks and algorithms")
         self._cache: Dict[SweepPoint, RunRecord] = {}
@@ -83,7 +81,6 @@ class Sweep:
                 root=self.root,
                 placement=self.placement,
                 faults=self.faults,
-                reliable=self.reliable,
             )
             self._cache[point] = rec
         return rec
@@ -118,7 +115,6 @@ class Sweep:
                 placement=self.placement,
                 progress=progress,
                 faults=self.faults,
-                reliable=self.reliable,
             )
             for point, rec in zip(todo, records):
                 self._cache[point] = rec

@@ -75,16 +75,6 @@ class MachineSpec:
     topology: str = "crossbar"
     topology_params: dict = field(default_factory=dict)
 
-    # -- optional second-order effects -----------------------------------------
-    jitter_sigma: float = 0.0
-    seed: int = 0
-    # Queueing-delay extension (default off): every launched message pays
-    # extra latency kappa * L * m / C, with L the flow count already on
-    # the message's most-loaded resource and C its bottleneck capacity —
-    # a deterministic stand-in for the congestion-variance tails a fluid
-    # model smooths out (see docs/model.md and EXPERIMENTS.md deviations).
-    queueing_kappa: float = 0.0
-
     def __post_init__(self) -> None:
         # NaN slips through every ordered comparison below, and NaN or
         # inf rates stall the fluid solver, so reject them up front.
@@ -105,8 +95,6 @@ class MachineSpec:
             "send_overhead",
             "recv_overhead",
             "rendezvous_rtt",
-            "jitter_sigma",
-            "queueing_kappa",
         ):
             if getattr(self, attr) < 0:
                 raise MachineError(f"{attr} must be >= 0")

@@ -22,7 +22,7 @@ __all__, __getattr__ = lazy_hub(
         "comm": ["Communicator"],
         "context": ["RankContext"],
         "transport": ["Transport"],
-        "reliable": ["ACK_TAG", "ReliableConfig", "ReliableTransport"],
+        "reliable": ["ACK_TAG", "ReliableTransport"],
         "runtime": ["Job", "JobResult"],
     },
 )

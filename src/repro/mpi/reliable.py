@@ -1,8 +1,12 @@
 """A reliable transport: sequence numbers, ACKs, timeout + retransmit.
 
-:class:`ReliableTransport` is a drop-in :class:`~repro.mpi.transport.Transport`
-replacement that survives the faults a :class:`~repro.sim.faults.FaultPlan`
-injects. The protocol is a deliberately small stop-and-wait-per-message ARQ:
+:class:`ReliableTransport` is the :class:`~repro.mpi.transport.Transport`
+of every run with a non-zero :class:`~repro.sim.faults.FaultPlan`: it
+injects the plan's faults and survives them. Every transmission consults
+``plan.decide(src, dst, tag, op_index)``; drops and corruptions lose the
+packet, duplicates deliver a second copy, and latency effects (rank
+slowdown, spikes, per-rule surcharges) stretch the transmission. The
+protocol is a deliberately small stop-and-wait-per-message ARQ:
 
 * every data packet carries a per-``(src, dst)`` **sequence number**;
 * the receiving transport **positively ACKs** each packet it buffers;
@@ -11,9 +15,9 @@ injects. The protocol is a deliberately small stop-and-wait-per-message ARQ:
   tuned ring's half-duplex degraded steps (a rank in a send-only step
   whose peer is in a recv-only step) still terminate under loss;
 * an unACKed packet is **retransmitted** after a timeout that grows by
-  ``backoff``\\ :sup:`attempt` (so retries straddle blackout windows),
-  up to ``max_retries`` retransmissions — then the sender declares the
-  link dead with a typed :class:`~repro.errors.TransportExhaustedError`;
+  :data:`BACKOFF`\\ :sup:`attempt` (so retries straddle blackout windows),
+  up to :data:`MAX_RETRIES` retransmissions — then the sender declares
+  the link dead with a typed :class:`~repro.errors.TransportExhaustedError`;
 * the receiver delivers each channel **in order** (TCP-style reassembly
   of out-of-order arrivals) which preserves MPI's non-overtaking rule
   even when a retransmission overtakes a later packet, **suppresses
@@ -36,48 +40,33 @@ fault-free run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from ..errors import ConfigurationError, TransportExhaustedError
-from ..sim.faults import FaultDecision
+from ..errors import TransportExhaustedError
+from ..sim.faults import FaultDecision, FaultPlan, InjectedFault
 from .matching import Envelope
 from .request import Request
 from .transport import Transport, _Delivery
 
-__all__ = ["ReliableConfig", "ReliableTransport", "ACK_TAG"]
+__all__ = ["ReliableTransport", "ACK_TAG"]
 
 #: Tag reserved for ACK control packets (never visible to matching).
 ACK_TAG = -101
 
+# The retransmit timeout of attempt *k* (0-based) is
+# ``(MIN_TIMEOUT + TIMEOUT_MARGIN * rtt_estimate) * BACKOFF**k``, where the
+# RTT estimate is two path latencies plus the payload serialisation time
+# (see docs/robustness.md).
+MIN_TIMEOUT = 20e-6
+TIMEOUT_MARGIN = 4.0
+BACKOFF = 2.0
+#: Retransmissions before the sender declares the link dead.
+MAX_RETRIES = 6
+#: Wire size of one ACK control packet.
+ACK_NBYTES = 64
 
-@dataclass(frozen=True)
-class ReliableConfig:
-    """Tuning knobs of the ARQ protocol (see docs/robustness.md).
-
-    The retransmit timeout for attempt *k* (0-based) is
-    ``(min_timeout + margin * rtt_estimate) * backoff**k`` where the RTT
-    estimate is two path latencies plus the payload serialisation time.
-    """
-
-    min_timeout: float = 20e-6
-    timeout_margin: float = 4.0
-    backoff: float = 2.0
-    max_retries: int = 6
-    ack_nbytes: int = 64
-    checksum: bool = True
-
-    def __post_init__(self):
-        if self.min_timeout <= 0:
-            raise ConfigurationError("min_timeout must be > 0")
-        if self.timeout_margin < 1.0:
-            raise ConfigurationError("timeout_margin must be >= 1")
-        if self.backoff < 1.0:
-            raise ConfigurationError("backoff must be >= 1")
-        if self.max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0")
-        if self.ack_nbytes < 0:
-            raise ConfigurationError("ack_nbytes must be >= 0")
+#: Keep at most this many injected-fault audit records per run.
+_FAULT_LOG_CAP = 512
 
 
 class _Packet:
@@ -107,15 +96,54 @@ class _PendingSend:
 
 
 class ReliableTransport(Transport):
-    """ARQ layer over the fault-injecting transport (module docstring)."""
+    """Fault-injecting ARQ transport (module docstring)."""
 
-    def __init__(self, *args, config: Optional[ReliableConfig] = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.config = config if config is not None else ReliableConfig()
+    def __init__(self, *args, faults: FaultPlan):
+        super().__init__(*args)
+        self.faults = faults
+        self.fault_log: List[InjectedFault] = []
+        self._op_index: Dict[Tuple[int, int], int] = {}  # per-link xmit counter
         self._send_seq: Dict[Tuple[int, int], int] = {}  # next seq to assign
         self._pending: Dict[Tuple[int, int, int], _PendingSend] = {}
         self._next_seq: Dict[Tuple[int, int], int] = {}  # next seq to deliver
         self._ooo: Dict[Tuple[int, int], Dict[int, _Packet]] = {}
+
+    # -- fault injection ---------------------------------------------------
+    def _decide_fault(self, src: int, dst: int, tag: int) -> FaultDecision:
+        """Evaluate the fault plan for the next transmission on a link.
+
+        Advances the per-link op-index even for clean decisions, so
+        predicates stay addressable by "the k-th message on this link"
+        regardless of what earlier rules did.
+        """
+        op_index = self._op_index.get((src, dst), 0)
+        self._op_index[(src, dst)] = op_index + 1
+        return self.faults.decide(src, dst, tag, op_index, now=self.engine.now)
+
+    def _log_fault(self, kind: str, src: int, dst: int, tag: int, cause: str) -> None:
+        if len(self.fault_log) < _FAULT_LOG_CAP:
+            self.fault_log.append(
+                InjectedFault(
+                    time=self.engine.now,
+                    kind=kind,
+                    src=src,
+                    dst=dst,
+                    tag=tag,
+                    op_index=self._op_index.get((src, dst), 1) - 1,
+                    cause=cause,
+                )
+            )
+
+    def fault_summary(self) -> List[str]:
+        """Audit lines for every fault actually injected this run.
+
+        Appended to deadlock reports so a chaos-run hang names the
+        suppressed message instead of reading like a schedule bug.
+        """
+        out = [f.describe() for f in self.fault_log]
+        if len(self.fault_log) >= _FAULT_LOG_CAP:
+            out.append(f"... (fault log capped at {_FAULT_LOG_CAP} records)")
+        return out
 
     # -- timing ---------------------------------------------------------
     def _xfer_seconds(self, plan, nbytes: int) -> float:
@@ -130,10 +158,9 @@ class ReliableTransport(Transport):
     def _timeout_seconds(self, plan, xfer_s: float, attempts: int) -> float:
         """Retransmit timeout of a transmission whose payload takes
         *xfer_s* seconds (:meth:`_xfer_seconds`) on the path."""
-        cfg = self.config
         rtt = 2.0 * plan.latency + xfer_s
-        base = cfg.min_timeout + cfg.timeout_margin * rtt
-        return base * cfg.backoff ** max(attempts - 1, 0)
+        base = MIN_TIMEOUT + TIMEOUT_MARGIN * rtt
+        return base * BACKOFF ** max(attempts - 1, 0)
 
     # -- send path ------------------------------------------------------
     def _launch_send(self, req: Request) -> None:
@@ -160,8 +187,6 @@ class ReliableTransport(Transport):
         if corrupt:
             self.counters.corrupt_injected += 1
             self._log_fault("corrupt", req.owner, req.peer, req.tag, "payload bit-flip")
-            if not self.config.checksum:
-                payload = self._corrupt_payload(payload)
         if self.trace.enabled:
             self.trace.emit(
                 self.engine.now,
@@ -175,7 +200,7 @@ class ReliableTransport(Transport):
                 attempt=state.attempts,
                 intra=plan.intra_node,
             )
-        latency = self._latency(plan) + self._queueing_delay(plan, req.nbytes)
+        latency = plan.latency
         if decision is not FaultDecision.CLEAN:
             latency = latency * decision.latency_factor + decision.extra_latency
         xfer_s = self._xfer_seconds(plan, req.nbytes)
@@ -215,7 +240,7 @@ class ReliableTransport(Transport):
             return
         req = state.req
         self.counters.timeouts += 1
-        if state.attempts > self.config.max_retries:
+        if state.attempts > MAX_RETRIES:
             raise TransportExhaustedError(
                 req.owner,
                 req.peer,
@@ -241,7 +266,7 @@ class ReliableTransport(Transport):
     def _packet_arrive(self, packet: _Packet) -> None:
         req = packet.send_req
         src, dst = req.owner, req.peer
-        if packet.corrupt and self.config.checksum:
+        if packet.corrupt:
             # Checksum failure: discard silently — no ACK, so the
             # sender's timer turns the corruption into a retransmission.
             self.counters.corrupt_dropped += 1
@@ -294,7 +319,7 @@ class ReliableTransport(Transport):
     # -- ACK path -------------------------------------------------------
     def _send_ack(self, src: int, dst: int, seq: int) -> None:
         """ACK travels the reverse link and is itself fault-prone."""
-        self.counters.record_ack(self.config.ack_nbytes)
+        self.counters.record_ack(ACK_NBYTES)
         decision = self._decide_fault(dst, src, ACK_TAG)
         if decision.drop or decision.corrupt:
             # A mangled control packet is a lost control packet.
@@ -304,10 +329,10 @@ class ReliableTransport(Transport):
             )
             return
         plan = self.machine.transfer_plan(dst, src)
-        latency = self._latency(plan)
+        latency = plan.latency
         if decision is not FaultDecision.CLEAN:
             latency = latency * decision.latency_factor + decision.extra_latency
-        duration = latency + self._xfer_seconds(plan, self.config.ack_nbytes)
+        duration = latency + self._xfer_seconds(plan, ACK_NBYTES)
         self.engine.post(duration, self._ack_arrive, src, dst, seq)
 
     def _ack_arrive(self, src: int, dst: int, seq: int) -> None:

@@ -14,14 +14,14 @@ from typing import Callable, List, Optional
 
 from ..errors import DeadlockError, SimulationError
 from ..machine import Machine
-from ..sim import Engine, FlowNetwork, NullTrace, Proc, RngStreams, Trace
+from ..sim import Engine, FlowNetwork, NullTrace, Proc, Trace
 from ..sim.faults import FaultPlan
 from ..sim.process import BLOCKED
 from .comm import Communicator
 from .context import RankContext
 from .counters import TrafficCounters
 from .ops import ComputeOp, IrecvOp, IsendOp, RecvOp, SendOp, WaitOp
-from .reliable import ReliableConfig, ReliableTransport
+from .reliable import ReliableTransport
 from .request import Request
 from .transport import Transport
 
@@ -104,42 +104,22 @@ class Job:
         buffers: Optional[List] = None,
         trace: Optional[Trace] = None,
         working_set: int = 0,
-        rng: Optional[RngStreams] = None,
         faults: Optional[FaultPlan] = None,
-        reliable=None,
     ):
-        """``faults`` attaches a :class:`~repro.sim.faults.FaultPlan` to
-        the transport; ``reliable`` opts into the ARQ layer — pass
-        ``True`` for :class:`~repro.mpi.reliable.ReliableConfig` defaults
-        or a config instance for tuned timeouts/budgets."""
+        """A non-zero ``faults`` plan runs on the fault-injecting ARQ
+        transport (:class:`~repro.mpi.reliable.ReliableTransport`); no
+        plan or the zero plan, on the plain one."""
         self.machine = machine
         self.comm = comm if comm is not None else Communicator.world(machine.nranks)
         self.engine = Engine()
         self.flownet = FlowNetwork(self.engine)
         self.counters = TrafficCounters()
         self.trace = trace if trace is not None else NullTrace()
-        if reliable:
-            config = reliable if isinstance(reliable, ReliableConfig) else None
-            self.transport = ReliableTransport(
-                self.engine,
-                self.flownet,
-                machine,
-                self.trace,
-                self.counters,
-                rng=rng,
-                faults=faults,
-                config=config,
-            )
+        args = (self.engine, self.flownet, machine, self.trace, self.counters)
+        if faults is not None and not faults.is_zero:
+            self.transport = ReliableTransport(*args, faults=faults)
         else:
-            self.transport = Transport(
-                self.engine,
-                self.flownet,
-                machine,
-                self.trace,
-                self.counters,
-                rng=rng,
-                faults=faults,
-            )
+            self.transport = Transport(*args)
         if working_set:
             machine.set_working_set(working_set)
 
@@ -168,9 +148,10 @@ class Job:
         unfinished = [repr(p) for p in self.procs if not p.finished]
         if unfinished:
             notes = self.transport.blocked_summary()
-            notes.extend(
-                f"injected {line}" for line in self.transport.fault_summary()
-            )
+            if isinstance(self.transport, ReliableTransport):
+                notes.extend(
+                    f"injected {line}" for line in self.transport.fault_summary()
+                )
             raise DeadlockError(unfinished, notes=notes)
         makespan = max(t for t in self._finish_times)
         return JobResult(

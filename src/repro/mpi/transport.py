@@ -19,36 +19,27 @@ Rendezvous (larger messages)
     start. Send and receive both complete when the flow drains. This is
     what synchronises ring steps for the paper's large-message regime.
 
-Transfers are counted (:class:`~repro.mpi.counters.TrafficCounters`) at
-launch time, once per message, tagged intra- or inter-node.
+Every message travels at its path's latency. Transfers are counted
+(:class:`~repro.mpi.counters.TrafficCounters`) at launch time, once per
+message, tagged intra- or inter-node.
 
-Fault injection (:mod:`repro.sim.faults`) hooks in at launch: when a
-:class:`~repro.sim.faults.FaultPlan` is attached, every send consults
-``plan.decide(src, dst, tag, op_index)``. Dropped messages never produce
-an envelope (an eager sender completes obliviously; a rendezvous sender
-blocks until the run deadlocks — diagnosable via :meth:`fault_summary`),
-corrupted payloads are bit-flipped in flight, and latency effects (rank
-slowdown, spikes, per-rule surcharges) stretch the envelope delay.
-Duplicates need receiver-side suppression and are only injected by the
-reliability layer (:class:`repro.mpi.reliable.ReliableTransport`).
+This transport injects no faults: a run with a non-zero
+:class:`~repro.sim.faults.FaultPlan` runs on the reliability layer
+(:class:`repro.mpi.reliable.ReliableTransport`) instead.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from ..errors import TruncationError
 from ..machine import Machine
-from ..sim import Engine, FlowNetwork, RngStreams, Trace
-from ..sim.faults import FaultDecision, FaultPlan, InjectedFault
+from ..sim import Engine, FlowNetwork, Trace
 from .counters import TrafficCounters
 from .matching import Envelope, MatchingEngine
 from .request import Request, Status
 
 __all__ = ["Transport"]
-
-#: Keep at most this many injected-fault audit records per run.
-_FAULT_LOG_CAP = 512
 
 
 class _Delivery:
@@ -74,25 +65,20 @@ class Transport:
         machine: Machine,
         trace: Trace,
         counters: TrafficCounters,
-        rng: Optional[RngStreams] = None,
-        faults: Optional[FaultPlan] = None,
     ):
         self.engine = engine
         self.flownet = flownet
         self.machine = machine
         self.trace = trace
         self.counters = counters
-        self.rng = rng if rng is not None else RngStreams(machine.spec.seed)
-        self.faults = faults
-        self.fault_log: List[InjectedFault] = []
-        self._op_index: Dict[Tuple[int, int], int] = {}  # per-link xmit counter
         self.matching: List[MatchingEngine] = [
             MatchingEngine(r) for r in range(machine.nranks)
         ]
         self._seq = 0
-        # Non-overtaking guarantee: envelopes on one (src, dst) channel
-        # arrive in send order even when jitter or queueing delays vary
-        # per message. Tracks the latest scheduled arrival per channel.
+        # Non-overtaking guarantee: each envelope on a (src, dst) channel
+        # arrives strictly after the one before it, even when both were
+        # launched at one timestamp. Tracks the latest scheduled arrival
+        # per channel.
         self._env_clock = {}
 
     # -- public entry points -----------------------------------------------
@@ -132,99 +118,14 @@ class Transport:
         if env is not None:
             self._matched(env, req)
 
-    # -- fault injection ---------------------------------------------------
-    def _decide_fault(self, src: int, dst: int, tag: int) -> FaultDecision:
-        """Evaluate the fault plan for the next transmission on a link.
-
-        Advances the per-link op-index even for clean decisions, so
-        predicates stay addressable by "the k-th message on this link"
-        regardless of what earlier rules did.
-        """
-        if self.faults is None:
-            return FaultDecision.CLEAN
-        op_index = self._op_index.get((src, dst), 0)
-        self._op_index[(src, dst)] = op_index + 1
-        return self.faults.decide(src, dst, tag, op_index, now=self.engine.now)
-
-    def _log_fault(self, kind: str, src: int, dst: int, tag: int, cause: str) -> None:
-        if len(self.fault_log) < _FAULT_LOG_CAP:
-            self.fault_log.append(
-                InjectedFault(
-                    time=self.engine.now,
-                    kind=kind,
-                    src=src,
-                    dst=dst,
-                    tag=tag,
-                    op_index=self._op_index.get((src, dst), 1) - 1,
-                    cause=cause,
-                )
-            )
-
-    def _corrupt_payload(self, payload):
-        """Bit-flip an in-flight payload copy (real buffers only; phantom
-        payloads are size-only, corruption there is flag-carried)."""
-        if payload is not None and hasattr(payload, "size") and payload.size:
-            payload = payload.copy()
-            payload[0] ^= 0xFF
-        return payload
-
     # -- send path -----------------------------------------------------------
-    def _latency(self, plan) -> float:
-        sigma = self.machine.spec.jitter_sigma
-        if sigma > 0.0:
-            return plan.latency * self.rng.jitter_factor("latency", sigma)
-        return plan.latency
-
-    def _queueing_delay(self, plan, nbytes: int) -> float:
-        """Deterministic congestion surcharge (spec.queueing_kappa).
-
-        Extra latency proportional to the message's serialisation time
-        on its bottleneck resource times the flow count already queued
-        on the path's most-loaded resource — the stand-in for the
-        congestion-variance tails documented in docs/model.md.
-        """
-        kappa = self.machine.spec.queueing_kappa
-        if kappa <= 0.0 or nbytes == 0 or not plan.resources:
-            return 0.0
-        load = max(res.load for res in plan.resources)
-        if load == 0:
-            return 0.0
-        bottleneck = min(res.capacity for res in plan.resources)
-        return kappa * load * nbytes / bottleneck
-
     def _launch_send(self, req: Request) -> None:
         plan = self.machine.transfer_plan(req.owner, req.peer)
-        spec = self.machine.spec
-        eager = req.nbytes <= spec.eager_threshold
+        eager = req.nbytes <= self.machine.spec.eager_threshold
         payload = None
         if req.buffer is not None:
             payload = req.buffer.read(req.disp, req.nbytes)
         self.counters.record(req.owner, req.peer, req.nbytes, plan.intra_node)
-        decision = self._decide_fault(req.owner, req.peer, req.tag)
-        if decision.drop:
-            self.counters.drops_injected += 1
-            cause = decision.cause or "drop"
-            self._log_fault("drop", req.owner, req.peer, req.tag, cause)
-            self.trace.emit(
-                self.engine.now,
-                "send_drop",
-                src=req.owner,
-                dst=req.peer,
-                tag=req.tag,
-                nbytes=req.nbytes,
-                cause=cause,
-            )
-            if eager:
-                # Fire-and-forget: an eager sender never learns the fabric
-                # ate its message; the send itself completes as usual.
-                req.finish()
-            # A rendezvous sender blocks forever (no envelope, no CTS) —
-            # exactly the deadlock fault_summary() makes diagnosable.
-            return
-        if decision.corrupt:
-            self.counters.corrupt_injected += 1
-            self._log_fault("corrupt", req.owner, req.peer, req.tag, "payload bit-flip")
-            payload = self._corrupt_payload(payload)
         if self.trace.enabled:
             self.trace.emit(
                 self.engine.now,
@@ -238,11 +139,8 @@ class Transport:
             )
         delivery = _Delivery(req, payload, rendezvous=not eager)
         env = Envelope(req.owner, req.tag, req.nbytes, delivery, req.seq)
-        latency = self._latency(plan) + self._queueing_delay(plan, req.nbytes)
-        if decision is not FaultDecision.CLEAN:
-            latency = latency * decision.latency_factor + decision.extra_latency
         channel = (req.owner, req.peer)
-        arrival = self.engine.now + latency
+        arrival = self.engine.now + plan.latency
         floor = self._env_clock.get(channel)
         if floor is not None and arrival <= floor:
             arrival = floor * (1 + 1e-12) + 1e-15
@@ -301,7 +199,7 @@ class Transport:
             plan = self.machine.transfer_plan(
                 delivery.send_req.owner, delivery.send_req.peer
             )
-            cts = self.machine.spec.rendezvous_rtt * self._latency(plan)
+            cts = self.machine.spec.rendezvous_rtt * plan.latency
             self.engine.post(cts, self._start_rendezvous_flow, delivery, plan)
         elif delivery.flow_done:
             self._deliver(delivery)
@@ -358,15 +256,4 @@ class Transport:
         for eng in self.matching:
             if eng.pending_recvs or eng.pending_unexpected:
                 out.append(eng.describe_blockage())
-        return out
-
-    def fault_summary(self) -> List[str]:
-        """Audit lines for every fault actually injected this run.
-
-        Appended to deadlock reports so a chaos-run hang names the
-        suppressed message instead of reading like a schedule bug.
-        """
-        out = [f.describe() for f in self.fault_log]
-        if len(self.fault_log) >= _FAULT_LOG_CAP:
-            out.append(f"... (fault log capped at {_FAULT_LOG_CAP} records)")
         return out

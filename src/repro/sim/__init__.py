@@ -10,7 +10,6 @@ __all__, __getattr__ = lazy_hub(
         "resources": ["Resource"],
         "flows": ["Flow", "FlowNetwork", "SolverStats"],
         "trace": ["Trace", "NullTrace", "TraceRecord"],
-        "random": ["RngStreams"],
         "faults": [
             "Blackout",
             "FaultDecision",

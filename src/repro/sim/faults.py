@@ -17,12 +17,9 @@ message *k* on one link never shifts when another link gains traffic.
 
 The plan is consumed by:
 
-* :class:`repro.mpi.transport.Transport` — drop/corrupt/delay injection
-  on every launched message (duplicates need the reliability layer's
-  suppression and are injected by
-  :class:`repro.mpi.reliable.ReliableTransport` only);
-* :class:`repro.collectives.schedule.ScheduleExecutor` — static
-  suppression for diagnosable chaos-run deadlock reports;
+* :class:`repro.mpi.reliable.ReliableTransport`, the transport of every
+  run with a non-zero plan — drop/duplicate/corrupt/delay injection on
+  every transmission, recovered by its ARQ protocol;
 * :func:`repro.collectives.selector.choose_bcast_name` — graceful
   degradation away from the tuned ring when a neighbour is crashed;
 * :mod:`repro.analysis.chaos` — the chaos differential gate.

@@ -15,11 +15,11 @@ max-min fair allocation.
 
 Both execution engines run on :class:`FlowNetwork`. The coroutine DES
 (:mod:`repro.mpi`) starts :class:`Flow` objects with
-:meth:`~FlowNetwork.add_flow`, which also attaches them to their
-resources. The replay engine (:mod:`repro.sim.replay`) registers each
-transfer plan once with :meth:`~FlowNetwork.path_class` and starts
-flows of that class with :meth:`~FlowNetwork.start`. Beneath both sits
-one solver, the simulator's hot loop (it runs twice per message):
+:meth:`~FlowNetwork.add_flow`. The replay engine
+(:mod:`repro.sim.replay`) registers each transfer plan once with
+:meth:`~FlowNetwork.path_class` and starts flows of that class with
+:meth:`~FlowNetwork.start`. Beneath both sits one solver, the
+simulator's hot loop (it runs twice per message):
 
 * per-flow state (remaining bytes, current rate) lives in plain dicts
   keyed by flow id. Frontiers hold a handful to a few hundred flows, so
@@ -413,8 +413,6 @@ class FlowNetwork:
         flow._event = self.start(nbytes, cid, flow)
         if flow._event is None:
             flow._net = self
-            for res in path:
-                res.attach(flow)
         return flow
 
     def cancel_flow(self, flow: Flow) -> None:
@@ -474,12 +472,10 @@ class FlowNetwork:
         remaining = self._rem.pop(fid)
         rate = self._rate.pop(fid)
         if type(token) is Flow:
-            # A DES flow keeps its last state and leaves its resources.
+            # A DES flow keeps its last state.
             token._net = None
             token._remaining = remaining
             token._rate = rate
-            for res in token.resources:
-                res.detach(token)
         return token
 
     def _advance(self) -> None:
@@ -635,8 +631,7 @@ class FlowNetwork:
             del self._comp_flows[c]
             res_comp = self._res_comp
             for rid in self._comp_res.pop(c):
-                if res_comp.get(rid) == c:
-                    del res_comp[rid]
+                del res_comp[rid]
             self._dirty_comps.discard(c)
             self._split_comps.discard(c)
             self._comp_removals.pop(c, None)
@@ -700,8 +695,7 @@ class FlowNetwork:
         """Rebuild one component's grouping from its surviving flows."""
         flows = self._comp_flows.pop(c)
         for rid in self._comp_res.pop(c):
-            if self._res_comp.get(rid) == c:
-                del self._res_comp[rid]
+            del self._res_comp[rid]
         self._dirty_comps.discard(c)
         self._comp_removals.pop(c, None)
         paths = self._class_paths
@@ -721,7 +715,15 @@ class FlowNetwork:
 
     # -- rate solving ------------------------------------------------------
     def _solve_rates(self) -> None:
-        """Re-run progressive filling for the components that changed."""
+        """Re-run progressive filling for the components that changed.
+
+        :meth:`_resolve` calls this on every re-solve, even when nothing
+        is dirty, and must keep doing so: the reference solver of
+        ``tests/sim/reference_solver.py`` overrides this hook, keeps no
+        dirty set and re-solves everything here. A "nothing dirty" guard
+        in :meth:`_resolve` would leave the oracle's new flows at zero
+        rate.
+        """
         dirty = self._dirty_comps
         if not dirty and not self._split_comps:
             return

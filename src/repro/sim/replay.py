@@ -46,8 +46,8 @@ delivery) are replicated exactly, which is what makes replay timestamps
 
 What replay cannot express falls back to the DES: wildcard
 ``ANY_SOURCE`` receives (match order is timing-dependent), fault
-injection, the ARQ reliability layer, stochastic latencies
-(``jitter_sigma``/``queueing_kappa``) and traced or validating runs.
+injection with its ARQ reliability layer, and traced or validating
+runs.
 """
 
 from __future__ import annotations
@@ -319,12 +319,6 @@ class ReplayEngine:
 
     def __init__(self, machine, schedule: ReplaySchedule, working_set: int = 0):
         spec = machine.spec
-        if spec.jitter_sigma > 0.0 or spec.queueing_kappa > 0.0:
-            raise ReplayUnsupportedError(
-                "replay needs deterministic latencies "
-                f"(jitter_sigma={spec.jitter_sigma}, "
-                f"queueing_kappa={spec.queueing_kappa})"
-            )
         if machine.nranks < schedule.nranks:
             raise SimulationError(
                 f"machine hosts {machine.nranks} ranks, "
@@ -497,8 +491,8 @@ class ReplayEngine:
     def _launch_send(self, order: int) -> None:
         pid = self._plan_idx[order]
         now = self.engine.now
-        # Deterministic latency (jitter/queueing are gated off) plus the
-        # per-channel non-overtaking envelope clock.
+        # The path latency plus the per-channel non-overtaking envelope
+        # clock.
         arrival = now + self._latency[pid]
         floor = self._env_clock[pid]
         if floor is not None and arrival <= floor:

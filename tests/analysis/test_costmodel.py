@@ -190,10 +190,6 @@ class TestDifferentialGate:
         assert data["ok"] is True
         assert data["counts"]["bytes"]["total"] >= 1
 
-    def test_rejects_jittery_spec(self):
-        with pytest.raises(ConfigurationError):
-            differential_gate(spec=ideal(jitter_sigma=0.1))
-
     def test_rejects_bad_band(self):
         with pytest.raises(ConfigurationError):
             differential_gate(band=0.0)

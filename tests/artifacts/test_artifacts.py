@@ -39,7 +39,6 @@ def _sweep_artifact():
         "root": 0,
         "placement": "blocked",
         "faults": None,
-        "reliable": None,
     }
     return RunArtifact.create(
         "sweep", config, [dataclasses.asdict(r) for r in records]
@@ -150,6 +149,27 @@ class TestCli:
         assert main(["audit", sweep_artifact.name, "--dir", str(tmp_path)]) == 1
         assert main(["audit", "nope", "--dir", str(tmp_path)]) == 2
         capsys.readouterr()
+
+    def test_spec_the_code_cannot_build_is_usage_error(
+        self, sweep_artifact, tmp_path, capsys
+    ):
+        """An artifact whose recorded spec carries a field MachineSpec
+        lacks, or a value it rejects, ends the audit in one ``error:``
+        line (exit 2) naming the field, not in a traceback."""
+        store = ArtifactStore(tmp_path)
+        for field, value in (("jitter_sigma", 0.0), ("nic_bw", float("nan"))):
+            spec = dict(sweep_artifact.config["spec"], **{field: value})
+            config = dict(sweep_artifact.config, spec=spec)
+            old = RunArtifact.create("sweep", config, sweep_artifact.records)
+            assert not old.integrity_problems()
+            if field == "jitter_sigma":
+                with pytest.raises(ArtifactError, match=field):
+                    audit_artifact(old)
+            store.save(old)
+            assert main(["audit", old.name, "--dir", str(tmp_path)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1, err
+            assert err[0].startswith("error:") and field in err[0]
 
     def test_audit_empty_store_is_usage_error(self, tmp_path, capsys):
         assert main(["audit", "--dir", str(tmp_path)]) == 2

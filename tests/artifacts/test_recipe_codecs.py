@@ -1,5 +1,5 @@
 """Recipe codecs: the JSON form of the non-JSON values an artifact
-recipe carries (machine spec, sweep points, fault plan, transport)."""
+recipe carries (machine spec, sweep points, fault plan)."""
 
 import json
 import re
@@ -8,9 +8,8 @@ import pytest
 
 from repro.artifacts import audit
 from repro.core.sweep import SweepPoint
-from repro.errors import ConfigurationError, MachineError
+from repro.errors import MachineError
 from repro.machine import hornet
-from repro.mpi.reliable import ReliableConfig
 from repro.sim.faults import FaultPlan
 
 
@@ -39,16 +38,3 @@ class TestCodecs:
         assert back.digest() == plan.digest()
         assert audit.encode_faults(None) is None
         assert audit.decode_faults(None) is None
-
-    def test_reliable_round_trip(self):
-        assert audit.decode_reliable(audit.encode_reliable(None)) is None
-        assert audit.decode_reliable(audit.encode_reliable(True)) is True
-        assert audit.decode_reliable(audit.encode_reliable(False)) is False
-        cfg = ReliableConfig()
-        assert audit.decode_reliable(audit.encode_reliable(cfg)) == cfg
-
-    def test_reliable_rejects_garbage(self):
-        with pytest.raises(ConfigurationError):
-            audit.encode_reliable(object())
-        with pytest.raises(ConfigurationError):
-            audit.decode_reliable({"kind": "nope"})

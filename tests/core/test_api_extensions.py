@@ -1,4 +1,4 @@
-"""Tests for the measurement-loop and jitter extensions."""
+"""Tests for the measurement loop and the timed DES end to end."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,38 +39,6 @@ class TestIterations:
     def test_bad_iterations(self):
         with pytest.raises(ConfigurationError):
             simulate_bcast(ideal(), 4, 100, iterations=0)
-
-
-class TestJitter:
-    def test_jitter_reproducible_by_seed(self):
-        spec = hornet(nodes=2, jitter_sigma=0.2, seed=42)
-        t1 = simulate_bcast(spec, 16, 65536, algorithm="scatter_ring_opt").time
-        t2 = simulate_bcast(spec, 16, 65536, algorithm="scatter_ring_opt").time
-        assert t1 == t2
-
-    def test_different_seed_different_time(self):
-        base = dict(nodes=2, jitter_sigma=0.2)
-        t1 = simulate_bcast(
-            hornet(seed=1, **base), 16, 65536, algorithm="scatter_ring_opt"
-        ).time
-        t2 = simulate_bcast(
-            hornet(seed=2, **base), 16, 65536, algorithm="scatter_ring_opt"
-        ).time
-        assert t1 != t2
-
-    def test_zero_sigma_is_bitwise_deterministic_baseline(self):
-        spec_nojit = hornet(nodes=2, seed=7)
-        spec_jit0 = hornet(nodes=2, jitter_sigma=0.0, seed=99)
-        t1 = simulate_bcast(spec_nojit, 8, 65536).time
-        t2 = simulate_bcast(spec_jit0, 8, 65536).time
-        assert t1 == t2
-
-    def test_data_correct_under_jitter(self):
-        spec = hornet(nodes=2, jitter_sigma=0.3, seed=3)
-        rec = simulate_bcast(
-            spec, 10, 10_000, algorithm="scatter_ring_opt", validate=True
-        )
-        assert rec.time > 0
 
 
 @settings(deadline=None, max_examples=15)

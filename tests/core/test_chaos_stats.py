@@ -59,11 +59,6 @@ class TestCacheKeys:
             spec, self.POINT, faults=twin
         )
 
-    def test_reliable_flag_separates_entries(self):
-        spec = ideal()
-        assert cache_key(spec, self.POINT) != cache_key(
-            spec, self.POINT, reliable=True
-        )
 
 
 class TestCli:

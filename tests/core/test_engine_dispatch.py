@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import api, simulate_bcast
 from repro.errors import ReplayUnsupportedError
-from repro.machine import hornet, ideal
+from repro.machine import hornet
 from repro.sim.faults import FaultPlan
 
 
@@ -50,12 +50,6 @@ class TestDispatch:
 
     def test_validate_falls_back_to_des(self):
         rec = run(algorithm="binomial", nranks=5, nbytes=2048, validate=True)
-        assert rec.engine == "des"
-
-    def test_jitter_spec_falls_back_to_des(self):
-        rec = simulate_bcast(
-            ideal(jitter_sigma=1e-8), 5, 4096, algorithm="binomial"
-        )
         assert rec.engine == "des"
 
     def test_unreplayable_schedule_falls_back_to_des(self, monkeypatch):

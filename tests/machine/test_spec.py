@@ -31,7 +31,6 @@ class TestValidation:
             ("mem_penalty", -0.1),
             ("l3_bytes", 0),
             ("mem_pressure_bytes", -5),
-            ("jitter_sigma", -0.1),
         ],
     )
     def test_rejects_bad_field(self, field, value):

@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, DeadlockError, TransportExhaustedError
+from repro.errors import DeadlockError, TransportExhaustedError
 from repro.machine import Machine, ideal
-from repro.mpi import ANY_TAG, Job, RealBuffer, ReliableConfig
+from repro.mpi import ANY_TAG, Job, RealBuffer
+from repro.mpi.reliable import BACKOFF, MAX_RETRIES, ReliableTransport
+from repro.mpi.transport import Transport
 from repro.sim import FaultPlan, LinkRule
+
+#: A non-zero plan that never perturbs a message: it runs a job on the
+#: ARQ transport with nothing to recover from.
+ARQ_ONLY = FaultPlan.none(name="arq_only").with_rule(LinkRule())
 
 
 def make_machine(nranks, eager_threshold=8192):
@@ -37,11 +43,20 @@ def drop_first(src=0, dst=1, n=1):
     )
 
 
+class TestTransportChoice:
+    def test_transport_follows_plan(self):
+        machine = make_machine(2)
+        f = ping_factory()
+        assert type(Job(machine, f).transport) is Transport
+        assert type(Job(machine, f, faults=FaultPlan.none()).transport) is Transport
+        assert type(Job(machine, f, faults=drop_first()).transport) is ReliableTransport
+
+
 class TestCleanPath:
     def test_zero_faults_delivers_with_one_ack(self):
         bufs = [RealBuffer.from_array(np.full(1024, r + 1, dtype=np.uint8))
                 for r in range(2)]
-        job = Job(make_machine(2), ping_factory(), buffers=bufs, reliable=True)
+        job = Job(make_machine(2), ping_factory(), buffers=bufs, faults=ARQ_ONLY)
         result = job.run()
         c = result.counters
         assert result.rank_results[1] == 1024
@@ -51,7 +66,7 @@ class TestCleanPath:
 
     def test_wire_counters_match_plain_transport(self):
         plain = Job(make_machine(2), ping_factory()).run().counters
-        arq = Job(make_machine(2), ping_factory(), reliable=True).run().counters
+        arq = Job(make_machine(2), ping_factory(), faults=ARQ_ONLY).run().counters
         assert (arq.messages, arq.bytes) == (plain.messages, plain.bytes)
         assert all(getattr(plain, name) == 0 for name in plain.CHAOS_FIELDS)
 
@@ -65,7 +80,6 @@ class TestRecovery:
             ping_factory(),
             buffers=bufs,
             faults=drop_first(),
-            reliable=True,
         )
         c = job.run().counters
         assert np.array_equal(bufs[1].array, bufs[0].array)
@@ -80,10 +94,7 @@ class TestRecovery:
         )
         bufs = [RealBuffer.from_array(np.full(512, r + 9, dtype=np.uint8))
                 for r in range(2)]
-        job = Job(
-            make_machine(2), ping_factory(512), buffers=bufs,
-            faults=plan, reliable=True,
-        )
+        job = Job(make_machine(2), ping_factory(512), buffers=bufs, faults=plan)
         c = job.run().counters
         assert np.array_equal(bufs[1].array, bufs[0].array)
         assert c.corrupt_injected == 1 and c.corrupt_dropped == 1
@@ -93,7 +104,7 @@ class TestRecovery:
         plan = FaultPlan.none(name="dup_first").with_rule(
             LinkRule(src=0, dst=1, op_lo=0, op_hi=1, dup_p=1.0)
         )
-        job = Job(make_machine(2), ping_factory(), faults=plan, reliable=True)
+        job = Job(make_machine(2), ping_factory(), faults=plan)
         result = job.run()
         c = result.counters
         assert result.rank_results[1] == 1024  # exactly one recv completed
@@ -118,8 +129,29 @@ class TestRecovery:
 
             return program()
 
-        job = Job(make_machine(2), factory, faults=drop_first(), reliable=True)
+        job = Job(make_machine(2), factory, faults=drop_first())
         assert job.run().rank_results[1] == [11, 22]
+
+    def test_deadlock_report_lists_injected_faults(self):
+        """A recovered drop still shows in the report of a later hang,
+        so a chaos-run deadlock does not read like a schedule bug."""
+
+        def factory(ctx):
+            def program():
+                if ctx.rank == 0:
+                    yield from ctx.send(1, 256, tag=1)
+                elif ctx.rank == 1:
+                    for _ in range(2):  # one more than rank 0 sends
+                        yield from ctx.recv(0, 256, tag=1)
+                return None
+
+            return program()
+
+        job = Job(make_machine(2), factory, faults=drop_first())
+        with pytest.raises(DeadlockError) as exc_info:
+            job.run()
+        text = str(exc_info.value)
+        assert "injected" in text and "drop 0->1" in text
 
 
 class TestHalfDuplex:
@@ -141,7 +173,7 @@ class TestHalfDuplex:
         with pytest.raises(DeadlockError):
             Job(make_machine(nranks, eager_threshold=1024), factory).run()
         result = Job(
-            make_machine(nranks, eager_threshold=1024), factory, reliable=True
+            make_machine(nranks, eager_threshold=1024), factory, faults=ARQ_ONLY
         ).run()
         assert result.counters.messages == nranks
 
@@ -149,22 +181,19 @@ class TestHalfDuplex:
 class TestExhaustion:
     def test_crash_raises_typed_error_naming_link(self):
         plan = FaultPlan.none(name="crash").with_crash(1)
-        cfg = ReliableConfig(max_retries=3)
-        job = Job(
-            make_machine(2), ping_factory(), faults=plan, reliable=cfg
-        )
+        job = Job(make_machine(2), ping_factory(), faults=plan)
         with pytest.raises(TransportExhaustedError) as exc_info:
             job.run()
         exc = exc_info.value
         assert (exc.src, exc.dst, exc.tag) == (0, 1, 7)
-        assert exc.attempts == cfg.max_retries + 1
+        assert exc.attempts == MAX_RETRIES + 1
         assert "crash(rank 1)" in str(exc)
 
     def test_exhaustion_is_deterministic(self):
         plan = FaultPlan.none(name="crash").with_crash(1)
 
         def attempts():
-            job = Job(make_machine(2), ping_factory(), faults=plan, reliable=True)
+            job = Job(make_machine(2), ping_factory(), faults=plan)
             with pytest.raises(TransportExhaustedError) as exc_info:
                 job.run()
             return exc_info.value.attempts
@@ -187,7 +216,6 @@ class TestDeterminism:
             lambda ctx: algo(ctx, 12288, 0),
             working_set=12288,
             faults=FaultPlan.uniform(seed=0, drop_p=0.01),
-            reliable=True,
         )
         engine = job.engine
         calls = {"post": 0, "schedule_at": 0}
@@ -216,55 +244,13 @@ class TestDeterminism:
         assert calls == {"post": 16227, "schedule_at": 4108}
 
 
-class TestPlainTransportFaults:
-    def test_rendezvous_drop_reported_in_deadlock(self):
-        """On the plain transport a dropped rendezvous send blocks the
-        sender forever; the deadlock report must name the injected drop."""
-        plan = FaultPlan.none(name="drop100").with_rule(
-            LinkRule(src=0, dst=1, drop_p=1.0, label="drop100")
-        )
-        job = Job(
-            make_machine(2, eager_threshold=1024),
-            ping_factory(nbytes=4096),
-            faults=plan,
-        )
-        with pytest.raises(DeadlockError) as exc_info:
-            job.run()
-        text = str(exc_info.value)
-        assert "injected" in text and "drop 0->1" in text
-
-    def test_eager_drop_counts_and_completes_sender(self):
-        plan = drop_first()
-
-        def factory(ctx):
-            def program():
-                if ctx.rank == 0:
-                    yield from ctx.send(1, 256, tag=1)  # eager: fire and forget
-                return None
-
-            return program()
-
-        c = Job(make_machine(2), factory, faults=plan).run().counters
-        assert c.drops_injected == 1 and c.messages == 1
-
-
 class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            ReliableConfig(min_timeout=0.0)
-        with pytest.raises(ConfigurationError):
-            ReliableConfig(backoff=0.5)
-        with pytest.raises(ConfigurationError):
-            ReliableConfig(max_retries=-1)
-
     def test_backoff_grows_timeout(self):
-        from repro.mpi.reliable import ReliableTransport
-
-        job = Job(make_machine(2), ping_factory(), reliable=True)
+        job = Job(make_machine(2), ping_factory(), faults=ARQ_ONLY)
         transport = job.transport
         assert isinstance(transport, ReliableTransport)
         plan = transport.machine.transfer_plan(0, 1)
         xfer_s = transport._xfer_seconds(plan, 1024)
         t1 = transport._timeout_seconds(plan, xfer_s, attempts=1)
         t3 = transport._timeout_seconds(plan, xfer_s, attempts=3)
-        assert t3 == pytest.approx(t1 * transport.config.backoff ** 2)
+        assert t3 == pytest.approx(t1 * BACKOFF ** 2)

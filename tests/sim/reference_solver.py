@@ -5,6 +5,12 @@ flow lifecycle, completion cascade and kernel, but drops the state that
 makes re-solves cheap: it tracks no contention components and has no
 solve memo. Every re-solve partitions all active flows from scratch and
 runs one :func:`~repro.sim.flows.water_fill` per group.
+
+It does so by overriding three of the network's hooks: ``_comp_add``
+and ``_comp_remove`` only keep the set of active flows, and
+``_solve_rates`` partitions and solves that set. The reference keeps no
+dirty set, so it relies on ``FlowNetwork._resolve`` calling
+``_solve_rates`` on every re-solve, with or without dirty components.
 ``tests/sim/test_solver_differential.py`` and
 ``benchmarks/test_solver_micro.py`` require the production network to
 match it bit for bit.

@@ -230,9 +230,13 @@ def test_property_maxmin_invariants(data, n_resources, n_flows):
         )
     net.flush()
 
+    def crossing(res):
+        """The started flows whose paths cross *res*."""
+        return [f for f in flows if any(r is res for r in f.resources)]
+
     # Feasibility: no resource above capacity.
     for res in resources:
-        assert sum(f.rate for f in res.flows) <= res.capacity * (1 + 1e-6)
+        assert sum(f.rate for f in crossing(res)) <= res.capacity * (1 + 1e-6)
     # Positivity and caps.
     for f in flows:
         assert f.rate > 0.0
@@ -244,9 +248,9 @@ def test_property_maxmin_invariants(data, n_resources, n_flows):
         capped = f.rate_cap is not None and f.rate >= f.rate_cap * (1 - 1e-6)
         bottlenecked = False
         for res in f.resources:
-            used = sum(g.rate for g in res.flows)
+            used = sum(g.rate for g in crossing(res))
             if used >= res.capacity * (1 - 1e-6) and f.rate >= max(
-                g.rate for g in res.flows
+                g.rate for g in crossing(res)
             ) * (1 - 1e-6):
                 bottlenecked = True
                 break

@@ -74,7 +74,7 @@ class TestRegistryAndPaths:
             net.add_flow(1000.0, [link], on_complete=lambda f: done.setdefault("x", eng.now))
             eng.run()
             assert done["x"] == pytest.approx(10.0)
-        assert link.load == 0  # fully detached after both runs
+            assert net.active_count == 0
 
     def test_duplicate_resource_in_path_counts_twice(self):
         """Listing a resource twice on a path charges it double — the

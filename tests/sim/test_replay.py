@@ -193,12 +193,6 @@ class TestReplayEngine:
             gc.enable()
         assert not leaked & {"Request", "_PendingSend", "EventHandle", "FlowNetwork"}
 
-    def test_jitter_spec_rejected(self):
-        compiled = registry_compiled("bcast_opt", 4, 4096)
-        machine = Machine(ideal(jitter_sigma=1e-7), nranks=4)
-        with pytest.raises(ReplayUnsupportedError, match="jitter"):
-            ReplayEngine(machine, compiled)
-
     def test_machine_too_small_rejected(self):
         compiled = registry_compiled("bcast_opt", 8, 4096)
         with pytest.raises(SimulationError, match="hosts 4"):
